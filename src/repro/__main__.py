@@ -227,11 +227,35 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _print_storm(title: str, storm) -> None:
+    """The serve-sim phase table, goodput and false-negative count."""
+    from repro.serve import ServeOutcome
+
+    header = (f"{'phase':10s} {'requests':>8s} "
+              + "".join(f"{o.value:>10s}" for o in ServeOutcome)
+              + f" {'p99 (ms)':>9s}")
+    print(title)
+    print(header)
+    print("-" * len(header))
+    for p in storm.phases:
+        print(f"{p.name:10s} {p.n_requests:8d} "
+              + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
+              + f" {1e3 * p.latency_quantile(0.99):9.2f}")
+    print(f"\ngoodput (served/total): {storm.goodput():.3f}")
+    print(f"false negatives: {storm.false_negatives} (must be 0)")
+
+
+def _write_json(path: str, what: str, doc: dict) -> None:
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+    print(f"\n{what} written to {path}")
+
+
 def _cmd_serve_sim(args) -> int:
     from repro import obs
-    from repro.serve import (
-        BreakerState, ServeOutcome, StormPhase, build_stack, run_storm,
-    )
+    from repro.serve import StormPhase
 
     n = args.n_requests
     phases = (
@@ -241,48 +265,45 @@ def _cmd_serve_sim(args) -> int:
                    spike_prob=0.05),
         StormPhase("recovery", n // 3),
     )
-    if args.shards > 0:
-        return _serve_sim_sharded(args, phases)
-    if args.replicas > 0:
-        return _serve_sim_replicated(args, phases)
-    if args.tenants > 0:
-        return _serve_sim_tenant(args, phases)
     with obs.use_registry():
-        served, tree, _device, _injector, _latency, _clock = build_stack(
-            seed=args.seed, n_keys=args.n_keys, budget=args.budget_ms / 1000.0,
-            cache_mb=args.cache_mb, cache_policy=args.cache_policy,
-            negative_cache_entries=args.negative_cache,
-        )
-        report = run_storm(served, phases, seed=args.seed, n_keys=args.n_keys)
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"storm schedule: {n} requests, fault rate {args.fault_rate}, "
-              f"budget {args.budget_ms:.1f} ms, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in report.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {report.goodput():.3f}")
-        print(f"false negatives: {report.false_negatives} (must be 0)")
-        print(f"breaker transitions: {report.breaker_opens} opened, "
-              f"{report.breaker_closes} closed "
-              f"({len(served.breaker_device.open_breakers())} not yet recovered)")
-        half_open = served.breaker_device.n_transitions(BreakerState.HALF_OPEN)
-        print(f"half-open probe rounds: {half_open}")
-        if args.cache_mb > 0:
-            cache = tree.device.cache
-            print(f"block cache ({args.cache_policy}, {args.cache_mb:g} MiB): "
-                  f"hit rate {cache.stats.hit_rate:.3f} "
-                  f"({cache.stats.hits} hits / {cache.stats.requests} reads), "
-                  f"{cache.stats.evictions} evictions, "
-                  f"{cache.stats.invalidations} invalidations")
-        if served.negative_cache is not None:
-            neg = served.negative_cache
-            print(f"negative-lookup cache: {neg.hits} hits, {neg.misses} misses, "
-                  f"{neg.epoch_flushes} epoch flushes")
+        if args.shards > 0:
+            return _serve_sim_sharded(args, phases)
+        if args.replicas > 0:
+            return _serve_sim_replicated(args, phases)
+        if args.tenants > 0:
+            return _serve_sim_tenant(args, phases)
+        return _serve_sim_single(args, phases)
+
+
+def _serve_sim_single(args, phases) -> int:
+    """serve-sim over the single-tree stack; non-zero on a false negative."""
+    from repro.serve import BreakerState, build_stack, run_storm
+
+    served, tree, _device, _injector, _latency, _clock = build_stack(
+        seed=args.seed, n_keys=args.n_keys, budget=args.budget_ms / 1000.0,
+        cache_mb=args.cache_mb, cache_policy=args.cache_policy,
+        negative_cache_entries=args.negative_cache,
+    )
+    report = run_storm(served, phases, seed=args.seed, n_keys=args.n_keys)
+    _print_storm(f"storm schedule: {args.n_requests} requests, "
+                 f"fault rate {args.fault_rate}, "
+                 f"budget {args.budget_ms:.1f} ms, seed {args.seed}", report)
+    print(f"breaker transitions: {report.breaker_opens} opened, "
+          f"{report.breaker_closes} closed "
+          f"({len(served.breaker_device.open_breakers())} not yet recovered)")
+    half_open = served.breaker_device.n_transitions(BreakerState.HALF_OPEN)
+    print(f"half-open probe rounds: {half_open}")
+    if args.cache_mb > 0:
+        cache = tree.device.cache
+        print(f"block cache ({args.cache_policy}, {args.cache_mb:g} MiB): "
+              f"hit rate {cache.stats.hit_rate:.3f} "
+              f"({cache.stats.hits} hits / {cache.stats.requests} reads), "
+              f"{cache.stats.evictions} evictions, "
+              f"{cache.stats.invalidations} invalidations")
+    if served.negative_cache is not None:
+        neg = served.negative_cache
+        print(f"negative-lookup cache: {neg.hits} hits, {neg.misses} misses, "
+              f"{neg.epoch_flushes} epoch flushes")
     return 0 if report.false_negatives == 0 else 1
 
 
@@ -290,68 +311,50 @@ def _serve_sim_sharded(args, phases) -> int:
     """serve-sim over a sharded stack, with an optional live migration.
 
     Exit status is non-zero on any false negative *or* a migration that
-    failed to reach DONE — the two invariants the reshard chaos CI job
-    gates on.
+    failed to reach DONE — the two invariants the chaos CI job gates on
+    for the reshard suite.
     """
-    import json
+    from repro.serve import run_reshard_storm
 
-    from repro import obs
-    from repro.serve import ServeOutcome, run_reshard_storm
-
-    with obs.use_registry():
-        storm, reshard, coordinator = run_reshard_storm(
-            seed=args.seed,
-            n_keys=args.n_keys,
-            n_shards=args.shards,
-            phases=phases,
-            reshard_at=args.reshard_at,
-            kind=args.reshard_kind,
-            crash_at_step=args.crash_at_step,
-            budget=args.budget_ms / 1000.0,
-        )
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"sharded storm: {storm.n_requests} requests over {args.shards} "
-              f"shards, fault rate {args.fault_rate}, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in storm.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {storm.goodput():.3f}")
-        print(f"false negatives: {storm.false_negatives} (must be 0)")
-        if args.reshard_at > 0:
-            print(f"\nmigration ({args.reshard_kind} at request "
-                  f"{args.reshard_at}"
-                  + (f", crash armed at {args.crash_at_step!r}"
-                     if args.crash_at_step else "")
-                  + "):")
-            for t, label in reshard.events:
-                print(f"  t={1e3 * t:9.2f} ms  {label}")
-            print(f"  completed: {reshard.completed}  "
-                  f"crashes: {reshard.crashes}  "
-                  f"recoveries: {reshard.recoveries}")
-            print(f"  keys moved/verified/retired: {reshard.keys_moved}/"
-                  f"{reshard.keys_verified}/{reshard.keys_retired} "
-                  f"(repairs: {reshard.repairs})")
-            print(f"  double-read amplification: "
-                  f"{reshard.double_read_amplification:.3f} "
-                  f"({reshard.double_reads} double reads)")
-            print(f"  migration batches shed: {reshard.pump_sheds}")
-            print(f"  routing epoch: {reshard.final_epoch}, shards: "
-                  f"{list(reshard.final_shards)}")
-        if args.journal_out:
-            doc = {
-                "journal": coordinator.journal_records(),
-                "report": reshard.as_dict(),
-                "seed": args.seed,
-                "crash_at_step": args.crash_at_step,
-            }
-            with open(args.journal_out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-            print(f"\nmigration journal written to {args.journal_out}")
+    storm, reshard, coordinator = run_reshard_storm(
+        seed=args.seed,
+        n_keys=args.n_keys,
+        n_shards=args.shards,
+        phases=phases,
+        reshard_at=args.reshard_at,
+        kind=args.reshard_kind,
+        crash_at_step=args.crash_at_step,
+        budget=args.budget_ms / 1000.0,
+    )
+    _print_storm(f"sharded storm: {storm.n_requests} requests over {args.shards} "
+                 f"shards, fault rate {args.fault_rate}, seed {args.seed}", storm)
+    if args.reshard_at > 0:
+        print(f"\nmigration ({args.reshard_kind} at request "
+              f"{args.reshard_at}"
+              + (f", crash armed at {args.crash_at_step!r}"
+                 if args.crash_at_step else "")
+              + "):")
+        for t, label in reshard.events:
+            print(f"  t={1e3 * t:9.2f} ms  {label}")
+        print(f"  completed: {reshard.completed}  "
+              f"crashes: {reshard.crashes}  "
+              f"recoveries: {reshard.recoveries}")
+        print(f"  keys moved/verified/retired: {reshard.keys_moved}/"
+              f"{reshard.keys_verified}/{reshard.keys_retired} "
+              f"(repairs: {reshard.repairs})")
+        print(f"  double-read amplification: "
+              f"{reshard.double_read_amplification:.3f} "
+              f"({reshard.double_reads} double reads)")
+        print(f"  migration batches shed: {reshard.pump_sheds}")
+        print(f"  routing epoch: {reshard.final_epoch}, shards: "
+              f"{list(reshard.final_shards)}")
+    if args.journal_out:
+        _write_json(args.journal_out, "migration journal", {
+            "journal": coordinator.journal_records(),
+            "report": reshard.as_dict(),
+            "seed": args.seed,
+            "crash_at_step": args.crash_at_step,
+        })
     ok = storm.false_negatives == 0 and (
         args.reshard_at <= 0 or reshard.completed
     )
@@ -362,71 +365,53 @@ def _serve_sim_replicated(args, phases) -> int:
     """serve-sim over a replicated fleet, with an optional kill/heal.
 
     Exit status is non-zero on any false negative, an unconverged fleet,
-    or leftover handoff backlog — the invariants the replica-chaos CI
-    job gates on.
+    or leftover handoff backlog — the invariants the chaos CI job gates
+    on for the replica suite.
     """
-    import json
+    from repro.serve import run_replica_storm
 
-    from repro import obs
-    from repro.serve import ServeOutcome, run_replica_storm
-
-    with obs.use_registry():
-        storm, rep, store, repairer = run_replica_storm(
-            seed=args.seed,
-            n_keys=args.n_keys,
-            n_nodes=args.replicas,
-            read_quorum=args.repl_quorum or None,
-            phases=phases,
-            kill_at=args.kill_replica_at,
-            heal_at=args.heal_at,
-            wipe=args.wipe_replica,
-            crash_at_step=args.crash_at_step,
-            write_fraction=0.05,
-            budget=args.budget_ms / 1000.0,
-        )
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"replicated storm: {storm.n_requests} requests over "
-              f"{args.replicas} replicas (R={store.replication}, "
-              f"read quorum {store.read_quorum}), "
-              f"fault rate {args.fault_rate}, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in storm.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {storm.goodput():.3f}")
-        print(f"false negatives: {storm.false_negatives} (must be 0)")
-        if args.kill_replica_at > 0:
-            print(f"\nreplica lifecycle (kill at request "
-                  f"{args.kill_replica_at}"
-                  + (", wiped" if args.wipe_replica else "")
-                  + (f", heal at {args.heal_at}" if args.heal_at else "")
-                  + (f", crash armed at {args.crash_at_step!r}"
-                     if args.crash_at_step else "")
-                  + "):")
-            for t, label in rep.events:
-                print(f"  t={1e3 * t:9.2f} ms  {label}")
-            print(f"  crashes: {rep.crashes}  recoveries: {rep.recoveries}")
-        print(f"hints journaled/replayed/dropped: {rep.hints_journaled}/"
-              f"{rep.hints_replayed}/{rep.hints_dropped} "
-              f"(backlog: {rep.backlog})")
-        print(f"anti-entropy: {rep.repairs} records repaired "
-              f"({rep.repair_bytes} bytes), {rep.buckets_checked} buckets "
-              f"checked, {rep.repair_sheds} pumps shed")
-        print(f"digests converged: {rep.converged} (must be true)")
-        if args.journal_out:
-            doc = {
-                "report": rep.as_dict(),
-                "seed": args.seed,
-                "replicas": args.replicas,
-                "crash_at_step": args.crash_at_step,
-            }
-            with open(args.journal_out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-            print(f"\nreplica report written to {args.journal_out}")
+    storm, rep, store, repairer = run_replica_storm(
+        seed=args.seed,
+        n_keys=args.n_keys,
+        n_nodes=args.replicas,
+        read_quorum=args.repl_quorum or None,
+        phases=phases,
+        kill_at=args.kill_replica_at,
+        heal_at=args.heal_at,
+        wipe=args.wipe_replica,
+        crash_at_step=args.crash_at_step,
+        write_fraction=0.05,
+        budget=args.budget_ms / 1000.0,
+    )
+    _print_storm(f"replicated storm: {storm.n_requests} requests over "
+                 f"{args.replicas} replicas (R={store.replication}, "
+                 f"read quorum {store.read_quorum}), "
+                 f"fault rate {args.fault_rate}, seed {args.seed}", storm)
+    if args.kill_replica_at > 0:
+        print(f"\nreplica lifecycle (kill at request "
+              f"{args.kill_replica_at}"
+              + (", wiped" if args.wipe_replica else "")
+              + (f", heal at {args.heal_at}" if args.heal_at else "")
+              + (f", crash armed at {args.crash_at_step!r}"
+                 if args.crash_at_step else "")
+              + "):")
+        for t, label in rep.events:
+            print(f"  t={1e3 * t:9.2f} ms  {label}")
+        print(f"  crashes: {rep.crashes}  recoveries: {rep.recoveries}")
+    print(f"hints journaled/replayed/dropped: {rep.hints_journaled}/"
+          f"{rep.hints_replayed}/{rep.hints_dropped} "
+          f"(backlog: {rep.backlog})")
+    print(f"anti-entropy: {rep.repairs} records repaired "
+          f"({rep.repair_bytes} bytes), {rep.buckets_checked} buckets "
+          f"checked, {rep.repair_sheds} pumps shed")
+    print(f"digests converged: {rep.converged} (must be true)")
+    if args.journal_out:
+        _write_json(args.journal_out, "replica report", {
+            "report": rep.as_dict(),
+            "seed": args.seed,
+            "replicas": args.replicas,
+            "crash_at_step": args.crash_at_step,
+        })
     ok = (storm.false_negatives == 0 and rep.converged
           and rep.backlog == 0 and rep.hints_dropped == 0)
     return 0 if ok else 1
@@ -437,56 +422,43 @@ def _serve_sim_tenant(args, phases) -> int:
 
     Exit status is non-zero on any false negative (mid-storm or in the
     post-drain ground-truth audit) or on a tree invariant failure — the
-    conditions the tenant-chaos CI job gates on.
+    conditions the chaos CI job gates on for the tenant suite.
     """
-    from repro import obs
-    from repro.serve import ServeOutcome, TenantQuota, run_tenant_storm
+    from repro.serve import TenantQuota, run_tenant_storm
 
     quota = (
         TenantQuota(rate=args.tenant_quota, burst=max(1.0, args.tenant_quota / 10))
         if args.tenant_quota > 0 else None
     )
-    with obs.use_registry():
-        storm, rep, store = run_tenant_storm(
-            seed=args.seed,
-            n_tenants=args.tenants,
-            n_trees=args.tenant_trees,
-            mode=args.tenant_mode,
-            phases=phases,
-            zipf_skew=args.tenant_zipf,
-            churn_every=args.tenant_churn,
-            quota=quota,
-            budget=args.budget_ms / 1000.0,
-        )
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"tenant storm: {storm.n_requests} requests over "
-              f"{rep.n_tenants_start} tenants ({args.tenant_trees} trees, "
-              f"mode {args.tenant_mode}, zipf {args.tenant_zipf}), "
-              f"fault rate {args.fault_rate}, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in storm.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {storm.goodput():.3f}")
-        print(f"false negatives: {storm.false_negatives} (must be 0)")
-        print(f"mean probes per lookup: {rep.mean_probes:.1f} "
-              f"(flat fan-out would be >= {rep.n_tenants_final})")
-        print(f"fleet: {rep.n_tenants_final} tenants, max tree height "
-              f"{rep.max_height}, {rep.tenants_added} provisioned / "
-              f"{rep.tenants_removed} deprovisioned mid-storm")
-        if quota is not None:
-            print(f"quota sheds: {rep.quota_sheds} "
-                  f"(rate {args.tenant_quota:g}/s per tenant)")
-        print(f"staleness: {rep.stale_fraction:.4f} of interior bits "
-              f"pre-re-OR, {rep.stale_bits_cleared} cleared, "
-              f"{rep.reor_runs} re-OR runs")
-        print(f"post-drain audit: {rep.audited_keys} keys checked, "
-              f"{rep.audit_false_negatives} lost (must be 0), "
-              f"{rep.invariant_failures} invariant failures (must be 0)")
+    storm, rep, store = run_tenant_storm(
+        seed=args.seed,
+        n_tenants=args.tenants,
+        n_trees=args.tenant_trees,
+        mode=args.tenant_mode,
+        phases=phases,
+        zipf_skew=args.tenant_zipf,
+        churn_every=args.tenant_churn,
+        quota=quota,
+        budget=args.budget_ms / 1000.0,
+    )
+    _print_storm(f"tenant storm: {storm.n_requests} requests over "
+                 f"{rep.n_tenants_start} tenants ({args.tenant_trees} trees, "
+                 f"mode {args.tenant_mode}, zipf {args.tenant_zipf}), "
+                 f"fault rate {args.fault_rate}, seed {args.seed}", storm)
+    print(f"mean probes per lookup: {rep.mean_probes:.1f} "
+          f"(flat fan-out would be >= {rep.n_tenants_final})")
+    print(f"fleet: {rep.n_tenants_final} tenants, max tree height "
+          f"{rep.max_height}, {rep.tenants_added} provisioned / "
+          f"{rep.tenants_removed} deprovisioned mid-storm")
+    if quota is not None:
+        print(f"quota sheds: {rep.quota_sheds} "
+              f"(rate {args.tenant_quota:g}/s per tenant)")
+    print(f"staleness: {rep.stale_fraction:.4f} of interior bits "
+          f"pre-re-OR, {rep.stale_bits_cleared} cleared, "
+          f"{rep.reor_runs} re-OR runs")
+    print(f"post-drain audit: {rep.audited_keys} keys checked, "
+          f"{rep.audit_false_negatives} lost (must be 0), "
+          f"{rep.invariant_failures} invariant failures (must be 0)")
     ok = (storm.false_negatives == 0 and rep.audit_false_negatives == 0
           and rep.invariant_failures == 0)
     return 0 if ok else 1

@@ -11,11 +11,8 @@ tested.
 
 Routing is pluggable (:mod:`repro.core.routing`): the default
 :class:`~repro.core.routing.HashRouter` reproduces the historical
-hard-coded mapping bit-for-bit, while range / consistent-hash routers
-enable *online resharding* — between :meth:`ShardedFilter.begin_migration`
-and :meth:`ShardedFilter.complete_migration` every write double-applies
-to old and new owners and every probe ORs both, so mid-migration answers
-can be false positives (the filter contract) but never false negatives.
+hard-coded mapping bit-for-bit, and range / consistent-hash routers
+place keys by hash range or ring.
 """
 
 from __future__ import annotations
@@ -50,15 +47,8 @@ class ShardedFilter(DynamicFilter):
         self._router = router if router is not None else HashRouter(
             n_shards, seed=seed
         )
-        self._next_router: Router | None = None
-        self._check_router(self._router)
-
-    def _check_router(self, router: Router) -> None:
-        if max(router.shard_ids(), default=0) >= len(self._shards):
-            raise ValueError(
-                "router routes to shard ids beyond the shard list; "
-                "add_shard() the new shards first"
-            )
+        if max(self._router.shard_ids(), default=0) >= n_shards:
+            raise ValueError("router routes to shard ids beyond the shard list")
 
     @property
     def n_shards(self) -> int:
@@ -67,15 +57,6 @@ class ShardedFilter(DynamicFilter):
     @property
     def router(self) -> Router:
         return self._router
-
-    @property
-    def routing_epoch(self) -> int:
-        """Version of the active routing table; bumps at cutover."""
-        return self._router.epoch
-
-    @property
-    def migrating(self) -> bool:
-        return self._next_router is not None
 
     @property
     def supports_deletes(self) -> bool:
@@ -88,88 +69,33 @@ class ShardedFilter(DynamicFilter):
         """
         return all(s.supports_deletes for s in self._shards)
 
-    # -- resharding hooks (repro.serve.reshard drives these) -------------------
-
-    def add_shard(self, shard: DynamicFilter) -> int:
-        """Append a shard (and its lock); returns its id for routers."""
-        self._shards.append(shard)
-        self._locks.append(threading.Lock())
-        return len(self._shards) - 1
-
-    def begin_migration(self, new_router: Router) -> None:
-        """Enter double-apply/double-read mode toward *new_router*.
-
-        Until :meth:`complete_migration`, inserts land in both the old
-        and the new owner and probes OR both — so a concurrent reader can
-        see an extra positive (harmless) but never misses a key.
-        """
-        if self._next_router is not None:
-            raise RuntimeError("a migration is already in progress")
-        self._check_router(new_router)
-        self._next_router = new_router
-
-    def complete_migration(self) -> None:
-        """Cut over: the new router becomes the only routing table."""
-        if self._next_router is None:
-            raise RuntimeError("no migration in progress")
-        self._router = self._next_router
-        self._next_router = None
-
-    def _owners(self, key: Key) -> tuple[int, ...]:
-        primary = self._router.owner(key)
-        if self._next_router is None:
-            return (primary,)
-        secondary = self._next_router.owner(key)
-        return (primary,) if secondary == primary else (primary, secondary)
-
-    def _shard_of(self, key: Key) -> int:
-        # Compat shim: callers of the old private helper get the router's
-        # primary owner (identical to the historical mapping under the
-        # default HashRouter).
-        return self._router.owner(key)
-
     def insert(self, key: Key) -> None:
-        for i in self._owners(key):
-            with self._locks[i]:
-                self._shards[i].insert(key)
+        i = self._router.owner(key)
+        with self._locks[i]:
+            self._shards[i].insert(key)
 
     def may_contain(self, key: Key) -> bool:
-        for i in self._owners(key):
-            with self._locks[i]:
-                if self._shards[i].may_contain(key):
-                    return True
-        return False
+        i = self._router.owner(key)
+        with self._locks[i]:
+            return self._shards[i].may_contain(key)
 
     def delete(self, key: Key) -> None:
-        owners = self._owners(key)
-        primary = owners[0]
-        with self._locks[primary]:
-            self._shards[primary].delete(key)
-        # During a migration the secondary owner may not have seen the
-        # key yet (inserted before double-apply began), and deleting a
-        # never-inserted key is undefined for counting filters — so the
-        # secondary delete is guarded by a containment check.
-        for i in owners[1:]:
-            with self._locks[i]:
-                if self._shards[i].may_contain(key):
-                    self._shards[i].delete(key)
+        i = self._router.owner(key)
+        with self._locks[i]:
+            self._shards[i].delete(key)
 
     # -- batch API (docs/performance.md) ---------------------------------------
 
     def _group_by_shard(self, keys: KeyBatch) -> dict[int, tuple[list[int], list]]:
-        """Partition a batch: shard index -> (positions, keys), order kept.
-
-        During a migration a key appears in *both* owners' groups, so the
-        batch paths double-apply/double-read exactly like the scalar ones.
-        """
+        """Partition a batch: shard index -> (positions, keys), order kept."""
         groups: dict[int, tuple[list[int], list]] = {}
         for position, key in enumerate(as_key_list(keys)):
-            for shard in self._owners(key):
-                bucket = groups.get(shard)
-                if bucket is None:
-                    bucket = groups[shard] = ([], [])
-                bucket[0].append(position)
-                bucket[1].append(key)
+            shard = self._router.owner(key)
+            bucket = groups.get(shard)
+            if bucket is None:
+                bucket = groups[shard] = ([], [])
+            bucket[0].append(position)
+            bucket[1].append(key)
         return groups
 
     def insert_many(self, keys: KeyBatch) -> None:
@@ -189,7 +115,7 @@ class ShardedFilter(DynamicFilter):
     def may_contain_many(self, keys: KeyBatch) -> np.ndarray:
         """Batch probe: group per shard, one vectorised kernel call (and
         one lock acquisition) per shard, answers scattered back in batch
-        order (OR-combined across owners during a migration)."""
+        order."""
         key_list = as_key_list(keys)
         out = np.zeros(len(key_list), dtype=bool)
         for shard, (positions, shard_keys) in self._group_by_shard(key_list).items():

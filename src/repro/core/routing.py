@@ -18,7 +18,6 @@ same double-buffered-manifest discipline the LSM-tree uses.
 from __future__ import annotations
 
 import bisect
-import warnings
 from typing import Any
 
 from repro.common.hashing import hash64, hash_to_range
@@ -88,43 +87,6 @@ class HashRouter(Router):
 
     def owner(self, key: Any) -> int:
         return hash_to_range(key, self.n_shards, self.seed ^ SHARD_SALT)
-
-    def shard_ids(self) -> tuple[int, ...]:
-        return tuple(range(self.n_shards))
-
-    def to_manifest(self) -> dict:
-        return {
-            "kind": self.kind, "epoch": self.epoch,
-            "n_shards": self.n_shards, "seed": self.seed,
-        }
-
-
-class ModuloRouter(Router):
-    """Deprecated: the pre-Router hard-coded modulo mapping.
-
-    Kept only as a compat shim for callers that depended on
-    ``hash64(key) % n_shards``; emits a :class:`DeprecationWarning` at
-    construction.  Use :class:`HashRouter` (same balance, faster
-    multiply-shift reduction) or :class:`HashRangeRouter` (splittable).
-    """
-
-    kind = "modulo"
-
-    def __init__(self, n_shards: int, *, seed: int = 0, epoch: int = 0):
-        warnings.warn(
-            "ModuloRouter is a deprecated compat shim; use HashRouter or "
-            "HashRangeRouter instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if n_shards < 1:
-            raise ValueError("n_shards must be positive")
-        super().__init__(epoch=epoch)
-        self.n_shards = n_shards
-        self.seed = seed
-
-    def owner(self, key: Any) -> int:
-        return hash64(key, self.seed ^ SHARD_SALT) % self.n_shards
 
     def shard_ids(self) -> tuple[int, ...]:
         return tuple(range(self.n_shards))
@@ -353,10 +315,6 @@ def router_from_manifest(raw: dict) -> Router:
     seed = int(raw.get("seed", 0))
     if kind == HashRouter.kind:
         return HashRouter(int(raw["n_shards"]), seed=seed, epoch=epoch)
-    if kind == ModuloRouter.kind:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return ModuloRouter(int(raw["n_shards"]), seed=seed, epoch=epoch)
     if kind == HashRangeRouter.kind:
         return HashRangeRouter(
             [(int(u), int(s)) for u, s in raw["bounds"]], seed=seed, epoch=epoch

@@ -54,7 +54,6 @@ reverse.
 from __future__ import annotations
 
 import json
-import random
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -70,10 +69,7 @@ from repro.common.clock import (
 from repro.common.faults import (
     CircuitOpenError,
     FaultInjector,
-    FaultyBlockDevice,
-    LatencyInjector,
     RetryPolicy,
-    SimulatedCrash,
     TransientIOError,
 )
 from repro.common.hashing import hash_to_range
@@ -82,9 +78,16 @@ from repro.core.errors import ChecksumError
 from repro.core.routing import ConsistentHashRouter, Router
 from repro.core.serialize import frame, unframe
 from repro.obs.metrics import default_registry
-from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
-from repro.serve.breaker import BreakerDevice
-from repro.serve.served import ServedFilter
+from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
+from repro.serve.stack import (
+    BackgroundGate,
+    DurableManifest,
+    StackParts,
+    StormDriver,
+    crash_point,
+    retry_policy,
+)
 
 _META_NS = "replmeta"
 _HANDOFF_NS = "handoff"
@@ -243,13 +246,11 @@ class ReplicatedStore:
         self.detector = detector if detector is not None else FailureDetector(
             clock if clock is not None else SimulatedClock()
         )
-        self._meta = NamespacedDevice(device, _META_NS)
-        self._meta_retry = RetryPolicy(max_attempts=4, clock=clock)
+        self._state = DurableManifest(NamespacedDevice(device, _META_NS), "nodestate")
         self.nodes: dict[int, ReplicaNode] = {}
         self.write_seq = 0
         self._seq_floor = 0
         self._epoch_base = 0
-        self._state_version = 0
         self.handoff = HintedHandoff(self, injector=injector)
         for node_id in range(n_nodes):
             self._open_node(node_id)
@@ -258,27 +259,24 @@ class ReplicatedStore:
 
     # -- node plumbing -----------------------------------------------------------
 
-    def _node_device(self, node_id: int) -> NamespacedDevice:
-        return NamespacedDevice(self.device, f"r{node_id}")
-
     def _node_retry(self, node_id: int) -> RetryPolicy:
-        return RetryPolicy(
-            max_attempts=self.config.retry_attempts,
-            jitter="decorrelated",
-            base_backoff=0.0005,
-            max_backoff=0.01,
-            seed=self.seed ^ (0x4E0D + node_id),
-            clock=self.clock,
+        return retry_policy(
+            self.config.retry_attempts, self.seed ^ (0x4E0D + node_id), self.clock
         )
 
-    def _open_node(self, node_id: int, *, recover: bool = False) -> ReplicaNode:
-        ns = self._node_device(node_id)
+    def _open_tree(self, node_id: int, *, recover: bool = False) -> LSMTree:
+        """The node's tree: recovered from its namespace if asked and it
+        holds anything, else fresh."""
+        ns = NamespacedDevice(self.device, f"r{node_id}")
         if recover and ns.addresses():
             tree = LSMTree.recover(ns, self.config)
         else:
             tree = LSMTree(self.config, device=ns)
         tree.retry = self._node_retry(node_id)
-        node = ReplicaNode(node_id, tree)
+        return tree
+
+    def _open_node(self, node_id: int, *, recover: bool = False) -> ReplicaNode:
+        node = ReplicaNode(node_id, self._open_tree(node_id, recover=recover))
         self.nodes[node_id] = node
         return node
 
@@ -293,9 +291,8 @@ class ReplicatedStore:
 
     # -- durable node-state manifest (double-buffered, like routing) -------------
 
-    def _state_payload(self) -> bytes:
-        doc = {
-            "version": self._state_version,
+    def _write_state_manifest(self) -> None:
+        self._state.write({
             "n_nodes": len(self.nodes),
             "replication": self.replication,
             "read_quorum": self.read_quorum,
@@ -305,42 +302,7 @@ class ReplicatedStore:
             "tainted": sorted(n.node_id for n in self.nodes.values() if n.tainted),
             "seq_floor": self._seq_floor,
             "config": self.config.to_manifest(),
-        }
-        return frame(json.dumps(doc, sort_keys=True).encode())
-
-    def _write_state_manifest(self) -> None:
-        self._state_version += 1
-        slot = self._state_version % 2
-        payload = self._state_payload()
-        last_error: Exception | None = None
-        for _attempt in range(4):
-            self._meta.write(("nodestate", slot), payload, size=len(payload))
-            try:
-                raw = self._meta.read(("nodestate", slot))
-                if json.loads(unframe(raw).decode())["version"] == \
-                        self._state_version:
-                    return
-            except (TransientIOError, ChecksumError, ValueError, KeyError) as e:
-                last_error = e
-        raise TransientIOError(
-            f"node-state manifest write could not be verified: {last_error}"
-        )
-
-    @staticmethod
-    def load_state_manifest(meta: Any) -> dict | None:
-        retry = RetryPolicy(max_attempts=4)
-        best = None
-        for slot in (0, 1):
-            address = ("nodestate", slot)
-            if not meta.exists(address):
-                continue
-            try:
-                doc = json.loads(unframe(retry.call(meta.read, address)).decode())
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-            if best is None or doc["version"] > best["version"]:
-                best = doc
-        return best
+        })
 
     @classmethod
     def recover(
@@ -361,8 +323,8 @@ class ReplicatedStore:
         the write sequence restores as the max over every record and
         hint — so post-crash writes keep winning max-seq resolution.
         """
-        meta = NamespacedDevice(device, _META_NS)
-        manifest = cls.load_state_manifest(meta)
+        state = DurableManifest(NamespacedDevice(device, _META_NS), "nodestate")
+        manifest = state.load()
         if manifest is None:
             raise RuntimeError("no valid node-state manifest; cannot recover")
         if config is None:
@@ -380,7 +342,7 @@ class ReplicatedStore:
             write_manifest=False,
         )
         store._epoch_base = manifest["epoch_base"]
-        store._state_version = manifest["version"]
+        store._state = state
         alive = set(manifest["alive"])
         tainted = set(manifest["tainted"])
         for node_id in list(store.nodes):
@@ -430,16 +392,13 @@ class ReplicatedStore:
         """
         node = self.nodes[node_id]
         node.alive = False
+        node.tainted |= wipe
+        self._write_state_manifest()
         if wipe:
-            node.tainted = True
-            self._write_state_manifest()
             ns = node.tree.device
             for address in list(ns.addresses()):
                 ns.delete(address)
-            node.tree = LSMTree(self.config, device=ns)
-            node.tree.retry = self._node_retry(node_id)
-        else:
-            self._write_state_manifest()
+            node.tree = self._open_tree(node_id)
         self._count_node_event("kill_wipe" if wipe else "kill")
 
     def heal(self, node_id: int) -> None:
@@ -447,12 +406,7 @@ class ReplicatedStore:
         replay restores anything durable) and rejoin the read/write path.
         Taint, if set, stays until anti-entropy clears it."""
         node = self.nodes[node_id]
-        ns = self._node_device(node_id)
-        if ns.addresses():
-            node.tree = LSMTree.recover(ns, self.config)
-        else:
-            node.tree = LSMTree(self.config, device=ns)
-        node.tree.retry = self._node_retry(node_id)
+        node.tree = self._open_tree(node_id, recover=True)
         node.alive = True
         # The heal itself is an observation that the node is back.
         self.detector.heartbeat(node_id)
@@ -763,7 +717,7 @@ class HintedHandoff:
         drain.  Hints for dead targets stay journaled; hints that hit
         transient trouble are skipped this round and retried later.
         """
-        self._crash_point("handoff.replay")
+        crash_point(self.injector, "handoff.replay")
         applied: list[tuple] = []
         for address in self._hint_addresses():
             if len(applied) >= batch:
@@ -785,7 +739,7 @@ class HintedHandoff:
             applied.append((address, node_id))
         if not applied:
             return 0
-        self._crash_point("handoff.replay:applied")
+        crash_point(self.injector, "handoff.replay:applied")
         for address, node_id in applied:
             self._journal.delete(address)
             if self._pending is not None and self._pending.get(node_id):
@@ -794,12 +748,8 @@ class HintedHandoff:
                     del self._pending[node_id]
         self.replayed += len(applied)
         self._count("replayed", len(applied))
-        self._crash_point("handoff.replay:batch")
+        crash_point(self.injector, "handoff.replay:batch")
         return len(applied)
-
-    def _crash_point(self, name: str) -> None:
-        if self.injector is not None:
-            self.injector.maybe_crash(name)
 
     @staticmethod
     def _count(action: str, n: int = 1) -> None:
@@ -855,10 +805,9 @@ class AntiEntropyRepairer:
     ):
         self.store = store
         self.clock = store.clock
-        self.admission = admission
+        self.gate = BackgroundGate(admission, self.clock, pump_budget)
         self.injector = injector
         self.n_buckets = n_buckets
-        self.pump_budget = pump_budget
         self.pump_io_budget = pump_io_budget
         self.continuous = continuous
         # Round state machine: scan alive replicas one per pump, then
@@ -891,37 +840,40 @@ class AntiEntropyRepairer:
             digest = zlib.crc32(payload, digest)
         return digest
 
-    def _bucketize(self, records) -> dict[int, list[tuple]]:
+    def _digests(self, records) -> dict[int, int]:
+        """Per-bucket CRC chains over *records*."""
         buckets: dict[int, list[tuple]] = {}
         for key, record in records:
             buckets.setdefault(self.bucket_of(key), []).append((key, record))
-        return buckets
+        return {b: self._chain(buckets.get(b, [])) for b in range(self.n_buckets)}
 
     def node_digests(self, node_id: int) -> dict[int, int]:
         """Live per-bucket digests of one replica's stored records (one
         full scan, charged through the device)."""
-        buckets = self._bucketize(self.store.nodes[node_id].tree.items())
-        return {
-            b: self._chain(buckets.get(b, [])) for b in range(self.n_buckets)
-        }
+        return self._digests(self.store.nodes[node_id].tree.items())
 
     def expected_digests(self, node_id: int) -> dict[int, int]:
         """Live per-bucket digests of the union-resolved state this
         replica *should* hold."""
+        winners = self._winners(node_id, (
+            pair for other in self.store.nodes.values() if other.alive
+            for pair in other.tree.items()
+        ))
+        return self._digests(winners.items())
+
+    def _winners(self, node_id: int, pairs) -> dict[Any, Any]:
+        """The max-seq record per key among *pairs*, for the keys
+        *node_id* is a replica of."""
         winners: dict[Any, Any] = {}
-        for other in self.store.nodes.values():
-            if not other.alive:
+        for key, record in pairs:
+            if node_id not in self.store.replicas_of(key):
                 continue
-            for key, record in other.tree.items():
-                if node_id not in self.store.replicas_of(key):
-                    continue
-                if key not in winners or \
-                        _record_seq(record) > _record_seq(winners[key]):
-                    winners[key] = record
-        buckets = self._bucketize(winners.items())
-        return {
-            b: self._chain(buckets.get(b, [])) for b in range(self.n_buckets)
-        }
+            if key not in winners or _record_seq(record) > _record_seq(winners[key]):
+                winners[key] = record
+        return winners
+
+    def _bucket_records(self, records: dict, bucket: int) -> dict:
+        return {key: r for key, r in records.items() if self.bucket_of(key) == bucket}
 
     def converged(self) -> bool:
         """Every alive replica's live digests equal its expected digests."""
@@ -962,22 +914,13 @@ class AntiEntropyRepairer:
         if not force and not self._active():
             return False
         self.pumps += 1
-        if self.admission is not None and not force:
-            now = self.clock.now() if self.clock else 0.0
-            decision = self.admission.admit(
-                now if arrival is None else arrival, Priority.LOW
-            )
-            lag_cap = self.pump_budget if budget is None else budget
-            runway = 3 * lag_cap
-            headroom = (arrival - now) if arrival is not None else runway
-            if not decision.admitted or decision.queue_delay > lag_cap \
-                    or headroom < runway:
-                self.sheds += 1
-                default_registry().counter(
-                    "repro_replica_repair_sheds_total",
-                    "anti-entropy pumps shed by admission control",
-                ).inc()
-                return False
+        if not self.gate.admit(arrival, budget=budget, force=force):
+            self.sheds += 1
+            default_registry().counter(
+                "repro_replica_repair_sheds_total",
+                "anti-entropy pumps shed by admission control",
+            ).inc()
+            return False
         if not self._scan_queue and not self._cells:
             alive = [
                 n for n in sorted(self.store.nodes)
@@ -1033,24 +976,15 @@ class AntiEntropyRepairer:
         snapshot = self._snapshot or {}
         if node_id not in snapshot:
             return True
-        winners: dict[Any, Any] = {}
-        for records in snapshot.values():
-            for key, record in records.items():
-                if self.bucket_of(key) != bucket:
-                    continue
-                if node_id not in self.store.replicas_of(key):
-                    continue
-                if key not in winners or \
-                        _record_seq(record) > _record_seq(winners[key]):
-                    winners[key] = record
-        actual = {
-            key: record for key, record in snapshot[node_id].items()
-            if self.bucket_of(key) == bucket
-        }
+        winners = self._winners(node_id, (
+            pair for records in snapshot.values() for pair in records.items()
+            if self.bucket_of(pair[0]) == bucket
+        ))
+        actual = self._bucket_records(snapshot[node_id], bucket)
         if self._chain(winners.items()) == self._chain(actual.items()):
             self._mark_clean(node_id)
             return True
-        self._crash_point("repair.stream")
+        crash_point(self.injector, "repair.stream")
         deadline = self._io_deadline()
         repaired = 0
         exhausted = True
@@ -1060,8 +994,11 @@ class AntiEntropyRepairer:
             if deadline is not None and deadline.expired():
                 exhausted = False  # resume this cell next pump
                 break
-            self.store.nodes[node_id].tree.put(key, record)
             snapshot[node_id][key] = record
+            # The snapshot can predate a newer write to this replica, so
+            # the record lands only if it beats what the replica holds now.
+            if not self.store.apply_record(node_id, key, record):
+                continue
             repaired += 1
             self.repair_bytes += len(
                 frame(json.dumps([key, record], sort_keys=True,
@@ -1074,10 +1011,7 @@ class AntiEntropyRepairer:
         # Streaming only adds newer records; a replica holding spurious
         # extras still mismatches, resets the streak, and gets re-checked
         # next round.
-        refreshed = {
-            key: record for key, record in snapshot[node_id].items()
-            if self.bucket_of(key) == bucket
-        }
+        refreshed = self._bucket_records(snapshot[node_id], bucket)
         if self._chain(winners.items()) == self._chain(refreshed.items()):
             self._mark_clean(node_id)
         else:
@@ -1096,10 +1030,6 @@ class AntiEntropyRepairer:
         self._clean_streak[node_id] = 0
         if self.node_digests(node_id) == self.expected_digests(node_id):
             self.store.set_tainted(node_id, False)
-
-    def _crash_point(self, name: str) -> None:
-        if self.injector is not None:
-            self.injector.maybe_crash(name)
 
     @staticmethod
     def _count(action: str, n: int) -> None:
@@ -1145,40 +1075,28 @@ def build_replicated_stack(
     fault rates like ``{"run@r1": 0.5}`` target one replica).  Returns
     ``(served, store, repairer, device, injector, latency, clock)``.
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=base_latency)
-    latency.slowdown = 0.0  # load phase is free: storms start at t=0
-    device = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
-    breaker_device = BreakerDevice(
-        device, clock, **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4})
-    )
-    config = lsm_config if lsm_config is not None else LSMConfig(
-        memtable_entries=48, retry_attempts=3, seed=seed
-    )
-    detector = FailureDetector(clock)
+    parts = StackParts(seed, base_latency, breaker_kwargs)
     store = ReplicatedStore(
-        breaker_device,
+        parts.breaker_device,
         n_nodes=n_nodes,
         replication=replication,
         read_quorum=read_quorum,
-        config=config,
-        clock=clock,
-        detector=detector,
-        injector=injector,
+        config=lsm_config,
+        clock=parts.clock,
+        detector=FailureDetector(parts.clock),
+        injector=parts.injector,
         seed=seed,
     )
-    for key in range(n_keys):
-        store.put(key, f"value-{key}")
-    latency.slowdown = 1.0
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        store, clock,
-        admission=admission, breaker_device=breaker_device,
-        default_budget=budget,
+    served = parts.serve(
+        store, budget=budget, n_keys=n_keys, admission_config=admission_config
     )
-    repairer = AntiEntropyRepairer(store, admission=admission, injector=injector)
-    return served, store, repairer, device, injector, latency, clock
+    repairer = AntiEntropyRepairer(
+        store, admission=served.admission, injector=parts.injector
+    )
+    return (
+        served, store, repairer, parts.device, parts.injector, parts.latency,
+        parts.clock,
+    )
 
 
 @dataclass
@@ -1202,22 +1120,9 @@ class ReplicaReport:
     backlog: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "events": [[t, label] for t, label in self.events],
-            "kills": self.kills,
-            "heals": self.heals,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "hints_journaled": self.hints_journaled,
-            "hints_replayed": self.hints_replayed,
-            "hints_dropped": self.hints_dropped,
-            "repairs": self.repairs,
-            "repair_bytes": self.repair_bytes,
-            "buckets_checked": self.buckets_checked,
-            "repair_sheds": self.repair_sheds,
-            "converged": self.converged,
-            "backlog": self.backlog,
-        }
+        doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        doc["events"] = [[t, label] for t, label in self.events]
+        return doc
 
 
 def run_replica_storm(
@@ -1249,8 +1154,6 @@ def run_replica_storm(
     rounds run until digests converge.
     Returns ``(storm_report, replica_report, store, repairer)``.
     """
-    from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
-
     served, store, repairer, device, injector, latency, clock = (
         build_replicated_stack(
             seed, n_keys, n_nodes,
@@ -1260,7 +1163,7 @@ def run_replica_storm(
     phases = CALM_STORM_RECOVERY if phases is None else phases
     report = ReplicaReport()
     victim = kill_node if kill_node is not None else (1 % n_nodes)
-    state = {"store": store, "repairer": repairer, "requests": 0}
+    state = {"store": store, "repairer": repairer}
 
     def _absorb(old_store: ReplicatedStore, old_repairer: AntiEntropyRepairer):
         report.hints_journaled += old_store.handoff.journaled
@@ -1271,67 +1174,55 @@ def run_replica_storm(
         report.buckets_checked += old_repairer.buckets_checked
         report.repair_sheds += old_repairer.sheds
 
-    def _recover(where: str) -> None:
-        report.crashes += 1
-        old_store, old_repairer = state["store"], state["repairer"]
-        _absorb(old_store, old_repairer)
-        # Breakers are process state, not durable state: the restarted
-        # process starts with every circuit closed, so a breaker the
-        # pre-crash storm tripped cannot fast-fail recovery's own reads.
-        if isinstance(old_store.device, BreakerDevice):
-            old_store.device.reset()
+    def recover() -> ReplicatedStore:
+        old_store = state["store"]
+        _absorb(old_store, state["repairer"])
         new_store = ReplicatedStore.recover(
             old_store.device, clock=clock,
             detector=FailureDetector(clock), injector=injector,
             config=old_store.config,
         )
-        new_repairer = AntiEntropyRepairer(
+        state["store"], state["repairer"] = new_store, AntiEntropyRepairer(
             new_store, admission=served.admission, injector=injector
         )
-        served.backend = new_store
-        state["store"], state["repairer"] = new_store, new_repairer
-        report.recoveries += 1
-        report.events.append((clock.now(), f"recovered:{where}"))
+        return new_store
 
-    wrng = random.Random(seed ^ 0x3317E)
-
-    def ticker(arrival: float) -> None:
-        state["requests"] += 1
-        n = state["requests"]
-        if write_fraction and wrng.random() < write_fraction:
-            key = wrng.randrange(n_keys)
-            state["writes"] = state.get("writes", 0) + 1
-            try:
-                state["store"].put(key, f"value-{key}-u{state['writes']}")
-            except (TransientIOError, CircuitOpenError):
-                pass
+    def tick(n: int, arrival: float) -> None:
         if kill_at > 0 and n == kill_at:
             if crash_at_step:
                 injector.crash_after(crash_at_step)
             state["store"].kill(victim, wipe=wipe)
             report.kills += 1
             report.events.append((clock.now(), f"kill:r{victim}"))
-            return
-        if heal_at > 0 and n == heal_at:
+        elif heal_at > 0 and n == heal_at:
             state["store"].heal(victim)
             report.heals += 1
             report.events.append((clock.now(), f"heal:r{victim}"))
-            return
-        try:
+        elif n % 2:
             # Alternate the two background pumps so neither starves.
-            # Replay gets the same idle-runway gate the repair pump
-            # applies internally: background convergence I/O must not
-            # stall the serial device while foreground traffic is hot.
-            if n % 2:
-                if arrival - clock.now() >= 0.003:
-                    state["store"].handoff.replay(batch=4)
-            else:
-                state["repairer"].pump(arrival)
-        except SimulatedCrash as crash:
-            report.events.append((clock.now(), f"crash:{crash.step}"))
-            _recover(crash.step)
+            # Replay gets the repair pump's idle-runway rule: background
+            # convergence I/O must not stall the serial device while
+            # foreground traffic is hot.
+            if state["repairer"].gate.has_runway(arrival):
+                state["store"].handoff.replay(batch=4)
+        else:
+            state["repairer"].pump(arrival)
 
-    storm = run_storm(served, phases, seed=seed, n_keys=n_keys, ticker=ticker)
+    driver = StormDriver(
+        served, report, seed=seed, n_keys=n_keys,
+        write_fraction=write_fraction, tick=tick, recover=recover,
+    )
+    storm = run_storm(
+        served, phases, seed=seed, n_keys=n_keys, ticker=driver.ticker
+    )
+
+    def drain_step() -> bool:
+        if state["store"].handoff.replay(batch=16, force=True):
+            return False
+        state["repairer"].pump(force=True)
+        # One converged check per completed round keeps the drain's own
+        # scan bill bounded.
+        return state["repairer"].idle and state["repairer"].converged()
 
     if drain:
         # Full convergence is the drain's contract, and a dead replica
@@ -1343,20 +1234,7 @@ def run_replica_storm(
                 state["store"].heal(node_id)
                 report.heals += 1
                 report.events.append((clock.now(), f"drain-heal:r{node_id}"))
-        guard = 0
-        while guard < 10_000:
-            guard += 1
-            try:
-                if state["store"].handoff.replay(batch=16, force=True):
-                    continue
-                state["repairer"].pump(force=True)
-                # One converged check per completed round keeps the
-                # drain's own scan bill bounded.
-                if state["repairer"].idle and state["repairer"].converged():
-                    break
-            except SimulatedCrash as crash:
-                report.events.append((clock.now(), f"crash:{crash.step}"))
-                _recover(f"drain:{crash.step}")
+        driver.drain(drain_step, 10_000)
 
     final_store, final_repairer = state["store"], state["repairer"]
     _absorb(final_store, final_repairer)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import json
-import random
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,10 +48,7 @@ from repro.common.clock import (
 from repro.common.faults import (
     CircuitOpenError,
     FaultInjector,
-    FaultyBlockDevice,
-    LatencyInjector,
     RetryPolicy,
-    SimulatedCrash,
     TransientIOError,
 )
 from repro.common.storage import NamespacedDevice
@@ -67,9 +63,17 @@ from repro.core.routing import (
 from repro.common.hashing import hash64
 from repro.core.serialize import frame, unframe
 from repro.obs.metrics import default_registry
-from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
-from repro.serve.breaker import BreakerDevice
-from repro.serve.served import ServedFilter
+from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
+from repro.serve.stack import (
+    BackgroundGate,
+    DurableManifest,
+    StackParts,
+    StormDriver,
+    crash_point,
+    retry_policy,
+    write_verified,
+)
 
 
 class MigrationStep(enum.Enum):
@@ -144,10 +148,10 @@ class ShardedStore:
         )
         self._meta = NamespacedDevice(device, meta_namespace)
         self._meta_retry = RetryPolicy(max_attempts=4, clock=clock)
+        self._routing = DurableManifest(self._meta, "routing")
         self.shards: dict[int, LSMTree] = {}
         self.migration: MigrationState | None = None
         self._epoch_base = 0
-        self._routing_version = 0
         # Read-amplification accounting for the double-read window.
         self.lookups = 0
         self.owner_reads = 0
@@ -176,24 +180,16 @@ class ShardedStore:
 
     # -- shard plumbing ----------------------------------------------------------
 
-    def _shard_device(self, shard_id: int) -> NamespacedDevice:
-        return NamespacedDevice(self.device, f"s{shard_id}")
-
     def open_shard(self, shard_id: int, *, recover: bool = False) -> LSMTree:
         """Create (or recover) the LSM-tree backing *shard_id*."""
-        ns = self._shard_device(shard_id)
+        ns = NamespacedDevice(self.device, f"s{shard_id}")
         if recover:
             tree = LSMTree.recover(ns, self.config)
         else:
             tree = LSMTree(self.config, device=ns)
         # Seeded per shard so concurrent retriers stay decorrelated.
-        tree.retry = RetryPolicy(
-            max_attempts=self.config.retry_attempts,
-            jitter="decorrelated",
-            base_backoff=0.0005,
-            max_backoff=0.01,
-            seed=self.seed ^ (0x51ED + shard_id),
-            clock=self.clock,
+        tree.retry = retry_policy(
+            self.config.retry_attempts, self.seed ^ (0x51ED + shard_id), self.clock
         )
         self.shards[shard_id] = tree
         return tree
@@ -248,53 +244,17 @@ class ShardedStore:
 
     # -- routing manifest (double-buffered, like the LSM manifest) ---------------
 
-    def _routing_payload(self) -> bytes:
-        doc = {
-            "version": self._routing_version,
+    def _routing_doc(self) -> dict:
+        return {
             "epoch": self.router.epoch,
             "router": self.router.to_manifest(),
             "shards": sorted(self.shards),
             "epoch_base": self._epoch_base,
             "config": self.config.to_manifest(),
         }
-        return frame(json.dumps(doc, sort_keys=True).encode())
 
     def _write_routing_manifest(self) -> None:
-        """Persist the routing table: new version, alternate slot,
-        read-back verified (a lost or torn write is retried)."""
-        self._routing_version += 1
-        slot = self._routing_version % 2
-        payload = self._routing_payload()
-        last_error: Exception | None = None
-        for _attempt in range(4):
-            self._meta.write(("routing", slot), payload, size=len(payload))
-            try:
-                raw = self._meta.read(("routing", slot))
-                if json.loads(unframe(raw).decode())["version"] == \
-                        self._routing_version:
-                    return
-            except (TransientIOError, ChecksumError, ValueError, KeyError) as e:
-                last_error = e
-        raise TransientIOError(
-            f"routing manifest write could not be verified: {last_error}"
-        )
-
-    @staticmethod
-    def load_routing_manifest(meta: Any) -> dict | None:
-        """Best valid routing manifest across both slots (highest version)."""
-        retry = RetryPolicy(max_attempts=4)
-        best = None
-        for slot in (0, 1):
-            address = ("routing", slot)
-            if not meta.exists(address):
-                continue
-            try:
-                doc = json.loads(unframe(retry.call(meta.read, address)).decode())
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-            if best is None or doc["version"] > best["version"]:
-                best = doc
-        return best
+        self._routing.write(self._routing_doc())
 
     @classmethod
     def recover(
@@ -313,8 +273,8 @@ class ShardedStore:
         persisted epoch.  Migration state, if any, is reattached by
         :meth:`ReshardCoordinator.recover` from the journal.
         """
-        meta = NamespacedDevice(device, meta_namespace)
-        manifest = cls.load_routing_manifest(meta)
+        routing = DurableManifest(NamespacedDevice(device, meta_namespace), "routing")
+        manifest = routing.load()
         if manifest is None:
             raise RuntimeError("no valid routing manifest; cannot recover")
         if config is None:
@@ -325,7 +285,7 @@ class ShardedStore:
             seed=seed, meta_namespace=meta_namespace, write_manifest=False,
         )
         store._epoch_base = manifest["epoch_base"]
-        store._routing_version = manifest["version"]
+        store._routing = routing
         for sid in manifest["shards"]:
             store.open_shard(sid, recover=True)
         return store
@@ -458,7 +418,7 @@ class ShardedStore:
             if not repair:
                 continue
             if address[0] == "routing":
-                payload = self._routing_payload()
+                payload = self._routing.encode(self._routing_doc())
                 self._meta.write(address, payload, size=len(payload))
             else:
                 self._meta.delete(address)
@@ -489,10 +449,9 @@ class ReshardCoordinator:
     ):
         self.store = store
         self.clock = clock if clock is not None else store.clock
-        self.admission = admission
+        self.gate = BackgroundGate(admission, self.clock, pump_budget)
         self.injector = injector
         self.batch_keys = batch_keys
-        self.pump_budget = pump_budget
         self._commits_since_journal = 0
         self.pumps = 0
         self.sheds = 0
@@ -500,9 +459,7 @@ class ReshardCoordinator:
         self.last_migration: MigrationState | None = None
         self._moving: list[Any] | None = None  # keys left in the current scan
         self._journal_seq = 1 + max(
-            (a[1] for a in store._meta.addresses()
-             if isinstance(a, tuple) and a[0] == "reshard"),
-            default=-1,
+            (a[1] for a in self._journal_addresses()), default=-1
         )
 
     # -- planning ----------------------------------------------------------------
@@ -565,9 +522,8 @@ class ReshardCoordinator:
 
     def _install_plan(self, mig: MigrationState, *, open_target: bool) -> None:
         # A fresh migration supersedes the previous journal wholesale.
-        for address in list(self.store._meta.addresses()):
-            if isinstance(address, tuple) and address[0] == "reshard":
-                self.store._meta.delete(address)
+        for address in self._journal_addresses():
+            self.store._meta.delete(address)
         self._journal_seq = 0
         self._journal({
             "kind": "plan",
@@ -589,7 +545,7 @@ class ReshardCoordinator:
         self._moving = None
         self._commits_since_journal = 0
         self._meter_step(MigrationStep.PLANNED)
-        self._crash_point("reshard.planned")
+        crash_point(self.injector, "reshard.planned")
 
     # -- the pump ----------------------------------------------------------------
 
@@ -615,28 +571,17 @@ class ReshardCoordinator:
         if mig is None:
             return False
         self.pumps += 1
-        if self.admission is not None and not force:
-            now = self.clock.now() if self.clock else 0.0
-            decision = self.admission.admit(
-                now if arrival is None else arrival, Priority.LOW
-            )
-            lag_cap = self.pump_budget if budget is None else budget
-            # A batch can overshoot its budget by one flush/compaction
-            # burst, so demand a few budgets of idle runway, not one.
-            runway = 3 * lag_cap
-            headroom = (arrival - now) if arrival is not None else runway
-            if not decision.admitted or decision.queue_delay > lag_cap \
-                    or headroom < runway:
-                self.sheds += 1
-                default_registry().counter(
-                    "repro_reshard_pump_sheds_total",
-                    "migration batches shed by admission control",
-                ).inc()
-                return False
+        if not self.gate.admit(arrival, budget=budget, force=force):
+            self.sheds += 1
+            default_registry().counter(
+                "repro_reshard_pump_sheds_total",
+                "migration batches shed by admission control",
+            ).inc()
+            return False
         deadline = None
         if self.clock is not None:
             deadline = Deadline.after(
-                self.clock, self.pump_budget if budget is None else budget
+                self.clock, self.gate.budget if budget is None else budget
             )
         try:
             self._advance(mig, deadline)
@@ -672,7 +617,7 @@ class ReshardCoordinator:
         self._commits_since_journal = 0
         self._journal({"kind": "step", "step": step.value})
         self._meter_step(step)
-        self._crash_point(f"reshard.{step.value}")
+        crash_point(self.injector, f"reshard.{step.value}")
 
     # -- scan-step machinery -----------------------------------------------------
 
@@ -737,7 +682,7 @@ class ReshardCoordinator:
         mig.keys_moved += moved
         self._meter_keys("moved", moved)
         self._commit_batch(mig, batch[:done])
-        self._crash_point("reshard.backfill:batch")
+        crash_point(self.injector, "reshard.backfill:batch")
 
     def _pump_verify(self, mig: MigrationState, deadline) -> None:
         batch = self._next_batch(mig)
@@ -793,7 +738,7 @@ class ReshardCoordinator:
             "repro_reshard_cutover_epoch_bumps_total",
             "routing-table epoch bumps at cutover",
         ).inc()
-        self._crash_point("reshard.cutover:manifest")
+        crash_point(self.injector, "reshard.cutover:manifest")
         self._enter(mig, MigrationStep.RETIRE)
 
     def _pump_retire(self, mig: MigrationState, deadline) -> None:
@@ -825,7 +770,7 @@ class ReshardCoordinator:
         self.last_migration = mig
         self.store.migration = None
         self._moving = None
-        self._crash_point("reshard.done")
+        crash_point(self.injector, "reshard.done")
 
     # -- journal -----------------------------------------------------------------
 
@@ -837,27 +782,28 @@ class ReshardCoordinator:
         address = ("reshard", self._journal_seq)
         meta = self.store._meta
         if verified:
-            for _attempt in range(4):
-                meta.write(address, payload, size=len(payload))
-                try:
-                    if unframe(meta.read(address)):
-                        break
-                except (TransientIOError, ChecksumError, KeyError):
-                    continue
+            try:
+                write_verified(meta, address, payload)
+            except TransientIOError:
+                # Recovery must not find a record the writer gave up on.
+                meta.delete(address)
+                raise
         else:
             meta.write(address, payload, size=len(payload))
         self._journal_seq += 1
+
+    def _journal_addresses(self) -> list[tuple]:
+        return sorted(
+            a for a in self.store._meta.addresses()
+            if isinstance(a, tuple) and a[0] == "reshard"
+        )
 
     def journal_records(self) -> list[dict]:
         """Every readable journal record, in sequence order (corrupt or
         unreadable records are skipped — recovery tolerates holes)."""
         meta = self.store._meta
         records = []
-        addresses = sorted(
-            a for a in meta.addresses()
-            if isinstance(a, tuple) and a[0] == "reshard"
-        )
-        for address in addresses:
+        for address in self._journal_addresses():
             try:
                 raw = self.store._meta_retry.call(meta.read, address)
                 records.append(json.loads(unframe(raw).decode()))
@@ -921,10 +867,6 @@ class ReshardCoordinator:
 
     # -- crash points and telemetry ----------------------------------------------
 
-    def _crash_point(self, name: str) -> None:
-        if self.injector is not None:
-            self.injector.maybe_crash(name)
-
     def _meter_step(self, step: MigrationStep) -> None:
         default_registry().counter(
             "repro_reshard_steps_total",
@@ -979,33 +921,22 @@ def build_sharded_stack(
     breakers behave exactly as in the single-tree stack.  Returns
     ``(served, store, coordinator, device, injector, latency, clock)``.
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=base_latency)
-    latency.slowdown = 0.0  # load phase is free: storms start at t=0
-    device = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
-    breaker_device = BreakerDevice(
-        device, clock, **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4})
-    )
-    config = lsm_config if lsm_config is not None else LSMConfig(
-        memtable_entries=48, retry_attempts=3, seed=seed
-    )
+    parts = StackParts(seed, base_latency, breaker_kwargs)
     store = ShardedStore.create(
-        breaker_device, n_shards, seed=seed, config=config, clock=clock
+        parts.breaker_device, n_shards, seed=seed, config=lsm_config,
+        clock=parts.clock,
     )
-    for key in range(n_keys):
-        store.put(key, f"value-{key}")
-    latency.slowdown = 1.0
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        store, clock,
-        admission=admission, breaker_device=breaker_device,
-        default_budget=budget,
+    served = parts.serve(
+        store, budget=budget, n_keys=n_keys, admission_config=admission_config
     )
     coordinator = ReshardCoordinator(
-        store, clock=clock, admission=admission, injector=injector
+        store, clock=parts.clock, admission=served.admission,
+        injector=parts.injector,
     )
-    return served, store, coordinator, device, injector, latency, clock
+    return (
+        served, store, coordinator, parts.device, parts.injector, parts.latency,
+        parts.clock,
+    )
 
 
 @dataclass
@@ -1081,113 +1012,92 @@ def run_reshard_storm(
     flush/compaction behaviour in both runs.
     Returns ``(storm_report, reshard_report, coordinator)``.
     """
-    from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
-
     served, store, coordinator, device, injector, latency, clock = (
         build_sharded_stack(seed, n_keys, n_shards, **stack_kwargs)
     )
     phases = CALM_STORM_RECOVERY if phases is None else phases
     report = ReshardReport()
-    state = {
-        "store": store, "coord": coordinator, "requests": 0, "planned": False
-    }
+    state = {"coord": coordinator, "planned": False}
 
-    def _absorb_counters(old_store: ShardedStore) -> None:
+    def _absorb(old_store: ShardedStore, mig: MigrationState | None) -> None:
         report.lookups += old_store.lookups
         report.owner_reads += old_store.owner_reads
         report.double_reads += old_store.double_reads
-
-    def _absorb_migration(mig: MigrationState | None) -> None:
         if mig is not None:
             report.keys_moved += mig.keys_moved
             report.keys_verified += mig.keys_verified
             report.keys_retired += mig.keys_retired
             report.repairs += mig.repairs
 
-    def _recover(where: str) -> None:
-        report.crashes += 1
-        old_store = state["store"]
-        _absorb_counters(old_store)
-        _absorb_migration(old_store.migration)
+    def recover() -> ShardedStore:
+        old_store = state["coord"].store
+        _absorb(old_store, old_store.migration)
         new_store = ShardedStore.recover(
             old_store.device, clock=clock, config=old_store.config, seed=seed
         )
-        new_coord = ReshardCoordinator.recover(
+        state["coord"] = ReshardCoordinator.recover(
             new_store, clock=clock,
             admission=served.admission, injector=injector,
         )
         new_store.scrub(repair=True)
-        served.backend = new_store
-        state["store"], state["coord"] = new_store, new_coord
-        report.recoveries += 1
-        report.events.append((clock.now() if clock else 0.0, f"recovered:{where}"))
+        return new_store
 
-    wrng = random.Random(seed ^ 0x3317E)
-
-    def ticker(arrival: float) -> None:
-        state["requests"] += 1
-        if write_fraction and wrng.random() < write_fraction:
-            key = wrng.randrange(n_keys)
-            state["writes"] = state.get("writes", 0) + 1
-            try:
-                state["store"].put(key, f"value-{key}-u{state['writes']}")
-            except (TransientIOError, CircuitOpenError):
-                pass  # an update lost to a storm; the key stays present
+    def tick(n: int, arrival: float) -> None:
+        coord = state["coord"]
         # reshard_at <= 0 disables the migration (plain sharded storm).
-        if reshard_at > 0 and not state["planned"] \
-                and state["requests"] >= reshard_at:
+        if reshard_at > 0 and not state["planned"] and n >= reshard_at:
             state["planned"] = True
             if crash_at_step:
                 injector.crash_after(f"reshard.{crash_at_step}")
             try:
                 if kind == "merge":
-                    shards = sorted(state["store"].shards)
-                    state["coord"].plan_merge(
+                    shards = sorted(coord.store.shards)
+                    coord.plan_merge(
                         shards[-1] if source is None else source, shards[0]
                     )
                 else:
-                    state["coord"].plan_split(source=source)
-            except SimulatedCrash as crash:
-                report.events.append((clock.now(), f"crash:{crash.step}"))
-                _recover(crash.step)
-            else:
-                report.events.append((clock.now(), "planned"))
+                    coord.plan_split(source=source)
+            except (TransientIOError, CircuitOpenError):
+                # The plan never became durable: plan again next request.
+                state["planned"] = False
+                report.events.append((clock.now(), "plan_failed"))
+                return
+            report.events.append((clock.now(), "planned"))
             return
-        mig = state["store"].migration
+        mig = coord.store.migration
         if mig is None:
             return
         before = mig.step
-        try:
-            state["coord"].pump(arrival)
-        except SimulatedCrash as crash:
-            report.events.append((clock.now(), f"crash:{crash.step}"))
-            _recover(crash.step)
-            return
-        after = state["store"].migration.step if state["store"].migration \
+        coord.pump(arrival)
+        after = coord.store.migration.step if coord.store.migration \
             else MigrationStep.DONE
         if after is not before:
             report.events.append((clock.now(), after.value))
 
+    driver = StormDriver(
+        served, report, seed=seed, n_keys=n_keys,
+        write_fraction=write_fraction, tick=tick, recover=recover,
+    )
     storm = run_storm(
-        served, phases, seed=seed, n_keys=n_keys, ticker=ticker
+        served, phases, seed=seed, n_keys=n_keys, ticker=driver.ticker
     )
 
-    if drain:
-        guard = 0
-        while state["store"].migration is not None and guard < 50_000:
-            guard += 1
-            try:
-                state["coord"].pump(budget=0.050, force=True)
-            except SimulatedCrash as crash:
-                report.events.append((clock.now(), f"crash:{crash.step}"))
-                _recover(f"drain:{crash.step}")
+    def drain_step() -> bool:
+        if state["coord"].store.migration is None:
+            return True
+        state["coord"].pump(budget=0.050, force=True)
+        return False
 
-    final_store, final_coord = state["store"], state["coord"]
-    _absorb_counters(final_store)
-    _absorb_migration(
+    if drain:
+        driver.drain(drain_step, 50_000)
+
+    final_coord = state["coord"]
+    final_store = final_coord.store
+    _absorb(
+        final_store,
         final_store.migration
         if final_store.migration is not None
-        else final_coord.last_migration
+        else final_coord.last_migration,
     )
     report.completed = final_store.migration is None and state["planned"]
     report.pump_sheds = final_coord.sheds

@@ -24,16 +24,11 @@ from dataclasses import dataclass, field
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.cache import BlockCache, CachedDevice, NegativeLookupCache
-from repro.common.clock import SimulatedClock
-from repro.common.faults import (
-    FaultInjector,
-    FaultyBlockDevice,
-    LatencyInjector,
-    RetryPolicy,
-)
-from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
-from repro.serve.breaker import BreakerDevice, BreakerState
+from repro.common.clock import Answer
+from repro.serve.admission import AdmissionConfig, Priority
+from repro.serve.breaker import BreakerState
 from repro.serve.served import ServedFilter, ServeOutcome
+from repro.serve.stack import StackParts, retry_policy
 
 
 @dataclass
@@ -110,6 +105,34 @@ class StormReport:
         n = self.n_requests
         return self.total(ServeOutcome.SERVED) / n if n else 0.0
 
+    def record(self, phase: PhaseReport, response, present: bool) -> None:
+        """Tally one response to a key that was (not) *present*."""
+        phase.outcomes[response.outcome] += 1
+        if response.outcome is ServeOutcome.SERVED:
+            phase.latencies.append(response.latency)
+        if present and response.answer is Answer.ABSENT:
+            self.false_negatives += 1
+
+
+def storm_arrivals(phases, rng, report, injector, latency, fault_kinds, arrival):
+    """Yield ``(phase_report, arrival)`` for every request of *phases*.
+
+    Each phase first sets its transient-read rate on the *fault_kinds*
+    address classes (every other class stays healthy), its latency
+    slowdown and its spike probability; arrivals are Poisson with the
+    phase's mean interarrival, drawn from *rng*.
+    """
+    for phase in phases:
+        injector.transient_read = dict.fromkeys(fault_kinds, phase.transient_read)
+        injector.transient_read["*"] = 0.0
+        latency.slowdown = phase.slowdown
+        latency.spike_prob = phase.spike_prob
+        phase_report = PhaseReport(phase.name)
+        report.phases.append(phase_report)
+        for _ in range(phase.n_requests):
+            arrival += rng.expovariate(1.0 / phase.mean_interarrival)
+            yield phase_report, arrival
+
 
 def build_stack(
     seed: int = 0,
@@ -137,47 +160,26 @@ def build_stack(
     served facade additionally memoizes authoritative ABSENT answers in
     a :class:`~repro.cache.NegativeLookupCache` (``served.negative_cache``).
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=base_latency)
-    latency.slowdown = 0.0  # load phase is free: storms start at t=0
-    device = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
-    breaker_device = BreakerDevice(
-        device, clock, **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4})
-    )
+    parts = StackParts(seed, base_latency, breaker_kwargs)
     config = lsm_config if lsm_config is not None else LSMConfig(
         memtable_entries=64, retry_attempts=3, seed=seed
     )
-    device_stack: object = breaker_device
+    device_stack: object = parts.breaker_device
     if cache_mb > 0:
         block_cache = BlockCache(
             int(cache_mb * 1024 * 1024), policy=cache_policy, seed=seed
         )
-        device_stack = CachedDevice(breaker_device, block_cache)
+        device_stack = CachedDevice(parts.breaker_device, block_cache)
     tree = LSMTree(config, device=device_stack)
-    # Backoff burns simulated time and is seeded, like everything else.
-    tree.retry = RetryPolicy(
-        max_attempts=config.retry_attempts,
-        jitter="decorrelated",
-        base_backoff=0.0005,
-        max_backoff=0.01,
-        seed=seed,
-        clock=clock,
-    )
-    for key in range(n_keys):
-        tree.put(key, f"value-{key}")
-    latency.slowdown = 1.0
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        tree, clock,
-        admission=admission, breaker_device=breaker_device,
-        default_budget=budget,
+    tree.retry = retry_policy(config.retry_attempts, seed, parts.clock)
+    served = parts.serve(
+        tree, budget=budget, n_keys=n_keys, admission_config=admission_config,
         negative_cache=(
             NegativeLookupCache(negative_cache_entries)
             if negative_cache_entries > 0 else None
         ),
     )
-    return served, tree, device, injector, latency, clock
+    return served, tree, parts.device, parts.injector, parts.latency, parts.clock
 
 
 CALM_STORM_RECOVERY = (
@@ -210,36 +212,19 @@ def run_storm(
     It may swap ``served.backend`` (crash recovery does).
     """
     rng = random.Random(seed ^ 0x570F)
-    injector = served.breaker_device.injector
-    latency = served.breaker_device.latency
-    clock = served.clock
     report = StormReport()
     priorities = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
-    arrival = clock.now()
-    for phase in phases:
-        injector.transient_read = {
-            "run": phase.transient_read,
-            "page": phase.transient_read,
-            "filter": phase.transient_read,
-            "*": 0.0,
-        }
-        latency.slowdown = phase.slowdown
-        latency.spike_prob = phase.spike_prob
-        phase_report = PhaseReport(phase.name)
-        report.phases.append(phase_report)
-        for _ in range(phase.n_requests):
-            arrival += rng.expovariate(1.0 / phase.mean_interarrival)
-            if ticker is not None:
-                ticker(arrival)
-            present = rng.random() < present_fraction
-            key = rng.randrange(n_keys) if present else n_keys + rng.randrange(n_keys)
-            priority = rng.choices(priorities, weights=priority_weights)[0]
-            response = served.serve(key, priority=priority, arrival=arrival)
-            phase_report.outcomes[response.outcome] += 1
-            if response.outcome is ServeOutcome.SERVED:
-                phase_report.latencies.append(response.latency)
-            if present and response.answer.value == "absent":
-                report.false_negatives += 1
+    for phase_report, arrival in storm_arrivals(
+        phases, rng, report, served.breaker_device.injector,
+        served.breaker_device.latency, ("run", "page", "filter"), served.clock.now(),
+    ):
+        if ticker is not None:
+            ticker(arrival)
+        present = rng.random() < present_fraction
+        key = rng.randrange(n_keys) if present else n_keys + rng.randrange(n_keys)
+        priority = rng.choices(priorities, weights=priority_weights)[0]
+        response = served.serve(key, priority=priority, arrival=arrival)
+        report.record(phase_report, response, present)
     report.breaker_opens = served.breaker_device.n_transitions(BreakerState.OPEN)
     report.breaker_closes = served.breaker_device.n_transitions(BreakerState.CLOSED)
     served.publish_gauges()

@@ -1,0 +1,234 @@
+"""Serving plumbing shared by every storm topology (docs/robustness.md).
+
+The single-tree, sharded, replicated and multi-tenant stacks differ only
+in their backend.  What surrounds it lives here once: the stack's shared
+bottom and top (:class:`StackParts`, :func:`retry_policy`), the
+double-buffered :class:`DurableManifest`, the :class:`BackgroundGate`
+for migration/repair pumps, and the crash-recovering
+:class:`StormDriver` that wraps :func:`repro.serve.sim.run_storm`.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from typing import Any, Callable
+
+from repro.common.clock import SimulatedClock
+from repro.common.faults import (
+    CircuitOpenError,
+    FaultInjector,
+    FaultyBlockDevice,
+    LatencyInjector,
+    RetryPolicy,
+    SimulatedCrash,
+    TransientIOError,
+)
+from repro.core.errors import ChecksumError
+from repro.core.serialize import frame, unframe
+from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
+from repro.serve.breaker import BreakerDevice
+from repro.serve.served import ServedFilter
+
+_VERIFY_ATTEMPTS = 4
+
+
+def retry_policy(attempts: int, seed: int, clock: Any) -> RetryPolicy:
+    """Seeded decorrelated-jitter retries whose backoff burns simulated time."""
+    return RetryPolicy(
+        max_attempts=attempts, jitter="decorrelated", base_backoff=0.0005,
+        max_backoff=0.01, seed=seed, clock=clock,
+    )
+
+
+def crash_point(injector: FaultInjector | None, name: str) -> None:
+    """A named step where chaos tests inject process death."""
+    if injector is not None:
+        injector.maybe_crash(name)
+
+
+class StackParts:
+    """Clock → fault + latency injectors → faulty device → breakers.
+
+    Latency starts switched off, so the backend loads for free and
+    storms start at ``t=0``; :meth:`serve` loads keys ``0..n_keys-1``,
+    switches latency on and puts admission and the :class:`ServedFilter`
+    on top.  The tenant fleet has no block device (``with_device=False``).
+    """
+
+    def __init__(self, seed: int, base_latency: float,
+                 breaker_kwargs: dict | None = None, *, with_device: bool = True):
+        self.clock = SimulatedClock()
+        self.injector = FaultInjector(seed=seed)
+        self.latency = LatencyInjector(seed=seed, base=base_latency)
+        self.latency.slowdown = 0.0
+        self.device = self.breaker_device = None
+        if with_device:
+            self.device = FaultyBlockDevice(
+                injector=self.injector, latency=self.latency, clock=self.clock
+            )
+            self.breaker_device = BreakerDevice(
+                self.device, self.clock,
+                **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4}),
+            )
+
+    def serve(self, backend: Any, *, budget: float, n_keys: int = 0,
+              admission_config: AdmissionConfig | None = None,
+              negative_cache: Any = None) -> ServedFilter:
+        for key in range(n_keys):
+            backend.put(key, f"value-{key}")
+        self.latency.slowdown = 1.0
+        return ServedFilter(
+            backend, self.clock,
+            admission=AdmissionController(self.clock, admission_config),
+            breaker_device=self.breaker_device, default_budget=budget,
+            negative_cache=negative_cache,
+        )
+
+
+def write_verified(meta: Any, address: Any, payload: bytes) -> None:
+    """Write *payload*, read it back, retry a lost/torn/unreadable write;
+    raise :class:`TransientIOError` after ``_VERIFY_ATTEMPTS`` tries."""
+    last_error: Exception | None = None
+    for _attempt in range(_VERIFY_ATTEMPTS):
+        meta.write(address, payload, size=len(payload))
+        try:
+            if meta.read(address) == payload:
+                return
+            last_error = ChecksumError("read-back differs from the write")
+        except (TransientIOError, KeyError) as e:
+            last_error = e
+    raise TransientIOError(f"write of {address!r} could not be verified: {last_error}")
+
+
+class DurableManifest:
+    """A versioned JSON document double-buffered over ``(name, 0|1)``.
+
+    :meth:`write` bumps ``version`` and writes the framed document to
+    slot ``version % 2`` with read-back verification, so a failed write
+    leaves the previous version intact in the other slot; :meth:`load`
+    returns the highest-version slot that still decodes.
+    """
+
+    def __init__(self, meta: Any, name: str):
+        self.meta = meta
+        self.name = name
+        self.version = 0
+
+    def encode(self, doc: dict) -> bytes:
+        return frame(json.dumps({**doc, "version": self.version}, sort_keys=True).encode())
+
+    def write(self, doc: dict) -> None:
+        self.version += 1
+        write_verified(self.meta, (self.name, self.version % 2), self.encode(doc))
+
+    def load(self) -> dict | None:
+        retry = RetryPolicy(max_attempts=_VERIFY_ATTEMPTS)
+        best = None
+        for slot in (0, 1):
+            address = (self.name, slot)
+            if not self.meta.exists(address):
+                continue
+            try:
+                doc = json.loads(unframe(retry.call(self.meta.read, address)).decode())
+            except (TransientIOError, ChecksumError, ValueError, KeyError):
+                continue
+            if best is None or doc["version"] > best["version"]:
+                best = doc
+        if best is not None:
+            self.version = best["version"]
+        return best
+
+
+class BackgroundGate:
+    """Admission for background batches: shed before any foreground work.
+
+    A batch runs only if admission takes it at ``Priority.LOW``, its
+    queue delay is within the lag cap (its budget), and the next arrival
+    leaves ``runway = 3 × budget`` idle — a batch can overshoot its
+    budget by one flush/compaction burst, so one budget is not enough.
+    """
+
+    def __init__(self, admission: AdmissionController | None,
+                 clock: SimulatedClock | None, budget: float):
+        self.admission = admission
+        self.clock = clock
+        self.budget = budget
+
+    def runway(self, budget: float | None = None) -> float:
+        return 3 * (self.budget if budget is None else budget)
+
+    def has_runway(self, arrival: float) -> bool:
+        """The runway test alone; never consults admission."""
+        return arrival - self.clock.now() >= self.runway()
+
+    def admit(self, arrival: float | None = None, *, budget: float | None = None,
+              force: bool = False) -> bool:
+        """``force`` (the post-storm drain) skips every check."""
+        if self.admission is None or force:
+            return True
+        now = self.clock.now() if self.clock else 0.0
+        decision = self.admission.admit(now if arrival is None else arrival, Priority.LOW)
+        lag_cap = self.budget if budget is None else budget
+        runway = self.runway(lag_cap)
+        headroom = (arrival - now) if arrival is not None else runway
+        return decision.admitted and decision.queue_delay <= lag_cap and headroom >= runway
+
+
+class StormDriver:
+    """The crash-recovering ``run_storm`` ticker of the reshard and
+    replica storms.
+
+    Each request first draws an optional foreground write of a loaded
+    key, then runs the topology's ``tick(n, arrival)``.  A
+    :class:`SimulatedCrash` there or in :meth:`drain` discards all
+    in-memory state: breakers reset (process state, not durable state),
+    ``recover()`` rebuilds the backend from the devices and replaces
+    ``served.backend``, and *report* logs ``crash:<step>`` then
+    ``recovered:<where>``.
+    """
+
+    def __init__(self, served: ServedFilter, report: Any, *, seed: int, n_keys: int,
+                 write_fraction: float, tick: Callable[[int, float], None],
+                 recover: Callable[[], Any]):
+        self.served = served
+        self.report = report
+        self.requests = self.writes = 0
+        self._n_keys = n_keys
+        self._write_fraction = write_fraction
+        self._wrng = random.Random(seed ^ 0x3317E)
+        self._tick = tick
+        self._recover = recover
+
+    def ticker(self, arrival: float) -> None:
+        self.requests += 1
+        if self._write_fraction and self._wrng.random() < self._write_fraction:
+            key = self._wrng.randrange(self._n_keys)
+            self.writes += 1
+            try:
+                self.served.backend.put(key, f"value-{key}-u{self.writes}")
+            except (TransientIOError, CircuitOpenError):
+                pass  # an update lost to a storm; the key stays present
+        try:
+            self._tick(self.requests, arrival)
+        except SimulatedCrash as crash:
+            self._crashed(crash, crash.step)
+
+    def drain(self, step: Callable[[], bool], limit: int) -> None:
+        """Call *step* until it returns True, at most *limit* times."""
+        for _ in range(limit):
+            try:
+                if step():
+                    return
+            except SimulatedCrash as crash:
+                self._crashed(crash, f"drain:{crash.step}")
+
+    def _crashed(self, crash: SimulatedCrash, where: str) -> None:
+        clock, report = self.served.clock, self.report
+        report.events.append((clock.now(), f"crash:{crash.step}"))
+        report.crashes += 1
+        if self.served.breaker_device is not None:
+            self.served.breaker_device.reset()
+        self.served.backend = self._recover()
+        report.recoveries += 1
+        report.events.append((clock.now(), f"recovered:{where}"))

@@ -48,14 +48,9 @@ from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.routing import ConsistentHashRouter
 from repro.filters.bloom import BloomFilter
 from repro.obs.metrics import default_registry
-from repro.serve.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    Priority,
-    TenantQuota,
-)
-from repro.serve.served import ServedFilter, ServeOutcome
-from repro.serve.sim import PhaseReport, StormPhase, StormReport
+from repro.serve.admission import AdmissionConfig, Priority, TenantQuota
+from repro.serve.sim import StormPhase, StormReport, storm_arrivals
+from repro.serve.stack import StackParts
 from repro.workloads.synthetic import zipf_queries
 
 
@@ -544,29 +539,23 @@ def build_tenant_stack(
     its deadline while the O(log N) router cruises.
     Returns ``(served, store, injector, latency, clock)``.
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=probe_latency)
-    latency.slowdown = 0.0  # pre-load is free, storms start at t=0
+    parts = StackParts(seed, probe_latency, with_device=False)
     router = TenantRouter(TenantConfig(
         n_trees=n_trees, leaf_capacity=max(64, keys_per_tenant), seed=seed,
     ))
     store = TenantStore(
-        router, clock, injector=injector, latency=latency, mode=mode,
+        router, parts.clock, injector=parts.injector, latency=parts.latency,
+        mode=mode,
     )
     for tenant in range(n_tenants):
         base = tenant * keys_per_tenant
         store.add_tenant(tenant, range(base, base + keys_per_tenant))
-    latency.slowdown = 1.0
     if admission_config is None:
         admission_config = AdmissionConfig(tenant_quota=quota)
     elif quota is not None and admission_config.tenant_quota is None:
         admission_config.tenant_quota = quota
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        store, clock, admission=admission, default_budget=budget,
-    )
-    return served, store, injector, latency, clock
+    served = parts.serve(store, budget=budget, admission_config=admission_config)
+    return served, store, parts.injector, parts.latency, parts.clock
 
 
 def run_tenant_storm(
@@ -649,40 +638,25 @@ def run_tenant_storm(
             labels=("op",),
         ).labels(op="cycle").inc()
 
-    request_index = 0
-    arrival = clock.now()
-    for phase in phases:
-        injector.transient_read = {
-            "tenant_node": phase.transient_read,
-            "tenant_leaf": phase.transient_read,
-            "tenant_store": phase.transient_read,
-            "*": 0.0,
-        }
-        latency.slowdown = phase.slowdown
-        latency.spike_prob = phase.spike_prob
-        phase_report = PhaseReport(phase.name)
-        report.phases.append(phase_report)
-        for _ in range(phase.n_requests):
-            arrival += rng.expovariate(1.0 / phase.mean_interarrival)
-            if churn_every and request_index and request_index % churn_every == 0:
-                churn(arrival)
-            requester = live[rank_seq[request_index] % len(live)]
-            present = rng.random() < present_fraction
-            if present:
-                owner = live[rng.randrange(len(live))]
-                key = keys_of[owner][rng.randrange(len(keys_of[owner]))]
-            else:
-                key = absent_base + rng.randrange(1 << 30)
-            priority = rng.choices(priorities, weights=priority_weights)[0]
-            response = served.serve(
-                key, priority=priority, arrival=arrival, tenant=requester,
-            )
-            phase_report.outcomes[response.outcome] += 1
-            if response.outcome is ServeOutcome.SERVED:
-                phase_report.latencies.append(response.latency)
-            if present and response.answer is Answer.ABSENT:
-                report.false_negatives += 1
-            request_index += 1
+    arrivals = storm_arrivals(
+        phases, rng, report, injector, latency,
+        ("tenant_node", "tenant_leaf", "tenant_store"), clock.now(),
+    )
+    for request_index, (phase_report, arrival) in enumerate(arrivals):
+        if churn_every and request_index and request_index % churn_every == 0:
+            churn(arrival)
+        requester = live[rank_seq[request_index] % len(live)]
+        present = rng.random() < present_fraction
+        if present:
+            owner = live[rng.randrange(len(live))]
+            key = keys_of[owner][rng.randrange(len(keys_of[owner]))]
+        else:
+            key = absent_base + rng.randrange(1 << 30)
+        priority = rng.choices(priorities, weights=priority_weights)[0]
+        response = served.serve(
+            key, priority=priority, arrival=arrival, tenant=requester,
+        )
+        report.record(phase_report, response, present)
 
     tenant_report.quota_sheds = (
         sum(served.admission.stats.shed_by_tenant.values())

@@ -418,6 +418,20 @@ class TestAntiEntropy:
         for key in dropped:
             assert store.lookup(key).state is Answer.ABSENT
 
+    def test_stale_snapshot_never_rolls_a_replica_back(self):
+        store, _ = self._loaded()
+        repairer = AntiEntropyRepairer(store)
+        repairer.pump(force=True)  # snapshot r0 ...
+        repairer.pump(force=True)  # ... and r1, both holding v0
+        store.put(0, "mid")
+        repairer.pump(force=True)  # r2's snapshot holds "mid"
+        store.put(0, "newest")  # every replica now holds "newest" ...
+        store.kill(2, wipe=True)  # ... except r2, which loses it
+        store.heal(2)
+        self._drain(repairer)
+        assert store.get(0) == "newest"
+        assert all(node.tree.get(0)["v"] == "newest" for node in store.nodes.values())
+
     def test_pump_noops_while_untainted(self):
         store, _ = self._loaded()
         repairer = AntiEntropyRepairer(store)

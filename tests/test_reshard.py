@@ -22,21 +22,27 @@ from hypothesis.stateful import (
 )
 
 from repro.common.clock import Answer, SimulatedClock
-from repro.common.faults import FaultInjector, SimulatedCrash
+from repro.common.faults import (
+    FaultInjector,
+    FaultyBlockDevice,
+    SimulatedCrash,
+    TransientIOError,
+)
 from repro.common.hashing import hash_to_range
-from repro.common.storage import BlockDevice, NamespacedDevice
+from repro.common.storage import BlockDevice
 from repro.core.concurrent import ShardedFilter
 from repro.core.routing import (
     SHARD_SALT,
     ConsistentHashRouter,
     HashRangeRouter,
     HashRouter,
-    ModuloRouter,
     router_from_manifest,
 )
 from repro.filters.bloom import BloomFilter
 from repro.obs import use_registry
+import repro.serve.reshard as reshard_module
 from repro.serve import (
+    BreakerState,
     MigrationStep,
     ReshardCoordinator,
     ShardedStore,
@@ -62,22 +68,6 @@ class TestHashRouter:
         assert clone.epoch == 2
         assert clone.shard_ids() == router.shard_ids()
         assert all(clone.owner(k) == router.owner(k) for k in KEYS)
-
-
-class TestModuloRouter:
-    def test_construction_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            ModuloRouter(4, seed=1)
-
-    def test_rehydrating_a_manifest_does_not_rewarn(self):
-        with pytest.warns(DeprecationWarning):
-            manifest = ModuloRouter(4, seed=1).to_manifest()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            clone = router_from_manifest(manifest)
-        assert clone.shard_ids() == (0, 1, 2, 3)
 
 
 class TestHashRangeRouter:
@@ -158,7 +148,7 @@ class TestShardedFilterRouting:
     def test_default_router_matches_historical_mapping(self):
         sf = self._filter()
         for key in KEYS:
-            assert sf._shard_of(key) == hash_to_range(key, 4, 1 ^ SHARD_SALT)
+            assert sf.router.owner(key) == hash_to_range(key, 4, 1 ^ SHARD_SALT)
 
     def test_insert_and_query_under_custom_router(self):
         sf = self._filter(router=HashRangeRouter.uniform(range(4), seed=1))
@@ -166,34 +156,9 @@ class TestShardedFilterRouting:
             sf.insert(key)
         assert all(sf.may_contain(key) for key in range(100))
 
-    def test_migration_double_applies_and_double_reads(self):
-        sf = self._filter()
-        target = sf.add_shard(BloomFilter(256, 0.01))
-        assert target == 4
-        for key in range(50):
-            sf.insert(key)
-        new_router = HashRouter(5, seed=1, epoch=sf.routing_epoch + 1)
-        sf.begin_migration(new_router)
-        assert sf.migrating
-        # Pre-migration keys stay visible through the old owner...
-        assert all(sf.may_contain(key) for key in range(50))
-        for key in range(50, 100):
-            sf.insert(key)
-        sf.complete_migration()
-        assert not sf.migrating
-        assert sf.routing_epoch == new_router.epoch
-        # ...and double-applied keys survive the cutover.
-        assert all(sf.may_contain(key) for key in range(50, 100))
-
     def test_router_beyond_shard_list_rejected(self):
         with pytest.raises(ValueError):
             self._filter(n_shards=2, router=HashRouter(5, seed=1))
-
-    def test_double_migration_rejected(self):
-        sf = self._filter()
-        sf.begin_migration(HashRouter(4, seed=1, epoch=1))
-        with pytest.raises(RuntimeError):
-            sf.begin_migration(HashRouter(4, seed=1, epoch=2))
 
 
 # -- ShardedStore ------------------------------------------------------------------
@@ -365,6 +330,28 @@ class TestCoordinator:
         coordinator.plan_split()
         with pytest.raises(RuntimeError):
             coordinator.plan_split()
+
+    def test_unverifiable_plan_raises_before_touching_the_store(self):
+        injector = FaultInjector(seed=0)
+        device = FaultyBlockDevice(injector=injector)
+        clock = SimulatedClock()
+        store = ShardedStore.create(device, 3, seed=0, clock=clock)
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        coordinator = ReshardCoordinator(store, clock=clock)
+        shards = sorted(store.shards)
+        injector.transient_read = {"reshard": 1.0, "*": 0.0}
+        with pytest.raises(TransientIOError):
+            coordinator.plan_split()
+        injector.transient_read = 0.0
+        assert store.migration is None
+        assert sorted(store.shards) == shards
+        assert not [r for r in coordinator.journal_records() if r["kind"] == "plan"]
+        # Recovery from the devices sees the pre-plan world.
+        recovered = ShardedStore.recover(device, clock=clock)
+        ReshardCoordinator.recover(recovered, clock=clock)
+        assert recovered.migration is None
+        assert sorted(recovered.shards) == shards
 
 
 # -- crash chaos: every crash point, recover from the devices alone ----------------
@@ -584,3 +571,63 @@ class TestReshardStorm:
         _s1, r1, _c1 = self._run(seed=3)
         _s2, r2, _c2 = self._run(seed=3)
         assert r1.as_dict() == r2.as_dict()
+
+    def test_failed_plan_is_retried_at_the_next_request(self, monkeypatch):
+        plan_split = ReshardCoordinator.plan_split
+        calls = []
+
+        def fail_once(coordinator, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise TransientIOError("plan record could not be verified")
+            return plan_split(coordinator, **kwargs)
+
+        monkeypatch.setattr(ReshardCoordinator, "plan_split", fail_once)
+        storm, reshard, _coordinator = self._run()
+        labels = [label for _t, label in reshard.events]
+        assert labels[:2] == ["plan_failed", "planned"]
+        assert len(calls) == 2
+        assert reshard.completed
+        assert storm.false_negatives == 0
+
+    def test_crash_recovery_starts_with_every_breaker_closed(self, monkeypatch):
+        stacks, open_after_recovery = [], []
+        build = reshard_module.build_sharded_stack
+
+        def build_and_keep(*args, **kwargs):
+            stacks.append(build(*args, **kwargs))
+            return stacks[-1]
+
+        maybe_crash = FaultInjector.maybe_crash
+
+        def crash_with_breakers_open(injector, step_name):
+            # Trip a breaker on every block, the routing manifest's too,
+            # just before the armed crash fires.
+            if injector.armed_crash == step_name:
+                breakers = stacks[0][0].breaker_device
+                for address in breakers.addresses():
+                    breaker = breakers.breaker_for(address)
+                    while breaker.state is not BreakerState.OPEN:
+                        breaker.record_failure()
+            maybe_crash(injector, step_name)
+
+        recover = ShardedStore.recover.__func__
+
+        def recover_and_look(cls, device, **kwargs):
+            store = recover(cls, device, **kwargs)
+            open_after_recovery.append(len(device.open_breakers()))
+            return store
+
+        monkeypatch.setattr(reshard_module, "build_sharded_stack", build_and_keep)
+        monkeypatch.setattr(FaultInjector, "maybe_crash", crash_with_breakers_open)
+        monkeypatch.setattr(ShardedStore, "recover", classmethod(recover_and_look))
+        with use_registry():
+            storm, reshard, _coordinator = run_reshard_storm(
+                seed=0, n_keys=600, n_shards=3,
+                phases=(StormPhase("calm", 400),), reshard_at=80,
+                crash_at_step="backfill",
+            )
+        assert reshard.crashes == 1
+        assert open_after_recovery == [0]
+        assert reshard.completed
+        assert storm.false_negatives == 0

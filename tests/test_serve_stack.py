@@ -1,0 +1,190 @@
+"""Tests for the serving plumbing every storm topology shares.
+
+``repro.serve.stack`` holds the double-buffered manifest behind the
+routing table and the replica node state, the admission gate for
+background pumps, and the crash-recovering storm driver.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.common.clock import SimulatedClock
+from repro.common.faults import (
+    FaultInjector,
+    FaultyBlockDevice,
+    SimulatedCrash,
+    TransientIOError,
+)
+from repro.common.storage import BlockDevice
+from repro.core.serialize import frame
+from repro.obs import use_registry
+from repro.serve import AdmissionController, AdmissionDecision
+from repro.serve.stack import BackgroundGate, DurableManifest, StackParts, StormDriver
+
+
+class TestDurableManifest:
+    def test_round_trip_newest_version_wins(self):
+        device = BlockDevice()
+        manifest = DurableManifest(device, "routing")
+        manifest.write({"shards": [0, 1]})
+        manifest.write({"shards": [0, 1, 2]})
+        reopened = DurableManifest(device, "routing")
+        doc = reopened.load()
+        assert doc == {"shards": [0, 1, 2], "version": 2}
+        assert reopened.version == 2
+        assert device.exists(("routing", 0)) and device.exists(("routing", 1))
+
+    def test_slot_holds_sorted_framed_json_with_the_version(self):
+        device = BlockDevice()
+        DurableManifest(device, "nodestate").write({"b": 2, "a": 1})
+        expected = frame(json.dumps({"a": 1, "b": 2, "version": 1}, sort_keys=True).encode())
+        assert device.read(("nodestate", 1)) == expected
+
+    def test_corrupt_newest_slot_falls_back_to_the_older(self):
+        device = FaultyBlockDevice()
+        manifest = DurableManifest(device, "routing")
+        manifest.write({"epoch": 1})
+        manifest.write({"epoch": 2})
+        device.ruin(("routing", 0))  # version 2 lives in slot 2 % 2
+        doc = DurableManifest(device, "routing").load()
+        assert doc == {"epoch": 1, "version": 1}
+
+    def test_no_slot_loads_as_none(self):
+        assert DurableManifest(BlockDevice(), "routing").load() is None
+
+    def test_persistent_read_fault_raises_after_four_attempts(self):
+        injector = FaultInjector(transient_read={"routing": 1.0, "*": 0.0})
+        device = FaultyBlockDevice(injector=injector)
+        manifest = DurableManifest(device, "routing")
+        with pytest.raises(TransientIOError):
+            manifest.write({"epoch": 1})
+        assert device.stats.writes == 4
+        assert injector.stats.transient_reads == 4
+
+
+class _FixedAdmission:
+    """Admits everything with a fixed queue delay."""
+
+    def __init__(self, queue_delay: float):
+        self.queue_delay = queue_delay
+
+    def admit(self, arrival, priority):
+        return AdmissionDecision(True, self.queue_delay)
+
+
+class TestBackgroundGate:
+    BUDGET = 0.001
+
+    def _gate(self):
+        clock = SimulatedClock()
+        return BackgroundGate(AdmissionController(clock), clock, self.BUDGET), clock
+
+    def test_sheds_without_three_budgets_of_runway(self):
+        gate, clock = self._gate()
+        assert gate.runway() == 3 * self.BUDGET
+        assert not gate.admit(clock.now() + 2.9 * self.BUDGET)
+        assert gate.admit(clock.now() + 3 * self.BUDGET)
+
+    def test_sheds_when_queue_delay_exceeds_the_lag_cap(self):
+        clock = SimulatedClock()
+        assert not BackgroundGate(_FixedAdmission(0.002), clock, self.BUDGET).admit()
+        assert BackgroundGate(_FixedAdmission(0.001), clock, self.BUDGET).admit()
+
+    def test_budget_override_scales_lag_cap_and_runway(self):
+        clock = SimulatedClock()
+        gate = BackgroundGate(_FixedAdmission(0.002), clock, self.BUDGET)
+        assert gate.admit(budget=0.002)
+        assert not gate.admit(clock.now() + 0.005, budget=0.002)
+
+    def test_shed_by_admission_is_shed_by_the_gate(self):
+        gate, clock = self._gate()
+        # LOW priority's delay budget is 30 ms; this request waited 50.
+        assert not gate.admit(clock.now() - 0.050)
+        assert gate.admission.stats.shed == 1
+
+    def test_force_and_no_controller_skip_every_check(self):
+        gate, clock = self._gate()
+        assert gate.admit(clock.now() - 0.050, force=True)
+        assert gate.admission.stats.admitted == gate.admission.stats.shed == 0
+        assert BackgroundGate(None, clock, self.BUDGET).admit(clock.now())
+
+    def test_runway_check_never_touches_admission(self):
+        gate, clock = self._gate()
+        assert gate.has_runway(clock.now() + 3 * self.BUDGET)
+        assert not gate.has_runway(clock.now() + 2 * self.BUDGET)
+        stats = gate.admission.stats
+        assert (stats.admitted, stats.shed) == (0, 0)
+
+
+class _Backend:
+    def __init__(self):
+        self.puts = []
+
+    def lookup(self, key, **_kwargs):
+        raise AssertionError("not served in these tests")
+
+    def put(self, key, value):
+        self.puts.append((key, value))
+
+
+class _Report:
+    def __init__(self):
+        self.events, self.crashes, self.recoveries = [], 0, 0
+
+
+class TestStormDriver:
+    def _driver(self, tick, write_fraction=0.0):
+        served = StackParts(0, 0.0).serve(_Backend(), budget=0.05)
+        report = _Report()
+        driver = StormDriver(
+            served, report, seed=0, n_keys=10, write_fraction=write_fraction,
+            tick=tick, recover=_Backend,
+        )
+        return driver, served, report
+
+    def test_crash_resets_breakers_and_swaps_the_backend(self):
+        def tick(n, _arrival):
+            if n == 2:
+                raise SimulatedCrash("step")
+
+        driver, served, report = self._driver(tick)
+        breaker = served.breaker_device.breaker_for(("run", 0))
+        while breaker not in served.breaker_device.open_breakers():
+            breaker.record_failure()
+        first = served.backend
+        with use_registry():
+            driver.ticker(0.0)
+            driver.ticker(0.0)
+        assert served.backend is not first
+        assert served.breaker_device.open_breakers() == []
+        assert [label for _t, label in report.events] == ["crash:step", "recovered:step"]
+        assert (report.crashes, report.recoveries) == (1, 1)
+
+    def test_drain_stops_when_done_and_labels_crashes(self):
+        calls = []
+
+        def step():
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise SimulatedCrash("pump")
+            return len(calls) == 3
+
+        driver, _served, report = self._driver(lambda n, a: None)
+        driver.drain(step, 10)
+        assert len(calls) == 3
+        assert [label for _t, label in report.events] == [
+            "crash:pump", "recovered:drain:pump",
+        ]
+
+    def test_foreground_writes_go_to_the_current_backend(self):
+        driver, served, _report = self._driver(lambda n, a: None, write_fraction=1.0)
+        for _ in range(3):
+            driver.ticker(0.0)
+        puts = served.backend.puts
+        assert [value for _key, value in puts] == [
+            f"value-{key}-u{n}" for n, (key, _value) in enumerate(puts, 1)
+        ]
+        assert len(puts) == 3
