@@ -442,7 +442,9 @@ class LSMTree:
         The manifest is double-buffered across two slots (alternating by
         epoch) and read back after writing: a lost, torn, or bit-flipped
         manifest write is detected and retried, and the previous slot
-        stays valid throughout.
+        stays valid throughout.  When no attempt verifies, the epoch, the
+        pending retirements and the WAL records all stay as they are:
+        recovery still needs them, and the next checkpoint retries.
         """
         body = self._manifest_payload()
         slot = (self._manifest_epoch + 1) % 2
@@ -456,6 +458,8 @@ class LSMTree:
             if written == body:
                 break
             self.stats.integrity_faults += 1
+        else:
+            return  # unverified: free nothing, keep the epoch
         self._manifest_epoch += 1
         for addr in self._pending_retire:
             self._safe_delete(addr)
@@ -487,8 +491,7 @@ class LSMTree:
         bloom = BloomFilter(
             len(keys), self._level_epsilon(level), seed=self.config.seed ^ level
         )
-        for key in keys:
-            bloom.insert(key)
+        bloom.insert_many(keys)
         return bloom
 
     def _build_range_filter(self, keys: list[int]):
@@ -534,12 +537,10 @@ class LSMTree:
             if self._policy_at(dst_level) == "leveling":
                 sources += self._levels[dst_level]
                 self._levels[dst_level] = []
-        merged: dict[int, tuple[int, Any]] = {}
-        for run in sources:
-            for key, value in zip(run.keys, run.values):
-                prev = merged.get(key)
-                if prev is None or run.seq > prev[0]:
-                    merged[key] = (run.seq, value)
+        # Oldest first, so each newer run's update overwrites older values.
+        merged: dict[int, Any] = {}
+        for run in sorted(sources, key=lambda r: r.seq):
+            merged.update(zip(run.keys, run.values))
         for run in sources:
             self._retire_run(run)
         # Tombstones can be dropped once they reach the deepest data:
@@ -548,14 +549,10 @@ class LSMTree:
         at_bottom = not self._levels[dst_level] and all(
             not self._levels[i] for i in range(dst_level + 1, len(self._levels))
         )
-        keys, values = [], []
-        for key in sorted(merged):
-            value = merged[key][1]
-            if value is TOMBSTONE and at_bottom:
-                continue
-            keys.append(key)
-            values.append(value)
-        self._emit_run(dst_level, keys, values)
+        keys = sorted(merged)
+        if at_bottom:
+            keys = [key for key in keys if merged[key] is not TOMBSTONE]
+        self._emit_run(dst_level, keys, list(map(merged.__getitem__, keys)))
         self.stats.compactions += 1
         self._metrics().compactions.inc()
 

@@ -4,9 +4,10 @@ All filters in this library derive their randomness from the functions in
 this module.  Hashing is deterministic given ``(key, seed)``, which makes
 every experiment in ``benchmarks/`` reproducible.
 
-Keys may be ``int``, ``str`` or ``bytes``.  Integers are mixed directly
-(cheap, and the common case for synthetic workloads); strings and bytes are
-folded with a 64-bit FNV-1a pass before mixing.
+Keys may be ``int``, ``str`` or ``bytes``.  Integers (numpy integer
+scalars included) are mixed directly (cheap, and the common case for
+synthetic workloads); strings and bytes are folded with a 64-bit FNV-1a
+pass before mixing.
 
 Batch kernels
 -------------
@@ -58,7 +59,11 @@ def hash64(key: int | str | bytes, seed: int = 0) -> int:
     elif isinstance(key, bytes):
         key = _fold_bytes(key)
     elif not isinstance(key, int):
-        raise TypeError(f"unhashable filter key type: {type(key).__name__}")
+        if not isinstance(key, np.integer):
+            raise TypeError(f"unhashable filter key type: {type(key).__name__}")
+        # Fold numpy integer scalars as as_key_array does, so a key probes
+        # the same bits through the scalar and the batch path.
+        key = int(key)
     return splitmix64((key & MASK64) ^ splitmix64(seed & MASK64))
 
 
@@ -120,9 +125,19 @@ def as_key_array(keys) -> np.ndarray:
     exactly as :func:`hash64` does, so ``splitmix64_many(arr ^
     splitmix64(seed))`` over the result equals ``hash64(key, seed)``
     element-wise.  Accepts lists, tuples, and numpy integer arrays.
+
+    A batch of plain ``int`` keys that all fit in int64 (the LSM ingest
+    case) converts in one numpy call: the int64 → uint64 wrap is exactly
+    ``k & MASK64``.  Anything else — wider ints, ``bool``, str/bytes,
+    numpy scalars, mixed batches — takes the per-key fold.
     """
     if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
         return keys.astype(np.uint64, copy=False)
+    if isinstance(keys, (list, tuple)) and keys and set(map(type, keys)) == {int}:
+        try:
+            return np.fromiter(keys, dtype=np.int64, count=len(keys)).view(np.uint64)
+        except OverflowError:
+            pass
     folded = [
         _fold_bytes(k.encode("utf-8")) if isinstance(k, str)
         else _fold_bytes(k) if isinstance(k, (bytes, bytearray))

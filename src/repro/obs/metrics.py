@@ -78,6 +78,12 @@ class _Metric:
         return child
 
     def _default_child(self):
+        # Hot path (every WAL append, every device write): the unlabelled
+        # child, once created, needs no label re-validation.  A labelled
+        # family never has a () series, so it still raises below.
+        child = self._series.get(())
+        if child is not None:
+            return child
         if self.labelnames:
             raise MetricError(f"{self.name} is labelled: call .labels(...) first")
         return self.labels()

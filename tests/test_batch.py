@@ -4,21 +4,32 @@ The contract: for every filter family, ``may_contain_many(keys)`` equals
 element-wise ``may_contain``, ``insert_many`` is equivalent to inserting
 in order (so no false negatives afterwards), and the base-class
 scalar-loop defaults satisfy the same contract as the vectorised
-overrides.  Checked with hypothesis across mixed int/str/bytes batches,
-plus numpy-array inputs and the instrumentation wrapper.
+overrides.  Checked with hypothesis across mixed int/numpy-int/str/bytes
+batches, plus numpy-array inputs and the instrumentation wrapper.  The
+LSM write path builds its filters in batch; the last class checks that
+it writes exactly the bytes the scalar insert loop would.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.lsm import LSMConfig, LSMTree
+from repro.common.faults import FaultInjector, FaultyBlockDevice
+from repro.common.hashing import MASK64, as_key_array, hash64, hash64_many
+from repro.common.storage import BlockDevice
 from repro.core.concurrent import ShardedFilter
 from repro.core.interfaces import DynamicFilter, as_key_list
 from repro.core.registry import FEATURE_MATRIX, make_filter
-from repro.obs import InstrumentedFilter, MetricsRegistry
+from repro.filters.bloom import BloomFilter
+from repro.obs import InstrumentedFilter, MetricsRegistry, use_registry
+from repro.serve import build_stack
 
 
 def _factory_constructible(f) -> bool:
@@ -56,6 +67,10 @@ def _hash_identity(key):
 keys_strategy = st.lists(
     st.one_of(
         st.integers(min_value=0, max_value=2**48),
+        # numpy integer scalars fold like the equal Python int, on the
+        # scalar path as well as the batch one.
+        st.integers(min_value=-(2**48), max_value=2**48).map(np.int64),
+        st.integers(min_value=0, max_value=2**32 - 1).map(np.uint32),
         st.text(min_size=0, max_size=12),
         st.binary(max_size=8),
     ),
@@ -155,6 +170,14 @@ class TestDefaultFallback:
             filt.insert_many([])
             assert filt.may_contain_many([]).shape == (0,)
             assert len(filt) == 0
+
+    def test_numpy_integer_scalar_probes_like_the_batch_path(self):
+        filt = BloomFilter(100, 0.01)
+        assert filt.may_contain_many([np.int64(5)]).tolist() == [False]
+        assert filt.may_contain(np.int64(5)) is False
+        filt.insert(np.int64(5))
+        assert filt.may_contain(5) and filt.may_contain(np.uint8(5))
+        assert hash64(np.int64(-3), seed=4) == hash64(-3, seed=4)
 
     def test_as_key_list(self):
         out = as_key_list(np.array([1, 2, 3]))
@@ -276,3 +299,105 @@ class TestBatchApps:
         second = d.stats.false_positives
         d.get_many(negatives)
         assert d.stats.false_positives - second <= second
+
+
+@pytest.mark.parametrize("keys", [
+    [-1, -(2**63), 0, 2**63 - 1],  # int64 range: the one-call fast path
+    [2**63, 2**64 - 1, 5],  # above int64: per-key fold
+    [2**64, 2**70 + 3, -(2**63) - 1],  # wider than 64 bits: masked
+    [True, False, 3],
+    [1, np.int64(-2), np.uint64(2**64 - 1), np.int8(7)],
+    (4, -4),
+    [],
+], ids=["int64", "uint64-range", "wide", "bool", "mixed-numpy", "tuple", "empty"])
+def test_as_key_array_matches_scalar_hash64(keys):
+    folded = as_key_array(keys)
+    assert folded.dtype == np.uint64
+    assert folded.tolist() == [int(k) & MASK64 for k in keys]
+    assert hash64_many(keys, seed=9).tolist() == [hash64(k, seed=9) for k in keys]
+
+
+def _recording(original, name, ops):
+    def method(self, address, *args, **kwargs):
+        ops.append((name, address, *args, *sorted(kwargs.items())))
+        return original(self, address, *args, **kwargs)
+    return method
+
+
+class TestLSMBatchBuildsMatchScalar:
+    """LSM filter builds go through ``BloomFilter.insert_many``; replaying
+    them through the scalar-loop ``DynamicFilter.insert_many`` must give
+    the same device operations in the same order, the same blocks, and
+    the same fault and latency RNG draws."""
+
+    def _run(self, monkeypatch, scenario, *, scalar: bool):
+        ops: list = []
+        with monkeypatch.context() as patch, use_registry():
+            if scalar:
+                patch.setattr(BloomFilter, "insert_many", DynamicFilter.insert_many)
+            for name in ("write", "read", "delete"):
+                patch.setattr(
+                    BlockDevice, name, _recording(getattr(BlockDevice, name), name, ops)
+                )
+            states = scenario()
+        return ops, states
+
+    def _assert_same(self, monkeypatch, scenario):
+        batch_ops, batch_states = self._run(monkeypatch, scenario, scalar=False)
+        scalar_ops, scalar_states = self._run(monkeypatch, scenario, scalar=True)
+        assert batch_ops and batch_ops == scalar_ops
+        assert batch_states == scalar_states
+
+    @staticmethod
+    def _state(device, latency=None):
+        blocks = device.inner._blocks
+        image = [(address, block.payload, block.size) for address, block in blocks.items()]
+        return (
+            image, device.injector._rng.getstate(),
+            None if latency is None else latency._rng.getstate(),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_build_stack(self, monkeypatch, seed):
+        def scenario():
+            _served, _tree, device, _inj, latency, _clock = build_stack(
+                seed=seed, n_keys=2_000
+            )
+            return [self._state(device, latency)]
+
+        self._assert_same(monkeypatch, scenario)
+
+    @pytest.mark.parametrize("compaction", ["leveling", "tiering", "lazy-leveling"])
+    def test_flush_compaction_recover_and_scrub(self, monkeypatch, compaction):
+        config = LSMConfig(memtable_entries=16, compaction=compaction, size_ratio=3)
+
+        def scenario():
+            device = FaultyBlockDevice(injector=FaultInjector(seed=3))
+            tree = LSMTree(config, device=device)
+            rng = random.Random(5)
+            for _ in range(1_500):
+                key = rng.randrange(3_000)
+                if rng.random() < 0.1:
+                    tree.delete(key)
+                else:
+                    tree.put(key, rng.randrange(1 << 20))
+            tree.flush()
+            assert tree.stats.compactions > 0
+            states = [self._state(device)]
+            # Recovery rebuilds a ruined filter blob from the run's keys.
+            filters = sorted(a for a in device.addresses() if a[0] == "filter")
+            device.ruin(filters[0])
+            tree = LSMTree.recover(device)
+            assert tree.recovery_report.filters_rebuilt == 1
+            states.append(self._state(device))
+            # Without rebuilds the run degrades; scrub's repair builds it.
+            device.ruin(filters[-1])
+            no_rebuild = dataclasses.replace(config, rebuild_filters_on_recovery=False)
+            tree = LSMTree.recover(device, no_rebuild)
+            assert tree.recovery_report.filters_degraded == 1
+            report = tree.scrub(repair=True)
+            assert filters[-1] in report.repaired
+            states.append(self._state(device))
+            return states
+
+        self._assert_same(monkeypatch, scenario)

@@ -519,6 +519,29 @@ class TestRecovery:
         assert recovered.recovery_report.wal_replayed == 29
         assert recovered.stats.integrity_faults >= 1
 
+    def test_unverified_checkpoint_keeps_what_recovery_needs(self):
+        # Every manifest write after epoch 1 is lost, so no later
+        # checkpoint verifies: the runs it would retire and the WAL
+        # records it would free are still the only copy recovery can use.
+        inj = FaultInjector(seed=0)
+        dev = FaultyBlockDevice(injector=inj)
+        tree = LSMTree(LSMConfig(memtable_entries=8), device=dev)
+        for key in range(8):
+            tree.put(key, key)
+        inj.lost_write = {"manifest": 1.0, "*": 0.0}
+        for key in range(8, 40):
+            tree.put(key, key)
+        assert tree.stats.integrity_faults > 0
+        inj.lost_write = 0.0
+        recovered = LSMTree.recover(dev)
+        report = recovered.recovery_report
+        assert report.runs_lost == 0 and report.wal_lost == 0
+        assert report.wal_replayed == 32
+        assert [k for k in range(40) if recovered.get(k) != k] == []
+        # The next verified checkpoint frees what the lost ones could not.
+        recovered.checkpoint()
+        assert not [a for a in dev.addresses() if a[0] == "wal"]
+
     def test_recovery_retries_transient_reads(self):
         inj = FaultInjector(seed=11, transient_read=0.3)
         dev = FaultyBlockDevice(injector=inj)

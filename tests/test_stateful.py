@@ -7,12 +7,14 @@ These complement the per-module tests: a state machine explores orderings
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.apps.lsm import LSMConfig, LSMTree
@@ -104,22 +106,35 @@ class CuckooFilterMachine(RuleBasedStateMachine):
         assert len(self.cf) == sum(self.members.values())
 
 
-class LSMMachine(RuleBasedStateMachine):
-    """LSM-tree vs a plain dict, across puts/deletes/flushes/range scans."""
+# A small key space, so keys recur across runs and every merge has
+# versions and tombstones to reconcile.
+LSM_KEY_SPACE = 32
+LSM_KEYS = st.integers(min_value=0, max_value=LSM_KEY_SPACE - 1)
 
-    def __init__(self):
+
+class LSMMachine(RuleBasedStateMachine):
+    """LSM-tree vs a plain dict, across puts/deletes/flushes/range scans.
+
+    Run under every compaction policy: leveling merges a level's runs
+    into the run already at the destination, so newest-wins and the
+    bottom-level tombstone drop are checked across source and
+    destination runs too.  Every key is checked after every step, so a
+    merge that resurrects or reverts a key fails where it happens.
+    """
+
+    def __init__(self, compaction: str):
         super().__init__()
         self.tree = LSMTree(
-            LSMConfig(compaction="tiering", memtable_entries=8, size_ratio=3)
+            LSMConfig(compaction=compaction, memtable_entries=8, size_ratio=3)
         )
         self.model: dict[int, int] = {}
 
-    @rule(key=KEYS, value=st.integers(min_value=0, max_value=1000))
+    @rule(key=LSM_KEYS, value=st.integers(min_value=0, max_value=1000))
     def put(self, key, value):
         self.tree.put(key, value)
         self.model[key] = value
 
-    @rule(key=KEYS)
+    @rule(key=LSM_KEYS)
     def delete(self, key):
         self.tree.delete(key)
         self.model.pop(key, None)
@@ -128,15 +143,16 @@ class LSMMachine(RuleBasedStateMachine):
     def flush(self):
         self.tree.flush()
 
-    @rule(key=KEYS)
-    def get_matches_model(self, key):
-        assert self.tree.get(key, default=None) == self.model.get(key)
-
-    @rule(lo=KEYS, width=st.integers(min_value=0, max_value=50))
+    @rule(lo=LSM_KEYS, width=st.integers(min_value=0, max_value=50))
     def range_matches_model(self, lo, width):
         hi = lo + width
         expected = {k: v for k, v in self.model.items() if lo <= k <= hi}
         assert self.tree.range_query(lo, hi) == dict(sorted(expected.items()))
+
+    @invariant()
+    def every_key_matches_model(self):
+        for key in range(LSM_KEY_SPACE):
+            assert self.tree.get(key, default=None) == self.model.get(key)
 
 
 class BloofiMachine(RuleBasedStateMachine):
@@ -221,11 +237,15 @@ TestCuckooFilterMachine = CuckooFilterMachine.TestCase
 TestCuckooFilterMachine.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
 )
-TestLSMMachine = LSMMachine.TestCase
-TestLSMMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
-)
 TestBloofiMachine = BloofiMachine.TestCase
 TestBloofiMachine.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
 )
+
+
+@pytest.mark.parametrize("compaction", ["leveling", "tiering", "lazy-leveling"])
+def test_lsm_machine(compaction):
+    run_state_machine_as_test(
+        lambda: LSMMachine(compaction),
+        settings=settings(max_examples=25, stateful_step_count=30, deadline=None),
+    )
