@@ -16,13 +16,17 @@ partial lookup can always degrade to the *always-maybe* answer safely:
 :data:`Answer.MAYBE` never breaks the filter contract, it only costs the
 caller the read the filter would have saved.  That is the degradation
 posture the whole serving layer is built on.
+
+Every serving fan-out (shard double reads, replica quorums, the tenant
+fleet) answers through :func:`combine`, the one rule for when ABSENT is
+proven.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 
 class SimulatedClock:
@@ -109,8 +113,9 @@ class LookupResult:
     ``value`` is best-effort: populated on a hit even when a newer run
     was skipped (``state`` stays :data:`Answer.MAYBE` in that case,
     because the skipped run could hold a newer version or a tombstone).
-    ``reason`` explains incompleteness: ``"deadline"`` or
-    ``"unavailable"``.
+    ``reason`` explains incompleteness: ``"deadline"``,
+    ``"unavailable"``, or ``"quorum"`` (every source answered, but too
+    few could vouch for absence; see :func:`combine`).
     """
 
     state: Answer
@@ -123,3 +128,38 @@ class LookupResult:
     @property
     def found(self) -> bool:
         return self.state is Answer.PRESENT
+
+
+def combine(evidence: Iterable[tuple[LookupResult, bool]], need: int) -> LookupResult:
+    """The one-sided combine rule behind every serving fan-out.
+
+    *evidence* yields one ``(result, eligible)`` pair per source and is
+    consumed lazily: no source after the one that decides is consulted.
+    The first complete PRESENT wins and carries its value.  ABSENT needs
+    *need* complete ABSENTs from eligible sources.  Anything else is
+    MAYBE, with reason ``"deadline"`` if any consumed source ran out of
+    time, else ``"unavailable"`` if any was incomplete, else
+    ``"quorum"``, and the first best-effort value.  ``runs_probed`` and
+    ``runs_skipped`` sum over the consumed sources.
+    """
+    absent = probed = skipped = 0
+    value = None
+    reasons = set()
+    for result, eligible in evidence:
+        probed += result.runs_probed
+        skipped += result.runs_skipped
+        if not result.complete:
+            reasons.add(result.reason)
+        elif result.state is Answer.PRESENT:
+            return LookupResult(Answer.PRESENT, result.value,
+                                runs_probed=probed, runs_skipped=skipped)
+        elif result.state is Answer.ABSENT and eligible:
+            absent += 1
+            if absent >= need:
+                return LookupResult(Answer.ABSENT, runs_probed=probed, runs_skipped=skipped)
+        if value is None:
+            value = result.value
+    reason = ("deadline" if "deadline" in reasons
+              else "unavailable" if reasons else "quorum")
+    return LookupResult(Answer.MAYBE, value, complete=False, reason=reason,
+                        runs_probed=probed, runs_skipped=skipped)

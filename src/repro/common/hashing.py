@@ -140,7 +140,7 @@ def as_key_array(keys) -> np.ndarray:
             pass
     folded = [
         _fold_bytes(k.encode("utf-8")) if isinstance(k, str)
-        else _fold_bytes(k) if isinstance(k, (bytes, bytearray))
+        else _fold_bytes(k) if isinstance(k, bytes)
         else (int(k) & MASK64) if isinstance(k, (int, np.integer))
         else _reject_key(k)
         for k in keys

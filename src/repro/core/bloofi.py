@@ -397,7 +397,6 @@ class BloofiTree:
         key: Key,
         *,
         fault: Callable[[str, int], bool] | None = None,
-        on_probe: Callable[[int], None] | None = None,
     ) -> BloofiLookup:
         """Descend from the root; return every tenant that may hold *key*.
 
@@ -407,8 +406,6 @@ class BloofiTree:
         descended unconditionally (its OR cannot prune), and a degraded
         leaf is reported as a candidate (its filter cannot prove
         absence) — chaos widens the candidate set, never narrows it.
-        *on_probe*, if given, is called as ``on_probe(depth)`` after
-        each filter actually read — the serving layer's latency hook.
         """
         result = BloofiLookup()
         if not self._leaves:
@@ -431,8 +428,6 @@ class BloofiTree:
             result.probes_by_level[depth] = (
                 result.probes_by_level.get(depth, 0) + 1
             )
-            if on_probe is not None:
-                on_probe(depth)
             if not self._matches(node, widx, masks):
                 continue
             if node.is_leaf:
@@ -440,18 +435,6 @@ class BloofiTree:
             else:
                 stack.extend((c, depth + 1) for c in node.children)
         return result
-
-    def may_contain_any(self, key: Key) -> bool:
-        """True iff some tenant's filter may hold *key* (root probe +
-        descent, no candidate list allocation avoided for simplicity)."""
-        return bool(self.candidates(key).tenants)
-
-    def tenant_may_contain(self, tenant, key: Key) -> bool:
-        """Direct leaf probe, no descent (the per-tenant fast path)."""
-        leaf = self._leaves.get(tenant)
-        if leaf is None:
-            raise KeyError(f"tenant {tenant!r} is not indexed")
-        return leaf.filter.may_contain(key)
 
     # -- staleness maintenance --------------------------------------------------
 

@@ -65,6 +65,7 @@ from repro.common.clock import (
     DeadlineExceeded,
     LookupResult,
     SimulatedClock,
+    combine,
 )
 from repro.common.faults import (
     CircuitOpenError,
@@ -521,69 +522,45 @@ class ReplicatedStore:
         deadline: Deadline | None = None,
         degrade_on_error: bool = True,
     ) -> LookupResult:
-        """Suspicion-ordered fan-out with the quorum combine rule.
-
-        A complete scan that finds a live record answers PRESENT
-        immediately (first complete answer wins — no waiting on slower
-        replicas).  Absence needs ``read_quorum`` complete scans from
-        eligible replicas, where a tombstone counts as absence evidence.
-        Everything else is MAYBE, with the usual reasons.
+        """Suspicion-ordered fan-out through
+        :func:`~repro.common.clock.combine`: the first complete live
+        record answers PRESENT (no waiting on slower replicas), and
+        absence needs ``read_quorum`` complete scans from eligible
+        replicas, where a tombstone counts as absence evidence.
         """
         self._count_outcome("lookups")
-        absent_votes = 0
-        probed = skipped = 0
-        reasons: list[str] = []
+        result = combine(self._evidence(key, deadline, degrade_on_error),
+                         self.read_quorum)
+        self._count_outcome(result.state.value)
+        return result
+
+    def _evidence(self, key: Any, deadline: Deadline | None,
+                  degrade_on_error: bool):
+        """One ``(result, eligible)`` pair per replica, in fan-out order;
+        a dead replica or an expired deadline is incomplete evidence."""
         for node_id in self._fanout_order(self.replicas_of(key)):
             node = self.nodes[node_id]
             if deadline is not None and deadline.expired():
-                reasons.append("deadline")
-                break
+                yield LookupResult(Answer.MAYBE, complete=False,
+                                   reason="deadline"), False
+                return
             if not node.alive:
                 self.detector.record_failure(node_id)
-                reasons.append("unavailable")
+                yield LookupResult(Answer.MAYBE, complete=False,
+                                   reason="unavailable"), False
                 continue
             result = node.tree.lookup(
                 key, deadline=deadline, degrade_on_error=degrade_on_error
             )
-            probed += result.runs_probed
-            skipped += result.runs_skipped
             if result.complete:
                 self.detector.heartbeat(node_id)
-            if result.complete and result.state is Answer.PRESENT:
-                if not _is_tombstone(result.value):
-                    self._count_outcome("present")
-                    value = result.value["v"] if isinstance(result.value, dict) \
-                        else result.value
-                    return LookupResult(
-                        Answer.PRESENT, value, complete=True,
-                        runs_probed=probed, runs_skipped=skipped,
-                    )
-                # A tombstone is authoritative absence evidence, subject
-                # to the same eligibility gates as a plain ABSENT.
-                if self._eligible_absent_voter(node):
-                    absent_votes += 1
-            elif result.complete and result.state is Answer.ABSENT:
-                if self._eligible_absent_voter(node):
-                    absent_votes += 1
-            else:
-                reasons.append(result.reason or "unavailable")
-            if absent_votes >= self.read_quorum:
-                self._count_outcome("absent")
-                return LookupResult(
-                    Answer.ABSENT, None, complete=True,
-                    runs_probed=probed, runs_skipped=skipped,
-                )
-        self._count_outcome("maybe")
-        if "deadline" in reasons:
-            reason = "deadline"
-        elif "unavailable" in reasons:
-            reason = "unavailable"
-        else:
-            reason = "quorum"
-        return LookupResult(
-            Answer.MAYBE, None, complete=False, reason=reason,
-            runs_probed=probed, runs_skipped=skipped,
-        )
+            if result.complete and _is_tombstone(result.value):
+                result.state = Answer.ABSENT
+            if isinstance(result.value, dict):
+                result.value = result.value.get("v")
+            # Only absence evidence needs the (hint-journal) eligibility test.
+            yield result, (result.state is Answer.ABSENT
+                           and self._eligible_absent_voter(node))
 
     def get(self, key: Any, default: Any = None) -> Any:
         result = self.lookup(key)
@@ -819,7 +796,6 @@ class AntiEntropyRepairer:
         self._clean_streak: dict[int, int] = {}
         self.pumps = 0
         self.sheds = 0
-        self.io_deferred = 0
         self.buckets_checked = 0
         self.repairs = 0
         self.repair_bytes = 0
@@ -939,7 +915,6 @@ class AntiEntropyRepairer:
                 try:
                     self._building[node_id] = dict(node.tree.items())
                 except (TransientIOError, CircuitOpenError, DeadlineExceeded):
-                    self.io_deferred += 1
                     return True
                 self._scan_queue.pop(0)
             if not self._scan_queue:
@@ -957,7 +932,6 @@ class AntiEntropyRepairer:
         try:
             done = self._check_bucket(node_id, bucket)
         except (TransientIOError, CircuitOpenError, DeadlineExceeded):
-            self.io_deferred += 1
             return True
         if done:
             self._cells.pop(0)

@@ -44,6 +44,7 @@ from repro.common.clock import (
     DeadlineExceeded,
     LookupResult,
     SimulatedClock,
+    combine,
 )
 from repro.common.faults import (
     CircuitOpenError,
@@ -55,7 +56,6 @@ from repro.common.storage import NamespacedDevice
 from repro.core.errors import ChecksumError
 from repro.core.routing import (
     SHARD_SALT,
-    ConsistentHashRouter,
     HashRangeRouter,
     Router,
     router_from_manifest,
@@ -103,8 +103,8 @@ class MigrationState:
     journal-backed progress.  A key must move iff the routers disagree
     about its owner."""
 
-    kind: str                     # "split" | "merge" | "expand"
-    source: int | None
+    kind: str                     # "split" | "merge"
+    source: int
     target: int
     old_router: Router
     new_router: Router
@@ -322,14 +322,11 @@ class ShardedStore:
         deadline: Deadline | None = None,
         degrade_on_error: bool = True,
     ) -> LookupResult:
-        """Tri-state lookup across every current owner of *key*.
-
-        Combine rule (the heart of the no-false-negative argument):
-        an authoritative PRESENT from any owner wins immediately;
-        ABSENT requires *every* consulted owner to be authoritative
-        ABSENT; anything else degrades to MAYBE.  During the double-read
-        window neither owner alone is trusted for absence — the old one
-        may be mid-retirement, the new one mid-backfill.
+        """Tri-state lookup across every current owner of *key*, through
+        :func:`~repro.common.clock.combine` with every owner eligible and
+        all of them needed for ABSENT.  During the double-read window
+        neither owner alone is trusted for absence: the old one may be
+        mid-retirement, the new one mid-backfill.
         """
         self.lookups += 1
         owners = self._owners(key)
@@ -340,37 +337,11 @@ class ShardedStore:
                 "repro_reshard_double_reads_total",
                 "lookups that consulted both the old and new owner",
             ).inc()
-        results = []
-        for sid in owners:
-            result = self.shards[sid].lookup(
-                key, deadline=deadline, degrade_on_error=degrade_on_error
-            )
-            results.append(result)
-            if result.state is Answer.PRESENT and result.complete:
-                break  # authoritative PRESENT: no need to consult further
-        return self._combine(results)
-
-    @staticmethod
-    def _combine(results: list[LookupResult]) -> LookupResult:
-        probed = sum(r.runs_probed for r in results)
-        skipped = sum(r.runs_skipped for r in results)
-        value = next((r.value for r in results if r.value is not None), None)
-        last = results[-1]
-        if last.state is Answer.PRESENT and last.complete:
-            return LookupResult(
-                Answer.PRESENT, last.value, complete=True,
-                runs_probed=probed, runs_skipped=skipped,
-            )
-        if all(r.complete and r.state is Answer.ABSENT for r in results):
-            return LookupResult(
-                Answer.ABSENT, None, complete=True,
-                runs_probed=probed, runs_skipped=skipped,
-            )
-        reason = next((r.reason for r in results if not r.complete), None)
-        return LookupResult(
-            Answer.MAYBE, value, complete=False, reason=reason,
-            runs_probed=probed, runs_skipped=skipped,
+        results = (
+            self.shards[sid].lookup(key, deadline=deadline, degrade_on_error=degrade_on_error)
+            for sid in owners
         )
+        return combine(((result, True) for result in results), len(owners))
 
     def get(self, key: Any, default: Any = None) -> Any:
         result = self.lookup(key)
@@ -453,9 +424,7 @@ class ReshardCoordinator:
         self.injector = injector
         self.batch_keys = batch_keys
         self._commits_since_journal = 0
-        self.pumps = 0
         self.sheds = 0
-        self.io_deferred = 0
         self.last_migration: MigrationState | None = None
         self._moving: list[Any] | None = None  # keys left in the current scan
         self._journal_seq = 1 + max(
@@ -501,18 +470,6 @@ class ReshardCoordinator:
         new_router = router.merge(source, dest)
         mig = MigrationState("merge", source, dest, router, new_router)
         self._install_plan(mig, open_target=False)
-        return mig
-
-    def plan_expand(self, target: int | None = None) -> MigrationState:
-        """Add a shard to a consistent-hash ring (~1/n of keys move)."""
-        router = self._require_idle()
-        if not isinstance(router, ConsistentHashRouter):
-            raise TypeError("expand requires a ConsistentHashRouter")
-        if target is None:
-            target = max(self.store.shards) + 1
-        new_router = router.with_shard(target)
-        mig = MigrationState("expand", None, target, router, new_router)
-        self._install_plan(mig, open_target=True)
         return mig
 
     def _require_idle(self) -> Router:
@@ -570,7 +527,6 @@ class ReshardCoordinator:
         mig = self.store.migration
         if mig is None:
             return False
-        self.pumps += 1
         if not self.gate.admit(arrival, budget=budget, force=force):
             self.sheds += 1
             default_registry().counter(
@@ -589,7 +545,7 @@ class ReshardCoordinator:
             # Transient device trouble, a tripped breaker, or budget
             # exhausted: everything is idempotent, so just resume on the
             # next pump.
-            self.io_deferred += 1
+            pass
         return True
 
     def _advance(self, mig: MigrationState, deadline: Deadline | None) -> None:
@@ -621,11 +577,6 @@ class ReshardCoordinator:
 
     # -- scan-step machinery -----------------------------------------------------
 
-    def _donor_shards(self, mig: MigrationState) -> list[int]:
-        if mig.kind in ("split", "merge"):
-            return [mig.source]
-        return [s for s in sorted(self.store.shards) if s != mig.target]
-
     def _snapshot_moving(self, mig: MigrationState) -> list[Any]:
         """Keys that still need processing in the current scan step.
 
@@ -634,12 +585,10 @@ class ReshardCoordinator:
         DOUBLE_WRITE began are double-applied on arrival, so re-copying
         any of them is merely redundant, never wrong.
         """
-        keys: set[Any] = set()
-        for sid in self._donor_shards(mig):
-            for key, _value in self.store.shards[sid].items():
-                if mig.old_router.owner(key) == sid and mig.moving(key):
-                    keys.add(key)
-        ordered = sorted(keys)
+        ordered = sorted(
+            key for key, _value in self.store.shards[mig.source].items()
+            if mig.old_router.owner(key) == mig.source and mig.moving(key)
+        )
         if mig.floor is not None:
             ordered = [k for k in ordered if k > mig.floor]
         return ordered

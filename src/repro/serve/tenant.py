@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock
+from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock, combine
 from repro.common.faults import FaultInjector, LatencyInjector
 from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.routing import ConsistentHashRouter
@@ -144,9 +144,6 @@ class TenantRouter:
 
     def tenant_ids(self) -> list:
         return list(self._auth)
-
-    def tree_of(self, tenant) -> int:
-        return self._home[tenant]
 
     def authoritative(self, tenant) -> Any:
         return self._auth[tenant]
@@ -411,14 +408,13 @@ class TenantStore:
         deadline: Deadline | None = None,
         degrade_on_error: bool = True,
     ) -> LookupResult:
-        """Resolve *key* across the fleet under a deadline.
-
-        PRESENT (complete) on a ground-truth hit — set membership is
-        authoritative even if other candidates degraded.  ABSENT only
-        when every tenant was ruled out with no degradation anywhere.
-        Otherwise MAYBE, with ``reason`` saying whether the deadline or
-        a fault got there first.  ``runs_probed`` counts filter probes
-        charged, ``runs_skipped`` counts candidates left unresolved.
+        """Resolve *key* across the fleet under a deadline, through
+        :func:`~repro.common.clock.combine`.  The evidence is the Bloofi
+        descent (incomplete when degraded) followed by each candidate's
+        ground truth, and ABSENT needs all of it: a ground-truth hit is
+        PRESENT even if other candidates degraded.  ``runs_probed``
+        counts filter probes charged, ``runs_skipped`` counts candidates
+        left unresolved.
         """
         self.lookups += 1
         fault = None
@@ -444,45 +440,45 @@ class TenantStore:
         )
         for level, n in look.probes_by_level.items():
             by_level.labels(level=str(level)).inc(n)
+        evidence = ((result, True) for result in self._sources(key, look, deadline))
+        return combine(evidence, 1 + len(look.tenants))
 
+    def _sources(self, key, look: TenantLookup, deadline: Deadline | None):
+        """One :class:`LookupResult` per source of :meth:`lookup`: the
+        descent, then each candidate, charging each probe's latency only
+        when the combine rule asks for that source."""
         # Charge simulated time probe by probe; the deadline can expire
         # mid-scan, which in flat mode at fleet scale it routinely does.
         for charged in range(look.probes):
             if not self._charge("filter", deadline):
-                return LookupResult(
+                yield LookupResult(
                     Answer.MAYBE, complete=False, reason="deadline",
-                    runs_probed=charged + 1,
-                    runs_skipped=len(look.tenants),
+                    runs_probed=charged + 1, runs_skipped=len(look.tenants),
                 )
-        probes = look.probes
+                return
         degraded = look.degraded_descents > 0 or bool(look.forced)
-        skipped = 0
-        for tenant in look.tenants:
-            probes += 1
+        yield LookupResult(
+            Answer.MAYBE if degraded else Answer.ABSENT, complete=not degraded,
+            reason="unavailable" if degraded else None, runs_probed=look.probes,
+        )
+        for i, tenant in enumerate(look.tenants):
             if not self._charge("store", deadline):
-                return LookupResult(
+                yield LookupResult(
                     Answer.MAYBE, complete=False, reason="deadline",
-                    runs_probed=probes,
-                    runs_skipped=1 + len(look.tenants) - look.tenants.index(tenant),
+                    runs_probed=1, runs_skipped=len(look.tenants) - i,
                 )
+                return
             if self.injector is not None and self.injector.draw_read(
                 ("tenant_store", tenant)
             ):
-                skipped += 1
-                continue
-            if key in self.truth.get(tenant, ()):
-                return LookupResult(
-                    Answer.PRESENT, value=tenant, complete=True,
-                    runs_probed=probes, runs_skipped=skipped,
+                yield LookupResult(
+                    Answer.MAYBE, complete=False, reason="unavailable",
+                    runs_probed=1, runs_skipped=1,
                 )
-        if degraded or skipped:
-            return LookupResult(
-                Answer.MAYBE, complete=False, reason="unavailable",
-                runs_probed=probes, runs_skipped=skipped,
-            )
-        return LookupResult(
-            Answer.ABSENT, complete=True, runs_probed=probes,
-        )
+            elif key in self.truth.get(tenant, ()):
+                yield LookupResult(Answer.PRESENT, tenant, runs_probed=1)
+            else:
+                yield LookupResult(Answer.ABSENT, runs_probed=1)
 
 
 # -- the storm harness ---------------------------------------------------------

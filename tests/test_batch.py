@@ -179,6 +179,13 @@ class TestDefaultFallback:
         assert filt.may_contain(5) and filt.may_contain(np.uint8(5))
         assert hash64(np.int64(-3), seed=4) == hash64(-3, seed=4)
 
+    def test_bytearray_keys_are_rejected_by_both_paths(self):
+        filt = BloomFilter(100, 0.01)
+        with pytest.raises(TypeError):
+            filt.may_contain(bytearray(b"ab"))
+        with pytest.raises(TypeError):
+            filt.may_contain_many([bytearray(b"ab")])
+
     def test_as_key_list(self):
         out = as_key_list(np.array([1, 2, 3]))
         assert out == [1, 2, 3] and all(type(k) is int for k in out)

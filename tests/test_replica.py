@@ -22,7 +22,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.common.clock import Answer, Deadline, SimulatedClock
+from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock
 from repro.common.faults import FaultInjector, FaultyBlockDevice, SimulatedCrash
 from repro.common.storage import BlockDevice
 from repro.core.routing import (
@@ -239,6 +239,19 @@ class TestQuorumCombine:
         result = store.lookup(5, deadline=deadline)
         assert result.state is Answer.MAYBE
         assert result.reason == "deadline"
+
+    def test_maybe_carries_the_best_effort_value(self, monkeypatch):
+        # Every replica holds the record below an unreadable newer run.
+        store, _ = self._loaded()
+        for node_id in store.replicas_of(5):
+            monkeypatch.setattr(
+                store.nodes[node_id].tree, "lookup",
+                lambda *_a, **_k: LookupResult(
+                    Answer.MAYBE, {"s": 5, "v": "v5"}, complete=False,
+                    reason="unavailable"),
+            )
+        result = store.lookup(5)
+        assert (result.state, result.value) == (Answer.MAYBE, "v5")
 
     def test_fanout_order_prefers_low_suspicion(self):
         store, _ = self._loaded()

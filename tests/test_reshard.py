@@ -21,7 +21,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.common.clock import Answer, SimulatedClock
+from repro.common.clock import Answer, LookupResult, SimulatedClock
 from repro.common.faults import (
     FaultInjector,
     FaultyBlockDevice,
@@ -223,6 +223,24 @@ class TestShardedStore:
             result = store.lookup(key)
             assert result.state is not Answer.ABSENT
         assert store.double_reads == before + len(moving)
+
+    def test_late_double_read_is_a_timeout(self, monkeypatch):
+        # Old owner unreachable, then the new owner runs out of time: the
+        # answer missed its deadline, as a replica or LSM scan reports it.
+        store = ShardedStore.create(BlockDevice(), 2, seed=0)
+        for key in range(200):
+            store.put(key, f"v{key}")
+        mig = ReshardCoordinator(store).plan_split(source=0)
+        mig.step = MigrationStep.DOUBLE_WRITE
+        key = next(k for k in range(200) if mig.moving(k))
+        old, new = mig.old_router.owner(key), mig.new_router.owner(key)
+        for sid, reason in ((old, "unavailable"), (new, "deadline")):
+            monkeypatch.setattr(
+                store.shards[sid], "lookup",
+                lambda *_a, reason=reason, **_k: LookupResult(
+                    Answer.MAYBE, complete=False, reason=reason),
+            )
+        assert store.lookup(key).reason == "deadline"
 
 
 # -- the coordinator's state machine -----------------------------------------------

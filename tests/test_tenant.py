@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import Answer, Deadline, SimulatedClock
 from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.interfaces import DynamicFilter
 from repro.obs import use_registry
@@ -35,6 +35,7 @@ from repro.serve import (
     TenantConfig,
     TenantQuota,
     TenantRouter,
+    TenantStore,
     run_tenant_storm,
 )
 
@@ -290,6 +291,27 @@ class TestTenantRouter:
         for t in range(64):
             router.add_tenant(t)
         assert all(len(tree) > 0 for tree in router.trees.values())
+
+
+class _StoreReadLatency:
+    """Ground-truth reads take one simulated second; filter probes are free."""
+
+    def draw(self, _now, _op, detail):
+        return 1.0 if detail == ("store",) else 0.0
+
+
+class TestTenantStoreLookup:
+    def test_deadline_counts_the_candidates_left_unresolved(self):
+        router = TenantRouter(TenantConfig(n_trees=1, seed=2))
+        clock = SimulatedClock()
+        store = TenantStore(router, clock, latency=_StoreReadLatency())
+        for t in range(3):
+            store.add_tenant(t)
+            router.insert(t, 7)  # a filter positive the tenant does not store
+        # The first ground-truth read ends in budget; the second does not.
+        result = store.lookup(7, deadline=Deadline(clock, 1.5))
+        assert (result.state, result.reason) == (Answer.MAYBE, "deadline")
+        assert result.runs_skipped == 2
 
 
 class TestTenantQuota:
