@@ -27,13 +27,15 @@ and write-ahead-log records are CRC32-framed pickles, filter blobs are
 CRC32-framed JSON document double-buffered across two slots with a
 read-back verify, so a torn or lost manifest write can never orphan the
 tree.  ``put`` is acknowledged only after its WAL record is on the
-device; :meth:`LSMTree.recover` reopens a (possibly faulty) device by
-loading the newest valid manifest (falling back to a device scan),
-replaying the WAL, and loading every run's filter blob — rebuilding any
-filter whose blob fails its checksum from the run's keys, or degrading
-that run to "always probe" when rebuilding is disabled.  :meth:`scrub`
-walks all blobs, reports corruption, and optionally repairs it — the
-``bup bloom --check/--regenerate`` workflow as a method.
+device, and ``put_many`` acknowledges each memtable-room chunk as a
+whole once all of its WAL records are; :meth:`LSMTree.recover` reopens
+a (possibly faulty) device by loading the newest valid manifest
+(falling back to a device scan), replaying the WAL, and loading every
+run's filter blob — rebuilding any filter whose blob fails its checksum
+from the run's keys, or degrading that run to "always probe" when
+rebuilding is disabled.  :meth:`scrub` walks all blobs, reports
+corruption, and optionally repairs it — the ``bup bloom
+--check/--regenerate`` workflow as a method.
 
 Telemetry (docs/observability.md): lookups, per-level filter probes and
 realised false positives, WAL appends, flushes and compactions accrue as
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -305,28 +308,62 @@ class LSMTree:
         with trace("device.read", address=address):
             return self.retry.call(self.device.read, address)
 
-    def _safe_delete(self, address) -> None:
-        """Strict delete: a missing block means a lost write or double-free
-        happened earlier — count it instead of masking it."""
-        try:
-            self.device.delete(address, missing_ok=False)
-        except KeyError:
-            self.stats.integrity_faults += 1
-
     # -- write path ------------------------------------------------------------
 
     def put(self, key: int, value: Any) -> None:
-        self.mutation_epoch += 1
+        self._ingest(((key, value),))
+
+    def put_many(self, items: Iterable[tuple[int, Any]]) -> None:
+        """Put every ``(key, value)`` in order, as that many :meth:`put`
+        calls would, with one device call per memtable-room chunk.
+
+        A chunk runs up to the item that fills the memtable, so the
+        full memtable flushes exactly where the scalar puts would have.
+        """
+        items = list(items)
+        capacity = self.config.memtable_entries
+        start = 0
+        while start < len(items):
+            fresh: set = set()
+            size = len(self._memtable)
+            end = start
+            while end < len(items):
+                key = items[end][0]
+                end += 1
+                if key not in self._memtable and key not in fresh:
+                    fresh.add(key)
+                    size += 1
+                if size >= capacity:
+                    break
+            self._ingest(items[start:end])
+            start = end
+
+    def _ingest(self, chunk: Sequence[tuple[int, Any]]) -> None:
+        """Acknowledge one chunk as a whole: all its WAL records reach the
+        device before any of its keys enter the memtable.  A single put
+        is always one chunk."""
+        n = len(chunk)
+        self.mutation_epoch += n
         if self.config.wal_enabled:
-            body = frame(pickle.dumps((key, value)))
-            self.device.write(("wal", self._next_wal_seq), body, size=_ENTRY_BYTES)
-            self._wal_pending.append(self._next_wal_seq)
-            self._next_wal_seq += 1
-            self._metrics().wal_appends.inc()
-        self._memtable[key] = value
-        self.stats.bytes_ingested += _ENTRY_BYTES
-        if len(self._memtable) >= self.config.memtable_entries:
+            self._append_wal(chunk)
+            self._metrics().wal_appends.inc(n)
+        memtable = self._memtable
+        for key, value in chunk:
+            memtable[key] = value
+        self.stats.bytes_ingested += _ENTRY_BYTES * n
+        if len(memtable) >= self.config.memtable_entries:
             self.flush()
+
+    def _append_wal(self, records: Iterable[tuple[int, Any]]) -> None:
+        """One WAL block per ``(key, value)``, written with one device call."""
+        start = seq = self._next_wal_seq
+        blocks = []
+        for key, value in records:
+            blocks.append((("wal", seq), frame(pickle.dumps((key, value))), _ENTRY_BYTES))
+            seq += 1
+        self.device.write_many(blocks)
+        self._wal_pending.extend(range(start, seq))
+        self._next_wal_seq = seq
 
     def delete(self, key: int) -> None:
         """Delete via tombstone (the LSM way: deletes are writes)."""
@@ -358,13 +395,11 @@ class LSMTree:
         while len(self._levels) <= level:
             self._levels.append([])
         self._levels[level].append(run)
-        data = frame(pickle.dumps((run.level, run.seq, run.keys, run.values)))
-        self.device.write(("run", run.run_id), data, size=len(keys) * _ENTRY_BYTES)
-        for page in range(self._n_pages(run)):
-            self._write_page(run, page)
+        blocks = [self._run_block(run)]
+        blocks += [self._page_block(run, page) for page in range(self._n_pages(run))]
         if run.filter is not None:
-            blob = filter_dumps(run.filter)
-            self.device.write(("filter", run.run_id), blob, size=len(blob))
+            blocks.append(self._filter_block(run))
+        self.device.write_many(blocks)
         if self._maplet is not None:
             for key in keys:
                 self._maplet.insert(key, run.run_id)
@@ -391,15 +426,24 @@ class LSMTree:
         i = min(bisect_left(run.keys, key), len(run.keys) - 1)
         return i // self.config.page_entries
 
-    def _write_page(self, run: _Run, page: int) -> None:
+    @staticmethod
+    def _run_block(run: _Run) -> tuple:
+        """``(address, payload, size)`` of a run's whole-run data block."""
+        data = frame(pickle.dumps((run.level, run.seq, run.keys, run.values)))
+        return ("run", run.run_id), data, len(run.keys) * _ENTRY_BYTES
+
+    def _page_block(self, run: _Run, page: int) -> tuple:
         entries = self.config.page_entries
         lo = page * entries
         page_keys = run.keys[lo:lo + entries]
         page_values = run.values[lo:lo + entries]
         body = frame(pickle.dumps((page_keys, page_values)))
-        self.device.write(
-            ("page", run.run_id, page), body, size=len(page_keys) * _ENTRY_BYTES
-        )
+        return ("page", run.run_id, page), body, len(page_keys) * _ENTRY_BYTES
+
+    @staticmethod
+    def _filter_block(run: _Run) -> tuple:
+        blob = filter_dumps(run.filter)
+        return ("filter", run.run_id), blob, len(blob)
 
     def _retire_run(self, run: _Run) -> None:
         # Deletion is deferred to the next manifest checkpoint so that a
@@ -461,11 +505,12 @@ class LSMTree:
         else:
             return  # unverified: free nothing, keep the epoch
         self._manifest_epoch += 1
-        for addr in self._pending_retire:
-            self._safe_delete(addr)
+        # A missing block means a lost write or a double free happened
+        # earlier: count it, never mask it.
+        self.stats.integrity_faults += self.device.delete_many(
+            self._pending_retire + [("wal", seq) for seq in self._wal_pending]
+        )
         self._pending_retire = []
-        for seq in self._wal_pending:
-            self._safe_delete(("wal", seq))
         self._wal_pending = []
 
     def checkpoint(self) -> None:
@@ -1022,9 +1067,11 @@ class LSMTree:
             # Rematerialize any missing page blocks (first recovery after
             # enabling paging, or pages lost to faults): the run block is
             # the durable source of truth, pages are its read image.
-            for page in range(self._n_pages(run)):
-                if not self.device.exists(("page", run.run_id, page)):
-                    self._write_page(run, page)
+            self.device.write_many([
+                self._page_block(run, page)
+                for page in range(self._n_pages(run))
+                if not self.device.exists(("page", run.run_id, page))
+            ])
         self._global_dirty = True
 
     def _restore_filter(self, run: _Run, report: RecoveryReport) -> None:
@@ -1046,8 +1093,7 @@ class LSMTree:
                 self.stats.integrity_faults += 1
         if self.config.rebuild_filters_on_recovery:
             run.filter = self._build_filter(run.level, run.keys)
-            fresh = filter_dumps(run.filter)
-            self.device.write(address, fresh, size=len(fresh))
+            self.device.write(*self._filter_block(run))
             report.filters_rebuilt += 1
         else:
             run.degraded = True
@@ -1092,11 +1138,8 @@ class LSMTree:
                 report, ("run", run.run_id),
                 check=lambda raw: pickle.loads(unframe(raw)) is not None,
                 repair_fn=(
-                    (lambda run=run: self.device.write(
-                        ("run", run.run_id),
-                        frame(pickle.dumps((run.level, run.seq, run.keys, run.values))),
-                        size=len(run.keys) * _ENTRY_BYTES,
-                    )) if repair else None
+                    (lambda run=run: self.device.write(*self._run_block(run)))
+                    if repair else None
                 ),
             )
             for page in range(self._n_pages(run)):
@@ -1104,8 +1147,9 @@ class LSMTree:
                     report, ("page", run.run_id, page),
                     check=lambda raw: pickle.loads(unframe(raw)) is not None,
                     repair_fn=(
-                        (lambda run=run, page=page: self._write_page(run, page))
-                        if repair else None
+                        (lambda run=run, page=page: self.device.write(
+                            *self._page_block(run, page)
+                        )) if repair else None
                     ),
                 )
             if run.filter is not None or self.device.exists(("filter", run.run_id)):
@@ -1170,21 +1214,17 @@ class LSMTree:
         if run.filter is None:
             return
         run.degraded = False
-        blob = filter_dumps(run.filter)
-        self.device.write(("filter", run.run_id), blob, size=len(blob))
+        self.device.write(*self._filter_block(run))
 
     def _rewrite_wal_tail(self) -> None:
         # A corrupt WAL record's original content is unknowable, but the
         # memtable still holds every acknowledged (key, value): repair
         # replaces the whole un-checkpointed tail with a fresh image of it.
-        for seq in self._wal_pending:
-            self._safe_delete(("wal", seq))
+        self.stats.integrity_faults += self.device.delete_many(
+            [("wal", seq) for seq in self._wal_pending]
+        )
         self._wal_pending = []
-        for key, value in self._memtable.items():
-            body = frame(pickle.dumps((key, value)))
-            self.device.write(("wal", self._next_wal_seq), body, size=_ENTRY_BYTES)
-            self._wal_pending.append(self._next_wal_seq)
-            self._next_wal_seq += 1
+        self._append_wal(self._memtable.items())
 
     # -- full scans -----------------------------------------------------------------------
 

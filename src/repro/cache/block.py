@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.common.hashing import splitmix64
-from repro.common.storage import _default_size
+from repro.common.storage import BatchOps, _default_size
 from repro.obs.metrics import MetricsRegistry, WindowedRate, default_registry
 
 
@@ -240,22 +241,40 @@ class BlockCache:
 
     def invalidate(self, address: Any) -> bool:
         """Drop *address* (its device block was overwritten or deleted)."""
-        entry = self._entries.pop(address, None)
+        return self.invalidate_many((address,)) == 1
+
+    def invalidate_many(self, addresses: Iterable[Any]) -> int:
+        """Drop every address in *addresses*; returns how many were cached.
+
+        Exactly *n* single invalidations: each one records a storm-detector
+        event at the current request tick.  The tick cannot move within
+        one batch, so the windowed rate only rises from the first event
+        to the last, and the detector makes at most one transition into
+        a storm — the one the last rate decides.
+        """
+        entries = self._entries
+        n = dropped = 0
+        for address in addresses:
+            n += 1
+            entry = entries.pop(address, None)
+            if entry is not None:
+                self.used_bytes -= entry[1]
+                dropped += 1
+        if not n:
+            return 0
         m = self._metrics()
-        rate = self._storm.record(self.stats.requests)
-        if rate > self._storm_threshold:
-            if not self._in_storm:
-                self._in_storm = True
-                m.storms.inc()
-        else:
-            self._in_storm = False
-        if entry is None:
-            return False
-        self.used_bytes -= entry[1]
-        self.stats.invalidations += 1
-        m.invalidations.inc()
-        m.used_bytes.set(self.used_bytes)
-        return True
+        tick = self.stats.requests
+        first = self._storm.record(tick)
+        last = self._storm.record(tick, n - 1)
+        storm = last > self._storm_threshold
+        if storm and not (self._in_storm and first > self._storm_threshold):
+            m.storms.inc()
+        self._in_storm = storm
+        if dropped:
+            self.stats.invalidations += dropped
+            m.invalidations.inc(dropped)
+            m.used_bytes.set(self.used_bytes)
+        return dropped
 
     def clear(self) -> None:
         """Drop everything (a crash: the cache is volatile by definition)."""
@@ -264,7 +283,7 @@ class BlockCache:
         self._metrics().used_bytes.set(0)
 
 
-class CachedDevice:
+class CachedDevice(BatchOps):
     """A block-device wrapper that serves hot reads from a
     :class:`BlockCache` — hits never reach the wrapped device."""
 
@@ -288,16 +307,16 @@ class CachedDevice:
                 return size
         return _default_size(payload)
 
-    def write(self, address: Any, payload: Any, size: int | None = None) -> None:
+    def write_many(self, items: Sequence[tuple[Any, Any, int | None]]) -> None:
         # Invalidate, never populate: read-back verification (manifest
         # checkpoints, scrub) must observe the device's truth, including
         # writes the device lost or tore.
-        self.cache.invalidate(address)
-        self.inner.write(address, payload, size=size)
+        self.cache.invalidate_many([address for address, _, _ in items])
+        self.inner.write_many(items)
 
-    def delete(self, address: Any, missing_ok: bool = True) -> None:
-        self.cache.invalidate(address)
-        self.inner.delete(address, missing_ok=missing_ok)
+    def delete_many(self, addresses: Sequence[Any]) -> int:
+        self.cache.invalidate_many(addresses)
+        return self.inner.delete_many(addresses)
 
     def ruin(self, address: Any) -> None:
         self.cache.invalidate(address)

@@ -47,13 +47,20 @@ class BitVector:
         self.set(i, value)
 
     def set_many(self, indexes: np.ndarray | list[int]) -> None:
-        """Set every bit in *indexes* (vectorised)."""
+        """Set every bit in *indexes* (vectorised; duplicates are fine).
+
+        Scatters into a one-byte-per-bit mask and packs it little-endian,
+        so bit i lands in byte i // 8 at position i % 8 — the layout of
+        the little-endian ``uint64`` words — then ORs the words in.
+        """
         idx = np.asarray(indexes, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_bits):
+        if not idx.size:
+            return
+        if idx.min() < 0 or idx.max() >= self.n_bits:
             raise IndexError("bit index out of range")
-        np.bitwise_or.at(
-            self.words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64)
-        )
+        mask = np.zeros(len(self.words) * 64, dtype=bool)
+        mask[idx] = True
+        self.words |= np.packbits(mask, bitorder="little").view("<u8")
 
     def test_all(self, indexes: np.ndarray | list[int]) -> bool:
         """True iff every bit in *indexes* is set."""

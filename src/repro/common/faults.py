@@ -32,11 +32,12 @@ LSM recovery, scrubbing) can be driven through seeded fault schedules.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.storage import BlockDevice, IOStats, _default_size
-from repro.obs.metrics import default_registry
+from repro.common.storage import BatchOps, BlockDevice, IOStats, _default_size
+from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import trace
 
 
@@ -158,7 +159,8 @@ class FaultInjector:
             ("torn", self.torn_write),
             ("lost", self.lost_write),
         ):
-            threshold += self._rate(spec, address)
+            # A float rate needs no per-address lookup; this runs per write.
+            threshold += self._rate(spec, address) if isinstance(spec, dict) else spec
             if roll < threshold:
                 return name
         return None
@@ -292,7 +294,7 @@ class LatencyInjector:
 
 # -- faulty device ----------------------------------------------------------------
 
-class FaultyBlockDevice:
+class FaultyBlockDevice(BatchOps):
     """A :class:`BlockDevice` wrapper that injects the injector's faults.
 
     Bit flips and torn writes only apply to ``bytes`` payloads (they model
@@ -341,37 +343,52 @@ class FaultyBlockDevice:
         ground truth for checking a scrubber's findings."""
         return frozenset(self._corrupt)
 
-    def write(self, address: Any, payload: Any, size: int | None = None) -> None:
-        if size is None:
-            size = _default_size(payload)
-        self._spend("write", address)
-        action = self.injector.draw_write(address)
-        is_blob = isinstance(payload, (bytes, bytearray)) and len(payload) > 0
-        if action == "lost":
-            self.injector.stats.lost_writes += 1
-            self.fault_log.append(("lost", address))
-            _count_fault("lost_write")
-            # Charge the I/O without storing: the old block (if any) survives.
-            self.inner._count_write(size)
-            return
-        if action == "flip" and is_blob:
-            payload = self.injector.flip_payload(bytes(payload))
-            self.injector.stats.bit_flips += 1
-            self.fault_log.append(("flip", address))
-            _count_fault("bit_flip")
-            self.inner.write(address, payload, size=size)
+    def write_many(self, items: Sequence[tuple[Any, Any, int | None]]) -> None:
+        """Write each ``(address, payload, size)`` in order, drawing its
+        latency and its fault exactly as one write at a time would.
+
+        Runs of clean items are handed to the inner device together, but
+        always before the next faulty item is applied.
+        """
+        start = 0
+        for i, (address, payload, size) in enumerate(items):
+            self._spend("write", address)
+            action = self.injector.draw_write(address)
+            # Flips and tears only land on non-empty blobs.
+            faulty = action == "lost" or (
+                action is not None and isinstance(payload, (bytes, bytearray)) and payload
+            )
+            if not faulty:
+                continue
+            self._write_clean(items[start:i])
+            start = i + 1
+            if size is None:
+                size = _default_size(payload)
+            if action == "lost":
+                self.injector.stats.lost_writes += 1
+                self.fault_log.append(("lost", address))
+                _count_fault("lost_write")
+                # Charge the I/O without storing: the old block (if any) survives.
+                self.inner._count_writes(1, size)
+                continue
+            if action == "flip":
+                payload = self.injector.flip_payload(bytes(payload))
+                self.injector.stats.bit_flips += 1
+                _count_fault("bit_flip")
+            else:
+                payload = self.injector.tear_payload(bytes(payload))
+                self.injector.stats.torn_writes += 1
+                _count_fault("torn_write")
+            self.fault_log.append((action, address))
+            self.inner.write(address, payload, size)
             self._corrupt.add(address)
-            return
-        if action == "torn" and is_blob:
-            payload = self.injector.tear_payload(bytes(payload))
-            self.injector.stats.torn_writes += 1
-            self.fault_log.append(("torn", address))
-            _count_fault("torn_write")
-            self.inner.write(address, payload, size=size)
-            self._corrupt.add(address)
-            return
-        self.inner.write(address, payload, size=size)
-        self._corrupt.discard(address)
+        self._write_clean(items[start:] if start else items)
+
+    def _write_clean(self, items: Sequence) -> None:
+        if items:
+            self.inner.write_many(items)
+            if self._corrupt:
+                self._corrupt.difference_update([address for address, _, _ in items])
 
     def read(self, address: Any) -> Any:
         self._spend("read", address)
@@ -395,9 +412,10 @@ class FaultyBlockDevice:
         _count_fault("bit_flip")
         self._corrupt.add(address)
 
-    def delete(self, address: Any, missing_ok: bool = True) -> None:
-        self.inner.delete(address, missing_ok=missing_ok)
-        self._corrupt.discard(address)
+    def delete_many(self, addresses: Sequence[Any]) -> int:
+        missing = self.inner.delete_many(addresses)
+        self._corrupt.difference_update(addresses)
+        return missing
 
     def exists(self, address: Any) -> bool:
         return self.inner.exists(address)
@@ -417,6 +435,32 @@ class FaultyBlockDevice:
 
 
 # -- retries ----------------------------------------------------------------------
+
+class _RetryMetrics:
+    """Default-registry handles, rebound when the registry is swapped.
+
+    The backoff histogram is registered at the first retry, so a
+    registry only lists it once something has backed off.
+    """
+
+    __slots__ = ("registry", "attempts", "_backoff")
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.attempts = registry.counter(
+            "repro_retry_attempts_total", "retry-policy call attempts, by outcome",
+            labels=("outcome",),
+        )
+        self._backoff = None
+
+    def backoff(self):
+        if self._backoff is None:
+            self._backoff = self.registry.histogram(
+                "repro_retry_backoff_seconds",
+                "simulated exponential-backoff delay per retry",
+            )
+        return self._backoff
+
 
 @dataclass
 class RetryStats:
@@ -467,6 +511,7 @@ class RetryPolicy:
             raise ValueError(f"unknown jitter mode {self.jitter!r}")
         self._rng = random.Random(self.seed ^ 0xB0FF)
         self._prev_backoff = self.base_backoff
+        self._obs: _RetryMetrics | None = None
 
     def next_backoff(self, attempt: int) -> float:
         """The delay charged after failed attempt *attempt* (0-based)."""
@@ -478,12 +523,14 @@ class RetryPolicy:
         )
         return self._prev_backoff
 
-    def call(self, fn: Callable, *args, **kwargs):
+    def _metrics(self) -> _RetryMetrics:
         registry = default_registry()
-        attempts = registry.counter(
-            "repro_retry_attempts_total", "retry-policy call attempts, by outcome",
-            labels=("outcome",),
-        )
+        if self._obs is None or self._obs.registry is not registry:
+            self._obs = _RetryMetrics(registry)
+        return self._obs
+
+    def call(self, fn: Callable, *args, **kwargs):
+        attempts = self._metrics().attempts
         for attempt in range(self.max_attempts):
             self.stats.attempts += 1
             try:
@@ -502,8 +549,5 @@ class RetryPolicy:
                 self.stats.backoff_seconds += backoff
                 if self.clock is not None:
                     self.clock.advance(backoff)
-                registry.histogram(
-                    "repro_retry_backoff_seconds",
-                    "simulated exponential-backoff delay per retry",
-                ).observe(backoff)
+                self._metrics().backoff().observe(backoff)
         raise AssertionError("unreachable")  # pragma: no cover

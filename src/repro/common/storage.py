@@ -16,6 +16,7 @@ swapped (tests scope registries with ``obs.use_registry()``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -86,7 +87,34 @@ class _Block:
     size: int
 
 
-class BlockDevice:
+class BatchOps:
+    """Scalar ``write``/``delete`` as batch-of-one calls.
+
+    Every device layer implements ``write_many(items)`` over a sequence
+    of ``(address, payload, size)`` items and ``delete_many(addresses)
+    -> n_missing`` over a sequence of addresses in its own class body,
+    and inherits these, so each layer keeps one copy of its write and
+    free logic.  The wrappers forward unknown attributes to the device they
+    wrap, so a layer without its own batch methods would silently skip
+    its work instead of failing.
+    """
+
+    def write(self, address: Any, payload: Any, size: int | None = None) -> None:
+        """Write *payload* at *address*; counts one device write."""
+        self.write_many(((address, payload, size),))
+
+    def delete(self, address: Any, missing_ok: bool = True) -> None:
+        """Drop a block (free space; no I/O charged).
+
+        With ``missing_ok=False`` a delete of an absent block raises
+        ``KeyError`` — recovery code uses this to detect double-frees and
+        lost writes instead of silently masking them.
+        """
+        if self.delete_many((address,)) and not missing_ok:
+            raise KeyError(f"delete of missing block at address {address!r}")
+
+
+class BlockDevice(BatchOps):
     """An addressable store of named blocks with read/write counters.
 
     Blocks hold arbitrary Python payloads; ``size`` is the *simulated* size
@@ -104,19 +132,27 @@ class BlockDevice:
             self._obs = _DeviceMetrics(registry)
         return self._obs
 
-    def write(self, address: Any, payload: Any, size: int | None = None) -> None:
-        """Write *payload* at *address*; counts one device write."""
-        if size is None:
-            size = _default_size(payload)
-        self._blocks[address] = _Block(payload, size)
-        self._count_write(size)
+    def write_many(self, items: Sequence[tuple[Any, Any, int | None]]) -> None:
+        """Write every ``(address, payload, size)`` in order; counts one
+        device write per item (``size=None`` means the default size)."""
+        blocks = self._blocks
+        n = total = 0
+        for address, payload, size in items:
+            if size is None:
+                size = _default_size(payload)
+            blocks[address] = _Block(payload, size)
+            n += 1
+            total += size
+        self._count_writes(n, total)
 
-    def _count_write(self, size: int) -> None:
-        self.stats.writes += 1
-        self.stats.bytes_written += size
+    def _count_writes(self, n: int, total_bytes: int) -> None:
+        if not n:
+            return  # an empty batch is no I/O and registers no metrics
+        self.stats.writes += n
+        self.stats.bytes_written += total_bytes
         m = self._metrics()
-        m.writes.inc()
-        m.bytes_written.inc(size)
+        m.writes.inc(n)
+        m.bytes_written.inc(total_bytes)
 
     def read(self, address: Any) -> Any:
         """Read the block at *address*; counts one device read."""
@@ -130,15 +166,16 @@ class BlockDevice:
         m.bytes_read.inc(block.size)
         return block.payload
 
-    def delete(self, address: Any, missing_ok: bool = True) -> None:
-        """Drop a block (free space; no I/O charged).
-
-        With ``missing_ok=False`` a delete of an absent block raises
-        ``KeyError`` — recovery code uses this to detect double-frees and
-        lost writes instead of silently masking them.
-        """
-        if self._blocks.pop(address, None) is None and not missing_ok:
-            raise KeyError(f"delete of missing block at address {address!r}")
+    def delete_many(self, addresses: Sequence[Any]) -> int:
+        """Drop every block in *addresses* (free space; no I/O charged);
+        returns how many were missing — a lost write or a double free
+        that happened earlier, which callers count instead of masking."""
+        blocks = self._blocks
+        missing = 0
+        for address in addresses:
+            if blocks.pop(address, None) is None:
+                missing += 1
+        return missing
 
     def exists(self, address: Any) -> bool:
         """Metadata check; no I/O charged (directories are cached in RAM)."""
@@ -174,7 +211,7 @@ def _default_size(payload: Any) -> int:
         return 1
 
 
-class NamespacedDevice:
+class NamespacedDevice(BatchOps):
     """A namespace-scoped view of a shared device (stack).
 
     Maps a tuple address ``(cls, *rest)`` to ``(cls, namespace, *rest)``
@@ -210,14 +247,15 @@ class NamespacedDevice:
         rest = address[2:]
         return (address[0],) + rest if rest else address[0]
 
-    def write(self, address: Any, payload: Any, size: int | None = None) -> None:
-        self.inner.write(self._wrap(address), payload, size)
+    def write_many(self, items: Sequence[tuple[Any, Any, int | None]]) -> None:
+        wrap = self._wrap
+        self.inner.write_many([(wrap(a), payload, size) for a, payload, size in items])
 
     def read(self, address: Any) -> Any:
         return self.inner.read(self._wrap(address))
 
-    def delete(self, address: Any, missing_ok: bool = True) -> None:
-        self.inner.delete(self._wrap(address), missing_ok)
+    def delete_many(self, addresses: Sequence[Any]) -> int:
+        return self.inner.delete_many([self._wrap(a) for a in addresses])
 
     def exists(self, address: Any) -> bool:
         return self.inner.exists(self._wrap(address))

@@ -66,11 +66,20 @@ class BloomFilter(DynamicFilter):
         return [((h1 + i * h2) & MASK64) % self._m for i in range(self._k)]
 
     def _positions_many(self, keys: KeyBatch) -> np.ndarray:
-        """(n_keys, k) bit positions — the batched double-hash kernel."""
+        """(k, n_keys) bit positions — the batched double-hash kernel.
+
+        Row i is h1 + i·h2 (mod 2^64), built by k−1 in-place wrapping
+        adds of the odd step, then reduced mod m in place: no (n, k)
+        products and no temporaries beyond the result.
+        """
         h1, h2 = hash_pair_many(keys, self.seed)
-        h2 = h2 | np.uint64(1)
-        i = np.arange(self._k, dtype=np.uint64)
-        return (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(self._m)
+        h2 |= np.uint64(1)
+        pos = np.empty((self._k, len(h1)), dtype=np.uint64)
+        pos[0] = h1
+        for i in range(1, self._k):
+            np.add(pos[i - 1], h2, out=pos[i])
+        np.remainder(pos, np.uint64(self._m), out=pos)
+        return pos
 
     def bit_positions(self, key: Key) -> np.ndarray:
         """The k probe positions for *key* as an int64 array.
@@ -106,7 +115,7 @@ class BloomFilter(DynamicFilter):
         words = self._bits.words
         bits = (words[(pos >> np.uint64(6)).astype(np.int64)]
                 >> (pos & np.uint64(63))) & np.uint64(1)
-        return bits.all(axis=1)
+        return bits.all(axis=0)
 
     def __len__(self) -> int:
         return self._n

@@ -27,6 +27,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Any, Iterator
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -286,9 +287,9 @@ class WindowedRate:
         self.window = window
         self._events: deque[float] = deque()
 
-    def record(self, tick: float) -> float:
-        """Mark one event at *tick*; returns the updated rate."""
-        self._events.append(tick)
+    def record(self, tick: float, n: int = 1) -> float:
+        """Mark *n* events at *tick*; returns the updated rate."""
+        self._events.extend(repeat(tick, n))
         return self.rate(tick)
 
     def rate(self, tick: float) -> float:

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import MetricsRegistry, default_registry
 
 
 class Priority(enum.IntEnum):
@@ -97,6 +97,33 @@ class AdmissionStats:
         return self.shed / total if total else 0.0
 
 
+class _AdmissionMetrics:
+    """Default-registry handles, rebound when the registry is swapped.
+
+    The shed counter is registered at the first shed, so a registry only
+    lists it once something has been shed.
+    """
+
+    __slots__ = ("registry", "queue_delay", "_shed")
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.queue_delay = registry.histogram(
+            "repro_serve_queue_delay_seconds",
+            "simulated queueing delay at admission time",
+        )
+        self._shed = None
+
+    def shed(self):
+        if self._shed is None:
+            self._shed = self.registry.counter(
+                "repro_serve_shed_total",
+                "requests shed at admission, by priority and reason",
+                labels=("priority", "reason"),
+            )
+        return self._shed
+
+
 class AdmissionController:
     """Queue-delay-driven load shedding over a simulated clock."""
 
@@ -108,6 +135,7 @@ class AdmissionController:
         # tenant -> (tokens, last refill time); lazily created, dropped
         # again by forget_tenant() when the tenant is deprovisioned.
         self._buckets: dict[Any, tuple[float, float]] = {}
+        self._obs: _AdmissionMetrics | None = None
 
     def queue_delay(self, arrival: float) -> float:
         """How long a request that arrived at *arrival* has waited."""
@@ -135,14 +163,18 @@ class AdmissionController:
         """Drop *tenant*'s bucket state (tenant deprovisioned)."""
         self._buckets.pop(tenant, None)
 
+    def _metrics(self) -> _AdmissionMetrics:
+        registry = default_registry()
+        if self._obs is None or self._obs.registry is not registry:
+            self._obs = _AdmissionMetrics(registry)
+        return self._obs
+
     def admit(
         self, arrival: float, priority: Priority, *, tenant: Any = None
     ) -> AdmissionDecision:
         delay = self.queue_delay(arrival)
-        default_registry().histogram(
-            "repro_serve_queue_delay_seconds",
-            "simulated queueing delay at admission time",
-        ).observe(delay)
+        m = self._metrics()
+        m.queue_delay.observe(delay)
         reason = None
         if delay > self.config.delay_budgets[priority]:
             reason = "queue_delay"
@@ -163,11 +195,7 @@ class AdmissionController:
                 self.stats.shed_by_tenant[tenant] = (
                     self.stats.shed_by_tenant.get(tenant, 0) + 1
                 )
-            default_registry().counter(
-                "repro_serve_shed_total",
-                "requests shed at admission, by priority and reason",
-                labels=("priority", "reason"),
-            ).labels(priority=priority.name.lower(), reason=reason).inc()
+            m.shed().labels(priority=priority.name.lower(), reason=reason).inc()
             return AdmissionDecision(False, delay, reason)
         self.stats.admitted += 1
         return AdmissionDecision(True, delay)

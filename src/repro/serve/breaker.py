@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Sequence
 from typing import Any, Callable
 
 from repro.common.faults import CircuitOpenError, TransientIOError
+from repro.common.storage import BatchOps
 from repro.obs.metrics import default_registry
 
 
@@ -140,7 +142,7 @@ class CircuitBreaker:
         return result
 
 
-class BreakerDevice:
+class BreakerDevice(BatchOps):
     """A block-device wrapper with one read breaker per address.
 
     Writes, deletes, and metadata pass straight through; only reads are
@@ -211,11 +213,11 @@ class BreakerDevice:
 
     # -- passthroughs ------------------------------------------------------------
 
-    def write(self, address: Any, payload: Any, size: int | None = None) -> None:
-        self.inner.write(address, payload, size=size)
+    def write_many(self, items: Sequence[tuple[Any, Any, int | None]]) -> None:
+        self.inner.write_many(items)
 
-    def delete(self, address: Any, missing_ok: bool = True) -> None:
-        self.inner.delete(address, missing_ok=missing_ok)
+    def delete_many(self, addresses: Sequence[Any]) -> int:
+        return self.inner.delete_many(addresses)
 
     def exists(self, address: Any) -> bool:
         return self.inner.exists(address)

@@ -436,6 +436,12 @@ class ReplicatedStore:
     def put(self, key: Any, value: Any) -> None:
         self._write(key, {"s": self._next_seq(), "v": value})
 
+    def put_many(self, items) -> None:
+        """:meth:`put` each ``(key, value)`` in order: the replicas share
+        one device, so their writes interleave exactly as single puts'."""
+        for key, value in items:
+            self.put(key, value)
+
     def delete(self, key: Any) -> None:
         # A tombstone *record*, not an LSM delete: anti-entropy needs the
         # delete to exist as data so max-seq-wins can converge it.

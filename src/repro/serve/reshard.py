@@ -311,6 +311,12 @@ class ShardedStore:
         for sid in self._owners(key):
             self.shards[sid].put(key, value)
 
+    def put_many(self, items) -> None:
+        """:meth:`put` each ``(key, value)`` in order: the shards share
+        one device, so their writes interleave exactly as single puts'."""
+        for key, value in items:
+            self.put(key, value)
+
     def delete(self, key: Any) -> None:
         for sid in self._owners(key):
             self.shards[sid].delete(key)

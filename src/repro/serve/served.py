@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.clock import Answer, Deadline, SimulatedClock
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.tracing import trace
 from repro.serve.admission import AdmissionController, Priority
 from repro.serve.breaker import BreakerState
@@ -66,6 +66,25 @@ class ServedResponse:
         return iter((self.answer, self.outcome))
 
 
+class _ServeMetrics:
+    """Default-registry handles, rebound when the registry is swapped."""
+
+    __slots__ = ("registry", "requests", "latency")
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.requests = registry.counter(
+            "repro_serve_requests_total",
+            "served-filter requests, by outcome and priority",
+            labels=("outcome", "priority"),
+        )
+        self.latency = registry.histogram(
+            "repro_serve_latency_seconds",
+            "arrival-to-answer simulated latency, by outcome",
+            labels=("outcome",),
+        )
+
+
 class ServedFilter:
     """Deadline/priority serving facade over a deadline-aware backend."""
 
@@ -96,6 +115,7 @@ class ServedFilter:
         # responses — a degraded, shed, or timed-out MAYBE is not an
         # answer and must never be frozen into one (docs/robustness.md).
         self.negative_cache = negative_cache
+        self._obs: _ServeMetrics | None = None
 
     # -- the serving pipeline ----------------------------------------------------
 
@@ -204,21 +224,19 @@ class ServedFilter:
 
     # -- telemetry ---------------------------------------------------------------
 
-    def _meter(self, response: ServedResponse) -> None:
+    def _metrics(self) -> _ServeMetrics:
         registry = default_registry()
-        registry.counter(
-            "repro_serve_requests_total",
-            "served-filter requests, by outcome and priority",
-            labels=("outcome", "priority"),
-        ).labels(
+        if self._obs is None or self._obs.registry is not registry:
+            self._obs = _ServeMetrics(registry)
+        return self._obs
+
+    def _meter(self, response: ServedResponse) -> None:
+        m = self._metrics()
+        m.requests.labels(
             outcome=response.outcome.value,
             priority=response.priority.name.lower(),
         ).inc()
-        registry.histogram(
-            "repro_serve_latency_seconds",
-            "arrival-to-answer simulated latency, by outcome",
-            labels=("outcome",),
-        ).labels(outcome=response.outcome.value).observe(response.latency)
+        m.latency.labels(outcome=response.outcome.value).observe(response.latency)
 
     def publish_gauges(self) -> None:
         """Point-in-time serving gauges (breaker states, service EWMA)."""

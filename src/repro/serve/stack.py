@@ -75,8 +75,8 @@ class StackParts:
     def serve(self, backend: Any, *, budget: float, n_keys: int = 0,
               admission_config: AdmissionConfig | None = None,
               negative_cache: Any = None) -> ServedFilter:
-        for key in range(n_keys):
-            backend.put(key, f"value-{key}")
+        if n_keys:
+            backend.put_many([(key, f"value-{key}") for key in range(n_keys)])
         self.latency.slowdown = 1.0
         return ServedFilter(
             backend, self.clock,

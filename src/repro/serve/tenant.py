@@ -47,7 +47,7 @@ from repro.common.faults import FaultInjector, LatencyInjector
 from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.routing import ConsistentHashRouter
 from repro.filters.bloom import BloomFilter
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.serve.admission import AdmissionConfig, Priority, TenantQuota
 from repro.serve.sim import StormPhase, StormReport, storm_arrivals
 from repro.serve.stack import StackParts
@@ -327,6 +327,25 @@ class TenantRouter:
         return result
 
 
+class _TenantMetrics:
+    """Default-registry handles, rebound when the registry is swapped."""
+
+    __slots__ = ("registry", "probes", "probes_by_level")
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.probes = registry.counter(
+            "repro_tenant_probes_total",
+            "filter probes spent answering fleet lookups, by mode",
+            labels=("mode",),
+        )
+        self.probes_by_level = registry.counter(
+            "repro_tenant_probes_by_level_total",
+            "tree-node probes by depth (root=0; flat mode books all at 0)",
+            labels=("level",),
+        )
+
+
 class TenantStore:
     """Deadline-aware ground-truth store behind a :class:`TenantRouter`.
 
@@ -356,6 +375,13 @@ class TenantStore:
         self.truth: dict[Any, set] = {}
         self.lookups = 0
         self.probes_total = 0
+        self._obs: _TenantMetrics | None = None
+
+    def _metrics(self) -> _TenantMetrics:
+        registry = default_registry()
+        if self._obs is None or self._obs.registry is not registry:
+            self._obs = _TenantMetrics(registry)
+        return self._obs
 
     # -- mutations (epoch-versioned for the negative cache) ----------------------
 
@@ -427,19 +453,10 @@ class TenantStore:
             else self.router.query_flat(key)
         )
         self.probes_total += look.probes
-        registry = default_registry()
-        registry.counter(
-            "repro_tenant_probes_total",
-            "filter probes spent answering fleet lookups, by mode",
-            labels=("mode",),
-        ).labels(mode=self.mode).inc(look.probes)
-        by_level = registry.counter(
-            "repro_tenant_probes_by_level_total",
-            "tree-node probes by depth (root=0; flat mode books all at 0)",
-            labels=("level",),
-        )
+        m = self._metrics()
+        m.probes.labels(mode=self.mode).inc(look.probes)
         for level, n in look.probes_by_level.items():
-            by_level.labels(level=str(level)).inc(n)
+            m.probes_by_level.labels(level=str(level)).inc(n)
         evidence = ((result, True) for result in self._sources(key, look, deadline))
         return combine(evidence, 1 + len(look.tenants))
 

@@ -6,8 +6,9 @@ in order (so no false negatives afterwards), and the base-class
 scalar-loop defaults satisfy the same contract as the vectorised
 overrides.  Checked with hypothesis across mixed int/numpy-int/str/bytes
 batches, plus numpy-array inputs and the instrumentation wrapper.  The
-LSM write path builds its filters in batch; the last class checks that
-it writes exactly the bytes the scalar insert loop would.
+LSM write path builds its filters and writes its blocks in batch; the
+last two classes check that the device sees exactly the operations and
+bytes of the scalar insert loop and of one ``put`` per item.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.lsm import LSMConfig, LSMTree
-from repro.common.faults import FaultInjector, FaultyBlockDevice
+from repro.apps.lsm import TOMBSTONE, LSMConfig, LSMTree
+from repro.common.clock import SimulatedClock
+from repro.common.faults import FaultInjector, FaultyBlockDevice, LatencyInjector
 from repro.common.hashing import MASK64, as_key_array, hash64, hash64_many
 from repro.common.storage import BlockDevice
 from repro.core.concurrent import ShardedFilter
@@ -324,11 +326,45 @@ def test_as_key_array_matches_scalar_hash64(keys):
     assert hash64_many(keys, seed=9).tolist() == [hash64(k, seed=9) for k in keys]
 
 
-def _recording(original, name, ops):
-    def method(self, address, *args, **kwargs):
-        ops.append((name, address, *args, *sorted(kwargs.items())))
-        return original(self, address, *args, **kwargs)
-    return method
+def _record_device_ops(patch, ops: list) -> None:
+    """Log every op reaching a :class:`BlockDevice`, one entry per item:
+    scalar writes and deletes are batches of one, so recording the batch
+    methods sees every write, page, filter, manifest and free."""
+    write_many, delete_many, read = (
+        BlockDevice.write_many, BlockDevice.delete_many, BlockDevice.read
+    )
+
+    def record_writes(self, items):
+        items = list(items)
+        ops.extend(("write", address, payload, size) for address, payload, size in items)
+        return write_many(self, items)
+
+    def record_deletes(self, addresses):
+        addresses = list(addresses)
+        ops.extend(("delete", address) for address in addresses)
+        return delete_many(self, addresses)
+
+    def record_read(self, address):
+        ops.append(("read", address))
+        return read(self, address)
+
+    patch.setattr(BlockDevice, "write_many", record_writes)
+    patch.setattr(BlockDevice, "delete_many", record_deletes)
+    patch.setattr(BlockDevice, "read", record_read)
+
+
+def _device_state(device, latency=None):
+    blocks = device.inner._blocks
+    image = [(address, block.payload, block.size) for address, block in blocks.items()]
+    return (
+        image, device.stats.as_dict(), device.injector._rng.getstate(),
+        None if latency is None else latency._rng.getstate(),
+    )
+
+
+def _assert_logs_every_kind(ops):
+    kinds = {op[0] for op in ops}
+    assert kinds == {"write", "read", "delete"}, kinds
 
 
 class TestLSMBatchBuildsMatchScalar:
@@ -342,27 +378,16 @@ class TestLSMBatchBuildsMatchScalar:
         with monkeypatch.context() as patch, use_registry():
             if scalar:
                 patch.setattr(BloomFilter, "insert_many", DynamicFilter.insert_many)
-            for name in ("write", "read", "delete"):
-                patch.setattr(
-                    BlockDevice, name, _recording(getattr(BlockDevice, name), name, ops)
-                )
+            _record_device_ops(patch, ops)
             states = scenario()
         return ops, states
 
     def _assert_same(self, monkeypatch, scenario):
         batch_ops, batch_states = self._run(monkeypatch, scenario, scalar=False)
         scalar_ops, scalar_states = self._run(monkeypatch, scenario, scalar=True)
-        assert batch_ops and batch_ops == scalar_ops
+        _assert_logs_every_kind(batch_ops)
+        assert batch_ops == scalar_ops
         assert batch_states == scalar_states
-
-    @staticmethod
-    def _state(device, latency=None):
-        blocks = device.inner._blocks
-        image = [(address, block.payload, block.size) for address, block in blocks.items()]
-        return (
-            image, device.injector._rng.getstate(),
-            None if latency is None else latency._rng.getstate(),
-        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_build_stack(self, monkeypatch, seed):
@@ -370,7 +395,7 @@ class TestLSMBatchBuildsMatchScalar:
             _served, _tree, device, _inj, latency, _clock = build_stack(
                 seed=seed, n_keys=2_000
             )
-            return [self._state(device, latency)]
+            return [_device_state(device, latency)]
 
         self._assert_same(monkeypatch, scenario)
 
@@ -390,13 +415,13 @@ class TestLSMBatchBuildsMatchScalar:
                     tree.put(key, rng.randrange(1 << 20))
             tree.flush()
             assert tree.stats.compactions > 0
-            states = [self._state(device)]
+            states = [_device_state(device)]
             # Recovery rebuilds a ruined filter blob from the run's keys.
             filters = sorted(a for a in device.addresses() if a[0] == "filter")
             device.ruin(filters[0])
             tree = LSMTree.recover(device)
             assert tree.recovery_report.filters_rebuilt == 1
-            states.append(self._state(device))
+            states.append(_device_state(device))
             # Without rebuilds the run degrades; scrub's repair builds it.
             device.ruin(filters[-1])
             no_rebuild = dataclasses.replace(config, rebuild_filters_on_recovery=False)
@@ -404,7 +429,98 @@ class TestLSMBatchBuildsMatchScalar:
             assert tree.recovery_report.filters_degraded == 1
             report = tree.scrub(repair=True)
             assert filters[-1] in report.repaired
-            states.append(self._state(device))
+            states.append(_device_state(device))
             return states
 
         self._assert_same(monkeypatch, scenario)
+
+
+class TestLSMPutManyMatchesPuts:
+    """``LSMTree.put_many`` hands each memtable-room chunk's WAL records to
+    the device in one call; the device must still see one op per WAL
+    record, run, page, filter, manifest and freed block, in the order one
+    ``put`` per item gives, with the same fault and latency draws."""
+
+    @staticmethod
+    def _batches(seed: int) -> list:
+        rng = random.Random(seed)
+        batches = []
+        for _ in range(40):
+            batch = []
+            for _ in range(rng.choice([1, 2, 5, 15, 16, 17, 40, 90])):
+                key = rng.randrange(200)  # duplicates within a batch
+                value = TOMBSTONE if rng.random() < 0.15 else rng.randrange(1 << 20)
+                batch.append((key, value))
+            batches.append(batch)
+        return batches
+
+    @staticmethod
+    def _run(monkeypatch, config, batches, *, batched: bool):
+        def put_all(tree, batches):
+            for batch in batches:
+                if batched:
+                    tree.put_many(batch)
+                else:
+                    for key, value in batch:
+                        tree.put(key, value)
+
+        ops: list = []
+        with monkeypatch.context() as patch, use_registry() as registry:
+            _record_device_ops(patch, ops)
+            clock = SimulatedClock()
+            latency = LatencyInjector(seed=4, spike_prob=0.1)
+            device = FaultyBlockDevice(
+                injector=FaultInjector(
+                    seed=3, bit_flip=0.02, torn_write=0.02, lost_write=0.02
+                ),
+                latency=latency, clock=clock,
+            )
+            tree = LSMTree(config, device=device)
+            put_all(tree, batches)
+            tree.flush()
+            put_all(tree, [[(1_000 + i, i) for i in range(10)]])
+            states = [(dataclasses.asdict(tree.stats), tree.mutation_epoch)]
+            # A recovered memtable can hold more than a smaller memtable's
+            # room: the next put must flush at once, batched or not, even
+            # when it overwrites a key the memtable already holds.
+            tree = LSMTree.recover(device, dataclasses.replace(config, memtable_entries=4))
+            overfull = len(tree._memtable) > 4 and 1_000 in tree._memtable
+            put_all(tree, [[(1_000, -1), (1_001, -2)]] + batches[:5])
+            states.append((dataclasses.asdict(tree.stats), tree.mutation_epoch))
+            runs = [
+                (run.run_id, run.level, run.keys, run.values)
+                for level in tree._levels for run in level
+            ]
+            return (
+                ops, states, _device_state(device, latency), clock.now(),
+                list(device.fault_log), device.corrupted_addresses(), runs,
+                dict(tree._memtable), tree.wal_position, registry.snapshot(),
+            ), overfull
+
+    @pytest.mark.parametrize("page_entries", [0, 16])
+    @pytest.mark.parametrize("compaction", ["leveling", "tiering", "lazy-leveling"])
+    def test_put_many_equals_one_put_per_item(self, monkeypatch, compaction, page_entries):
+        config = LSMConfig(
+            memtable_entries=16, compaction=compaction, size_ratio=3,
+            page_entries=page_entries,
+        )
+        batches = self._batches(11)
+        batched, overfull = self._run(monkeypatch, config, batches, batched=True)
+        scalar, _ = self._run(monkeypatch, config, batches, batched=False)
+        ops = batched[0]
+        _assert_logs_every_kind(ops)
+        if page_entries:
+            assert any(op[0] == "write" and op[1][0] == "page" for op in ops)
+        # The case covers what it claims: faults fired, flushes and
+        # compactions happened, and the recovered memtable was over-full.
+        first_stats = batched[1][0][0]
+        assert first_stats["compactions"] > 0 and first_stats["integrity_faults"] > 0
+        assert batched[4] and overfull
+        for got, want in zip(batched, scalar):
+            assert got == want
+
+    def test_empty_batch_is_a_no_op(self):
+        device = BlockDevice()
+        tree = LSMTree(LSMConfig(memtable_entries=4), device=device)
+        tree.put_many([])
+        assert tree.mutation_epoch == 0 and device.stats.writes == 0

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitvector import BitVector, PackedArray
+from repro.filters.bloom import BloomFilter
 
 
 class TestBitVector:
@@ -68,6 +70,73 @@ class TestBitVector:
         assert bv.count() == len(indexes)
         for i in range(512):
             assert bv.get(i) == (i in indexes)
+
+
+_KERNEL_SIZES = [1, 63, 64, 65, 614, 12_289]
+
+
+def _scalar_set(n_bits, indexes, start=()):
+    bv = BitVector(n_bits)
+    for i in list(start) + list(indexes):
+        bv.set(int(i))
+    return bv
+
+
+class TestSetManyKernel:
+    """``set_many`` (bool scatter + little-endian pack) against the per-bit
+    ``set`` reference, across word-boundary sizes."""
+
+    @pytest.mark.parametrize("n_bits", _KERNEL_SIZES)
+    def test_edges_duplicates_and_empty(self, n_bits):
+        rng = np.random.default_rng(n_bits)
+        cases = [
+            np.array([], dtype=np.int64),
+            [],
+            [0],
+            [n_bits - 1],
+            [0, n_bits - 1, 0, n_bits - 1],
+            rng.integers(0, n_bits, size=3 * n_bits + 1),
+        ]
+        start = rng.integers(0, n_bits, size=n_bits // 3 + 1)
+        for idx in cases:
+            for pre in ((), start):
+                bv = _scalar_set(n_bits, (), pre)
+                bv.set_many(idx)
+                assert bv.words.tolist() == _scalar_set(n_bits, idx, pre).words.tolist()
+
+    @pytest.mark.parametrize("n_bits", _KERNEL_SIZES)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_scalar_set(self, n_bits, data):
+        idx = data.draw(st.lists(st.integers(0, n_bits - 1), max_size=200))
+        bv = BitVector(n_bits)
+        bv.set_many(np.asarray(idx, dtype=np.int64))
+        assert bv.words.tolist() == _scalar_set(n_bits, idx).words.tolist()
+
+    @pytest.mark.parametrize("n_bits", _KERNEL_SIZES)
+    def test_out_of_range_raises_and_sets_nothing(self, n_bits):
+        for bad in ([-1], [0, n_bits], [n_bits + 64], [0, -65]):
+            bv = BitVector(n_bits)
+            with pytest.raises(IndexError):
+                bv.set_many(bad)
+            assert bv.count() == 0
+
+
+@pytest.mark.parametrize("k", [1, 7, 13])
+def test_bloom_insert_many_words_equal_scalar_insert(k):
+    keys = list(range(0, 6000, 7)) + ["a", b"b", 2**63 + 5, np.int64(-3)] + [0, 7]
+    batched = BloomFilter(len(keys), 0.01, n_hashes=k, seed=k)
+    batched.insert_many(keys)
+    looped = BloomFilter(len(keys), 0.01, n_hashes=k, seed=k)
+    for key in keys:
+        looped.insert(key)
+    assert batched.n_hashes == k
+    assert batched._bits.words.tolist() == looped._bits.words.tolist()
+    assert len(batched) == len(looped)
+    probes = keys + list(range(10**9, 10**9 + 500))
+    assert batched.may_contain_many(probes).tolist() == [
+        looped.may_contain(key) for key in probes
+    ]
 
 
 class TestPackedArray:

@@ -540,6 +540,29 @@ class TestServedFilter:
         with pytest.raises(TypeError):
             ServedFilter(object(), clock)
 
+    def test_registry_swap_between_requests_meters_into_the_new_one(self):
+        # The facade, admission and retries bind their metric handles
+        # once per registry; each request must land in the registry that
+        # is the default while it runs, never in a stale one.
+        served, _tree, _device, _inj, _lat, clock = self._served()
+        registries = []
+        for key in (7, 8):
+            with use_registry() as registry:
+                served.query(key)
+                served.serve(key, priority=Priority.LOW, arrival=clock.now() - 0.05)
+            registries.append(registry)
+        for registry in registries:
+            requests = registry.get("repro_serve_requests_total")
+            assert requests.labels(outcome="served", priority="normal").value == 1
+            assert requests.labels(outcome="shed", priority="low").value == 1
+            latency = registry.get("repro_serve_latency_seconds")
+            assert latency.labels(outcome="served").count == 1
+            assert registry.get("repro_serve_queue_delay_seconds").count == 2
+            shed = registry.get("repro_serve_shed_total")
+            assert shed.labels(priority="low", reason="queue_delay").value == 1
+            attempts = registry.get("repro_retry_attempts_total")
+            assert attempts.labels(outcome="ok").value >= 1
+
 
 CHAOS_SEEDS = [int(os.environ.get("REPRO_CHAOS_SEED", "0")) + i for i in range(3)]
 

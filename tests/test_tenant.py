@@ -313,6 +313,24 @@ class TestTenantStoreLookup:
         assert (result.state, result.reason) == (Answer.MAYBE, "deadline")
         assert result.runs_skipped == 2
 
+    def test_registry_swap_between_lookups_meters_into_the_new_one(self):
+        router = TenantRouter(TenantConfig(n_trees=1, seed=2))
+        store = TenantStore(router, SimulatedClock())
+        store.add_tenant(0, [1, 2, 3])
+        registries = []
+        for key in (1, 99):
+            with use_registry() as registry:
+                look = router.query(key)
+                store.lookup(key)
+            registries.append((registry, look))
+        for registry, look in registries:
+            counter = registry.get("repro_tenant_probes_total")
+            assert counter.labels(mode="router").value == look.probes > 0
+            by_level = registry.get("repro_tenant_probes_by_level_total")
+            assert sum(child.value for _labels, child in by_level.series()) == sum(
+                look.probes_by_level.values()
+            )
+
 
 class TestTenantQuota:
     def _admission(self, quota: TenantQuota) -> tuple:
