@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro.common.clock import Answer, DeadlineExceeded, LookupResult
 from repro.common.faults import CircuitOpenError, TransientIOError
 from repro.common.storage import BlockDevice
@@ -45,6 +43,14 @@ class DictionaryStats:
     def wasted_read_rate(self) -> float:
         """False-positive disk reads per query — the §2.3 cost metric."""
         return self.false_positives / self.queries if self.queries else 0.0
+
+
+def _queries_total():
+    return default_registry().counter(
+        "repro_dict_queries_total",
+        "filtered-dictionary lookups, by outcome",
+        labels=("outcome",),
+    )
 
 
 class FilteredDictionary:
@@ -101,55 +107,76 @@ class FilteredDictionary:
 
     def lookup(self, key: Key, *, deadline: Any = None,
                degrade_on_error: bool = False) -> LookupResult:
-        """Deadline-aware tri-state lookup (docs/robustness.md).
-
-        The filter probe is in-memory and free; only the backing-store
-        read can burn budget or fail.  A lookup that cannot confirm its
-        answer in time — budget expired, or (with
-        ``degrade_on_error=True``) the device unreadable — degrades to
-        the conservative :data:`~repro.common.clock.Answer.MAYBE`; a
-        filter negative stays an authoritative ABSENT because it never
-        touches the device at all.
-        """
-        queries = default_registry().counter(
-            "repro_dict_queries_total",
-            "filtered-dictionary lookups, by outcome",
-            labels=("outcome",),
-        )
-        self.stats.queries += 1
+        """Deadline-aware tri-state lookup (docs/robustness.md): a batch
+        of one, plus an entry check and a late rule, so a late answer can
+        never masquerade as meeting its SLO."""
         if deadline is not None and deadline.expired():
+            _queries_total()  # registered by every lookup, counted or not
+            self.stats.queries += 1
             return LookupResult(Answer.MAYBE, complete=False, reason="deadline")
-        if self.negative_cache is not None and self.negative_cache.known_absent(
-            key, self.mutation_epoch
-        ):
-            # A memoized authoritative ABSENT under the current epoch —
-            # no filter probe, no device read, and no adaptive feedback
-            # (the first confirmation already fed the filter).
-            queries.labels(outcome="negative").inc()
-            return LookupResult(Answer.ABSENT)
-        with trace("filter.probe"):
-            maybe = self._filter.may_contain(key)
-        if not maybe:
-            queries.labels(outcome="negative").inc()
-            if self.negative_cache is not None:
-                self.negative_cache.record_absent(key, self.mutation_epoch)
-            return LookupResult(Answer.ABSENT)
-        self.stats.disk_reads += 1
-        try:
-            present = self._device.exists(("kv", key))
-            value = self._device.read(("kv", key)) if present else None
-        except (TransientIOError, CircuitOpenError):
-            if not degrade_on_error:
-                raise
-            return LookupResult(
-                Answer.MAYBE, complete=False, reason="unavailable", runs_skipped=1
-            )
-        result = LookupResult(Answer.ABSENT, runs_probed=1)
-        if present:
-            self.stats.positive_hits += 1
-            queries.labels(outcome="hit").inc()
-            result.state, result.value = Answer.PRESENT, value
-        else:
+        result = self.lookup_many(
+            (key,), deadline=deadline, degrade_on_error=degrade_on_error)[0]
+        if result.complete and deadline is not None and deadline.expired():
+            result.state, result.complete, result.reason = (
+                Answer.MAYBE, False, "deadline")
+        return result
+
+    def lookup_many(self, keys: KeyBatch, *, deadline: Any = None,
+                    degrade_on_error: bool = False) -> list[LookupResult]:
+        """The read scan: one tri-state :class:`LookupResult` per key.
+
+        Each key consults the negative cache, then the filter, and only
+        a filter positive reads the device.  Keys go one at a time, in
+        order, because a confirmed false positive adapts the filter and
+        fills the cache: each key sees both as a loop of :meth:`lookup`
+        calls would.  *deadline* is checked before each device read; a
+        key that still needs one after expiry answers MAYBE
+        (``"deadline"``), and an ABSENT whose read lands late is
+        returned but not cached.  With ``degrade_on_error=True`` an
+        unreadable device answers MAYBE (``"unavailable"``).
+        """
+        queries = _queries_total()
+        keys = as_key_list(keys)
+        self.stats.queries += len(keys)
+        cache = self.negative_cache
+        results = []
+        for key in keys:
+            result = LookupResult(Answer.ABSENT)
+            results.append(result)
+            if cache is not None and cache.known_absent(key, self.mutation_epoch):
+                # A memoized authoritative ABSENT under the current epoch —
+                # no filter probe, no device read, and no adaptive feedback
+                # (the first confirmation already fed the filter).
+                queries.labels(outcome="negative").inc()
+                continue
+            with trace("filter.probe"):
+                maybe = self._filter.may_contain(key)
+            if not maybe:
+                queries.labels(outcome="negative").inc()
+                if cache is not None:
+                    cache.record_absent(key, self.mutation_epoch)
+                continue
+            if deadline is not None and deadline.expired():
+                result.state, result.complete, result.reason = (
+                    Answer.MAYBE, False, "deadline")
+                continue
+            self.stats.disk_reads += 1
+            try:
+                present = self._device.exists(("kv", key))
+                value = self._device.read(("kv", key)) if present else None
+            except (TransientIOError, CircuitOpenError):
+                if not degrade_on_error:
+                    raise
+                result.state, result.complete, result.reason = (
+                    Answer.MAYBE, False, "unavailable")
+                result.runs_skipped = 1
+                continue
+            result.runs_probed = 1
+            if present:
+                self.stats.positive_hits += 1
+                queries.labels(outcome="hit").inc()
+                result.state, result.value = Answer.PRESENT, value
+                continue
             # Confirmed false positive: this is the moment the paper's
             # adaptive loop closes — the expensive read already happened,
             # so reporting back to the filter is free.
@@ -163,93 +190,8 @@ class FilteredDictionary:
                     "repro_dict_adaptations_total",
                     "false positives fed back to an adaptive filter",
                 ).inc()
-        if deadline is not None and deadline.expired():
-            # Resolved, but late: report the conservative MAYBE so a late
-            # answer can never masquerade as meeting its SLO.
-            result.state, result.complete, result.reason = (
-                Answer.MAYBE, False, "deadline")
-        if (
-            self.negative_cache is not None
-            and result.complete
-            and result.state is Answer.ABSENT
-        ):
-            # Only a complete, in-budget ABSENT is cacheable; the late
-            # MAYBE above never reaches this point with ABSENT state.
-            self.negative_cache.record_absent(key, self.mutation_epoch)
-        return result
-
-    def get_many(self, keys: KeyBatch, default: Any = None,
-                 *, deadline: Any = None) -> list[Any]:
-        """Batched point lookup: one filter-kernel probe for the whole
-        batch, then a device read per surviving (maybe-present) key.
-
-        Outcome counters, stats, and adaptive feedback match calling
-        :meth:`get` per key, with one visible difference: all probes
-        happen *before* any adaptation from this batch lands, so a false
-        positive repeated within a single batch is reported once per
-        occurrence rather than being absorbed by the first adaptation.
-
-        With a :class:`~repro.common.clock.Deadline`, raises
-        :class:`~repro.common.clock.DeadlineExceeded` once the budget
-        expires, with the results resolved so far on ``partial``.
-        """
-        key_list = as_key_list(keys)
-        if not key_list:
-            return []
-        queries = default_registry().counter(
-            "repro_dict_queries_total",
-            "filtered-dictionary lookups, by outcome",
-            labels=("outcome",),
-        )
-        self.stats.queries += len(key_list)
-        results: list[Any] = [default] * len(key_list)
-        cached_absent: set[int] = set()
-        if self.negative_cache is not None:
-            cached_absent = {
-                i for i, key in enumerate(key_list)
-                if self.negative_cache.known_absent(key, self.mutation_epoch)
-            }
-            if cached_absent:
-                queries.labels(outcome="negative").inc(len(cached_absent))
-        probe = getattr(self._filter, "may_contain_many", None)
-        if probe is not None:
-            maybes = np.asarray(probe(key_list), dtype=bool).tolist()
-        else:
-            maybes = [self._filter.may_contain(k) for k in key_list]
-        negatives = sum(
-            1 for i, maybe in enumerate(maybes)
-            if not maybe and i not in cached_absent
-        )
-        if negatives:
-            queries.labels(outcome="negative").inc(negatives)
-        for i, (key, maybe) in enumerate(zip(key_list, maybes)):
-            if i in cached_absent:
-                continue
-            if not maybe:
-                if self.negative_cache is not None:
-                    self.negative_cache.record_absent(key, self.mutation_epoch)
-                continue
-            if deadline is not None and deadline.expired():
-                raise DeadlineExceeded(
-                    "get_many missed its deadline", partial=results
-                )
-            self.stats.disk_reads += 1
-            if self._device.exists(("kv", key)):
-                self.stats.positive_hits += 1
-                queries.labels(outcome="hit").inc()
-                results[i] = self._device.read(("kv", key))
-                continue
-            self.stats.false_positives += 1
-            queries.labels(outcome="false_positive").inc()
-            if self.negative_cache is not None:
-                self.negative_cache.record_absent(key, self.mutation_epoch)
-            if self._adaptive:
-                self._filter.report_false_positive(key)
-                self.stats.adaptations_fed_back += 1
-                default_registry().counter(
-                    "repro_dict_adaptations_total",
-                    "false positives fed back to an adaptive filter",
-                ).inc()
+            if cache is not None and (deadline is None or not deadline.expired()):
+                cache.record_absent(key, self.mutation_epoch)
         return results
 
     def __contains__(self, key: Key) -> bool:

@@ -19,6 +19,11 @@ Reproduced design space:
   each key to its run (SlimDB / Chucky / SplinterDB, §3.1): a lookup
   probes only the runs the maplet names.
 
+Read path: :meth:`LSMTree.lookup_many` is the one scan.  It answers
+each key PRESENT, ABSENT or MAYBE, reading each run or page block its
+filters (or the maplet) cannot rule out once per batch; ``lookup`` and
+``get`` are batches of one.
+
 Durability model (docs/robustness.md):
 
 Every persistent artifact is a checksummed blob on the device — run data
@@ -66,6 +71,11 @@ from repro.filters.bloom import BloomFilter
 from repro.maplets.qf_maplet import QuotientFilterMaplet
 
 _ENTRY_BYTES = 16
+# From this many keys up, the read scan probes a run's filter with one
+# ``may_contain_many`` call; below it, key by key.  The kernel's fixed
+# cost per call loses to scalar probes under about four keys
+# (docs/performance.md, "One read scan").
+_BATCH_PROBE_MIN = 4
 
 
 class _Tombstone:
@@ -196,14 +206,18 @@ class _LSMMetrics:
 
     Metric names follow docs/observability.md: the per-level filter
     counters are the series ``python -m repro stats`` derives the
-    per-level FP-rate table from.
+    per-level FP-rate table from.  Their children are bound on first
+    use by :meth:`probe` and :meth:`fp`, whose callers increment at
+    once, so a child still appears in the registry only when first
+    counted.
     """
 
     __slots__ = ("registry", "lookups", "io_hit", "io_wasted", "probes", "fps",
-                 "wal_appends", "flushes", "compactions")
+                 "wal_appends", "flushes", "compactions", "_children")
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
+        self._children: dict[tuple, Any] = {}
         self.lookups = registry.counter(
             "repro_lsm_lookups_total", "point lookups served by LSMTree.get"
         )
@@ -232,6 +246,21 @@ class _LSMMetrics:
         self.compactions = registry.counter(
             "repro_lsm_compactions_total", "run merges (compactions)"
         )
+
+    def probe(self, level: int, result: str):
+        """The ``probes{level,result}`` child."""
+        child = self._children.get((level, result))
+        if child is None:
+            child = self._children[level, result] = self.probes.labels(
+                level=level, result=result)
+        return child
+
+    def fp(self, level: int):
+        """The ``fps{level}`` child."""
+        child = self._children.get((level,))
+        if child is None:
+            child = self._children[level,] = self.fps.labels(level=level)
+        return child
 
 
 @dataclass
@@ -608,13 +637,6 @@ class LSMTree:
         runs.sort(key=lambda r: r.seq, reverse=True)
         return runs
 
-    def _read_run(self, run: _Run, key: int):
-        if self.config.page_entries > 0 and run.keys:
-            self._read_block(("page", run.run_id, self._page_of(run, key)))
-        else:
-            self._read_block(("run", run.run_id))
-        return run.get(key)
-
     def _charge_filter_read(self, run: _Run) -> bool:
         """Charge the device read consulting this run's filter block costs
         (``charge_filter_reads``) — the RocksDB reality that filter and
@@ -651,265 +673,183 @@ class LSMTree:
 
     def lookup(self, key: int, *, deadline: Any = None,
                degrade_on_error: bool = False) -> LookupResult:
-        """Deadline-aware tri-state lookup (docs/robustness.md).
-
-        Scans runs newest-first, abandoning the rest of the scan when
-        *deadline* expires.  With ``degrade_on_error=True`` an
-        unreadable run (retries exhausted, or its circuit breaker open)
-        is skipped instead of raising — and because a skipped run can no
-        longer be ruled out, the result degrades to the conservative
-        :data:`~repro.common.clock.Answer.MAYBE`.  ``PRESENT``/``ABSENT``
-        are returned only for scans that finished completely *within*
-        the deadline, so a late or partial answer can never masquerade
-        as authoritative — and a filter's one-sided-error contract (no
-        false negatives) survives any fault or latency storm.
+        """Deadline-aware tri-state lookup (docs/robustness.md): a batch
+        of one, plus an entry check and a late rule (a late answer is
+        MAYBE, its value kept as best-effort).  ``PRESENT``/``ABSENT``
+        thus come only from scans that finished completely *within* the
+        deadline with no run skipped, so a filter's one-sided-error
+        contract (no false negatives) survives any fault or latency storm.
         """
-        m = self._metrics()
-        m.lookups.inc()
-        self.stats.lookups += 1
-        result = LookupResult(state=Answer.ABSENT)
         if deadline is not None and deadline.expired():
-            result.state, result.complete, result.reason = Answer.MAYBE, False, "deadline"
-            return result
-        if key in self._memtable:
-            value = self._memtable[key]
-            if value is not TOMBSTONE:
-                result.state, result.value = Answer.PRESENT, value
-            return result
-
-        if self._maplet is not None:
-            runs = self._maplet_candidate_runs(key)
-        else:
-            runs = self._runs_newest_first()
-        for run in runs:
-            if deadline is not None and deadline.expired():
-                result.state, result.complete, result.reason = (
-                    Answer.MAYBE, False, "deadline")
-                return result
-            filtered = False
-            if self._maplet is None:
-                if run.degraded:
-                    # Lost filter: this run must always be probed — exactly
-                    # one extra device read per probe (EXPERIMENTS.md R1).
-                    self.stats.degraded_lookups += 1
-                elif run.filter is not None:
-                    level = str(run.level)
-                    if self.filter_memo is not None and self.filter_memo.known_negative(
-                        run.run_id, key
-                    ):
-                        # Memoized verdict — runs are immutable, so it is
-                        # exactly what the filter would answer.  Counted as
-                        # a negative probe so FP-rate derivations stay
-                        # memo-agnostic; no filter-block I/O is charged.
-                        m.probes.labels(level=level, result="negative").inc()
-                        continue
-                    if not self._charge_filter_read(run):
-                        # Filter block unreadable right now: its verdict is
-                        # unavailable, not negative — probe the run.
-                        self.stats.degraded_lookups += 1
-                    else:
-                        with trace(
-                            "filter.probe", level=run.level, run=run.run_id
-                        ) as sp:
-                            maybe = run.filter.may_contain(key)
-                            sp.set_tag("maybe", maybe)
-                        if not maybe:
-                            m.probes.labels(level=level, result="negative").inc()
-                            if self.filter_memo is not None:
-                                self.filter_memo.record_negative(run.run_id, key)
-                            continue
-                        m.probes.labels(level=level, result="positive").inc()
-                        filtered = True
-            self.stats.lookup_ios += 1
-            try:
-                found, value = self._read_run(run, key)
-            except (TransientIOError, CircuitOpenError):
-                if not degrade_on_error:
-                    raise
-                # This run is unreachable, so the key can no longer be
-                # ruled out: skip it and degrade the final answer.
-                result.runs_skipped += 1
-                continue
-            result.runs_probed += 1
-            if found:
-                m.io_hit.inc()
-                present = value is not TOMBSTONE
-                result.value = value if present else None
-                if result.runs_skipped:
-                    # A newer, unreadable run may hold a fresher version
-                    # (or a tombstone): the hit is best-effort only.
-                    result.state, result.complete, result.reason = (
-                        Answer.MAYBE, False, "unavailable")
-                else:
-                    result.state = Answer.PRESENT if present else Answer.ABSENT
-                break
-            self.stats.wasted_lookup_ios += 1
-            m.io_wasted.inc()
-            if filtered:
-                # The filter passed a key its run did not hold: a realised
-                # false positive at this level.
-                m.fps.labels(level=str(run.level)).inc()
-        else:
-            if result.runs_skipped:
-                result.state, result.complete, result.reason = (
-                    Answer.MAYBE, False, "unavailable")
+            self._metrics().lookups.inc()
+            self.stats.lookups += 1
+            return LookupResult(Answer.MAYBE, complete=False, reason="deadline")
+        result = self.lookup_many(
+            (key,), deadline=deadline, degrade_on_error=degrade_on_error)[0]
         if deadline is not None and deadline.expired():
-            # Finished, but late: the answer missed its SLO, so report the
-            # conservative MAYBE (value stays attached as best-effort).
             result.state, result.complete, result.reason = (
                 Answer.MAYBE, False, "deadline")
         return result
 
-    def _maplet_candidate_runs(self, key: int) -> list[_Run]:
-        """Maplet-directed probe set: only the runs the maplet names,
-        newest first."""
-        candidates = set(self._maplet.get(key))
-        by_id = {run.run_id: run for level in self._levels for run in level}
-        return sorted(
-            (by_id[c] for c in candidates if c in by_id),
-            key=lambda r: r.seq,
-            reverse=True,
-        )
+    def lookup_many(self, keys: Sequence[int], *, deadline: Any = None,
+                    degrade_on_error: bool = False) -> list[LookupResult]:
+        """The read scan (§3.1): one tri-state :class:`LookupResult` per key.
 
-    def _get_via_maplet(self, key: int) -> tuple[bool, Any]:
-        """Maplet-directed lookup: probe only the runs the maplet names."""
-        m = self._metrics()
-        for run in self._maplet_candidate_runs(key):
-            self.stats.lookup_ios += 1
-            found, value = self._read_run(run, key)
-            if found:
-                m.io_hit.inc()
-                return value is not TOMBSTONE, value
-            self.stats.wasted_lookup_ios += 1
-            m.io_wasted.inc()
-        return False, None
+        Memtable keys resolve first.  Then, newest run first, the keys
+        still unresolved (in maplet mode, those the maplet names the run
+        for) consult the run's negative memo and filter, and the
+        survivors share one read of each run or page block they need.
 
-    def multi_get(self, keys: list[int], default: Any = None,
-                  *, deadline: Any = None) -> list[Any]:
-        """Batched point lookup — the §3.1 batching fast path.
-
-        With a :class:`~repro.common.clock.Deadline`, the batch abandons
-        remaining runs once the budget expires and raises
-        :class:`~repro.common.clock.DeadlineExceeded` whose ``partial``
-        attribute carries the per-key results resolved so far (unresolved
-        keys still hold *default* — the caller must treat them as MAYBE,
-        never as authoritative absence).
-
-        Probes each level's filter for the *whole* outstanding key batch
-        (``Filter.may_contain_many``) before issuing any device read, then
-        reads each run **once** per batch to serve every candidate key in
-        it — so a batch of B keys costs one filter-kernel call and at most
-        one device read per run, instead of B of each.
-
-        Accounting: per-key filter probes and realised false positives
-        accrue to the same per-level counters as :meth:`get`, so FP-rate
-        derivations are batch/scalar agnostic.  ``stats.lookup_ios``
-        counts *device reads actually issued* (one per run per batch) —
-        the quantity batching shrinks.  A batched read is ``wasted`` only
-        when it serves no key.  Per-key trace spans are not emitted on
-        this path (one span per batch would be misleading, B spans would
-        defeat the batching).
+        *deadline* is checked before each run unresolved keys still
+        need: on expiry they answer MAYBE (``"deadline"``), and resolved
+        keys keep their answers.  With ``degrade_on_error=True`` an
+        unreadable block (retries exhausted, or its breaker open) is
+        skipped by the keys that needed it, and a key that hits below a
+        skipped run, or ends its scan with one, answers MAYBE
+        (``"unavailable"``); otherwise the read error propagates.
+        ``stats.lookup_ios`` counts each block read attempted,
+        ``io_hit``/``io_wasted`` each run read, and lookups, probes and
+        false positives each key, so a batch of one is a scalar scan.
         """
         m = self._metrics()
-        n = len(keys)
-        if not n:
-            return []
-        m.lookups.inc(n)
-        self.stats.lookups += n
-        results: list[Any] = [default] * n
-        pending: list[int] = []
+        stats = self.stats
+        m.lookups.inc(len(keys))
+        stats.lookups += len(keys)
+        memtable = self._memtable
+        results: list[LookupResult] = []
+        pending: list[int] = []  # indexes of the keys not yet resolved
         for i, key in enumerate(keys):
-            if key in self._memtable:
-                value = self._memtable[key]
-                if value is not TOMBSTONE:
-                    results[i] = value
-            else:
+            result = LookupResult(Answer.ABSENT)
+            results.append(result)
+            if key not in memtable:
                 pending.append(i)
-
-        if self._maplet is not None:
-            for i in pending:
-                if deadline is not None and deadline.expired():
-                    raise DeadlineExceeded(
-                        "multi_get missed its deadline", partial=results
-                    )
-                found, value = self._get_via_maplet(keys[i])
-                if found:
-                    results[i] = value
+            elif memtable[key] is not TOMBSTONE:
+                result.state, result.value = Answer.PRESENT, memtable[key]
+        if not pending:
             return results
-
+        maplet = self._maplet
+        if maplet is not None:
+            named = {i: set(maplet.get(keys[i])) for i in pending}
         for run in self._runs_newest_first():
-            if not pending:
-                break
-            if deadline is not None and deadline.expired():
-                raise DeadlineExceeded(
-                    "multi_get missed its deadline", partial=results
-                )
-            filtered = False
-            if run.degraded:
-                self.stats.degraded_lookups += len(pending)
-                candidates = list(pending)
-            elif run.filter is not None:
-                level = str(run.level)
-                batch_idx = pending
-                if self.filter_memo is not None:
-                    memoed = {
-                        i for i in pending
-                        if self.filter_memo.known_negative(run.run_id, keys[i])
-                    }
-                    if memoed:
-                        m.probes.labels(level=level, result="negative").inc(
-                            len(memoed)
-                        )
-                        batch_idx = [i for i in pending if i not in memoed]
-                if not batch_idx:
-                    continue
-                if not self._charge_filter_read(run):
-                    self.stats.degraded_lookups += len(batch_idx)
-                    candidates = batch_idx
-                else:
-                    batch = [keys[i] for i in batch_idx]
-                    mask = run.filter.may_contain_many(batch)
-                    positives = int(mask.sum())
-                    m.probes.labels(level=level, result="positive").inc(positives)
-                    m.probes.labels(level=level, result="negative").inc(
-                        len(batch) - positives
-                    )
-                    candidates = [i for i, hit in zip(batch_idx, mask.tolist()) if hit]
-                    if self.filter_memo is not None:
-                        for i, hit in zip(batch_idx, mask.tolist()):
-                            if not hit:
-                                self.filter_memo.record_negative(run.run_id, keys[i])
-                    filtered = True
-            else:
-                candidates = list(pending)
-            if not candidates:
+            need = pending if maplet is None else [
+                i for i in pending if run.run_id in named[i]]
+            if not need:
                 continue
+            if deadline is not None and deadline.expired():
+                for i in pending:
+                    result = results[i]
+                    result.state, result.complete, result.reason = (
+                        Answer.MAYBE, False, "deadline")
+                return results
+            filtered = False
+            if maplet is None and run.degraded:
+                # Lost filter: this run must always be read — exactly one
+                # extra device read per key (EXPERIMENTS.md R1).
+                stats.degraded_lookups += len(need)
+            elif maplet is None and run.filter is not None:
+                if self.filter_memo is not None:
+                    unknown = [i for i in need
+                               if not self.filter_memo.known_negative(run.run_id, keys[i])]
+                    if len(unknown) < len(need):
+                        # Memoized verdicts — runs are immutable, so each is
+                        # exactly what the filter would answer.  Counted as
+                        # negative probes so FP-rate derivations stay
+                        # memo-agnostic; no filter-block I/O is charged.
+                        m.probe(run.level, "negative").inc(len(need) - len(unknown))
+                        need = unknown
+                        if not need:
+                            continue
+                if self._charge_filter_read(run):
+                    need = self._probe_filter(run, keys, need, m)
+                    if not need:
+                        continue
+                    filtered = True
+                else:
+                    # Filter block unreadable right now: its verdict is
+                    # unavailable, not negative — read the run.
+                    stats.degraded_lookups += len(need)
             if self.config.page_entries > 0 and run.keys:
-                # Page-granular batch read: each needed page exactly once.
-                for page in sorted({self._page_of(run, keys[i]) for i in candidates}):
-                    self._read_block(("page", run.run_id, page))
-                    self.stats.lookup_ios += 1
+                by_page: dict[int, list[int]] = {}
+                for i in need:
+                    by_page.setdefault(self._page_of(run, keys[i]), []).append(i)
+                blocks = [(("page", run.run_id, page), by_page[page])
+                          for page in sorted(by_page)]
             else:
-                self._read_block(("run", run.run_id))
-                self.stats.lookup_ios += 1
-            found_here: list[int] = []
-            for i in candidates:
-                found, value = run.get(keys[i])
-                if found:
-                    found_here.append(i)
-                    if value is not TOMBSTONE:
-                        results[i] = value
-            missed = len(candidates) - len(found_here)
-            if found_here:
+                blocks = [(("run", run.run_id), need)]
+            read, hits, missed = False, set(), 0
+            for address, block_keys in blocks:
+                stats.lookup_ios += 1
+                try:
+                    self._read_block(address)
+                except (TransientIOError, CircuitOpenError):
+                    if not degrade_on_error:
+                        raise
+                    # These keys can no longer be ruled out at this run:
+                    # each skips it and degrades its final answer.
+                    for i in block_keys:
+                        results[i].runs_skipped += 1
+                    continue
+                read = True
+                for i in block_keys:
+                    result = results[i]
+                    result.runs_probed += 1
+                    found, value = run.get(keys[i])
+                    if not found:
+                        missed += 1
+                        continue
+                    hits.add(i)
+                    present = value is not TOMBSTONE
+                    result.value = value if present else None
+                    if result.runs_skipped:
+                        # A newer, unreadable run may hold a fresher version
+                        # (or a tombstone): the hit is best-effort only.
+                        result.state, result.complete, result.reason = (
+                            Answer.MAYBE, False, "unavailable")
+                    else:
+                        result.state = Answer.PRESENT if present else Answer.ABSENT
+            if hits:
                 m.io_hit.inc()
-                remaining = set(found_here)
-                pending = [i for i in pending if i not in remaining]
-            else:
-                self.stats.wasted_lookup_ios += 1
+                pending = [i for i in pending if i not in hits]
+            elif read:
+                stats.wasted_lookup_ios += 1
                 m.io_wasted.inc()
             if filtered and missed:
-                m.fps.labels(level=str(run.level)).inc(missed)
+                # The filter passed keys its run did not hold: realised
+                # false positives at this level.
+                m.fp(run.level).inc(missed)
+            if not pending:
+                break
+        for i in pending:
+            result = results[i]
+            if result.runs_skipped:
+                result.state, result.complete, result.reason = (
+                    Answer.MAYBE, False, "unavailable")
         return results
+
+    def _probe_filter(self, run: _Run, keys: Sequence[int], need: list[int],
+                      m: _LSMMetrics) -> list[int]:
+        """The indexes in *need* whose keys *run*'s filter may hold;
+        every probe is counted and every negative memoized."""
+        if len(need) < _BATCH_PROBE_MIN:
+            verdicts = []
+            for i in need:
+                with trace("filter.probe", level=run.level, run=run.run_id) as span:
+                    maybe = run.filter.may_contain(keys[i])
+                    span.set_tag("maybe", maybe)
+                m.probe(run.level, "positive" if maybe else "negative").inc()
+                verdicts.append(maybe)
+        else:
+            verdicts = run.filter.may_contain_many([keys[i] for i in need]).tolist()
+            positives = sum(verdicts)
+            m.probe(run.level, "positive").inc(positives)
+            m.probe(run.level, "negative").inc(len(verdicts) - positives)
+        survivors = []
+        for i, maybe in zip(need, verdicts):
+            if maybe:
+                survivors.append(i)
+            elif self.filter_memo is not None:
+                self.filter_memo.record_negative(run.run_id, keys[i])
+        return survivors
 
     def _refresh_global_range_filter(self) -> None:
         factory = self.config.global_range_filter_factory

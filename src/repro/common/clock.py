@@ -9,10 +9,11 @@ accounting-not-sleeping stance :class:`~repro.common.faults.RetryPolicy`
 already takes.
 
 A :class:`Deadline` is an absolute expiry on such a clock.  Read paths
-that accept one (``LSMTree.get/multi_get/lookup``,
-``FilteredDictionary.get/lookup``) abandon remaining work when the
-budget expires.  Because filters are one-sided (no false negatives), a
-partial lookup can always degrade to the *always-maybe* answer safely:
+that accept one (``get/lookup/lookup_many`` on ``LSMTree`` and
+``FilteredDictionary``) abandon remaining work when the budget expires:
+``lookup_many`` answers its unresolved keys MAYBE, and ``get`` raises.
+Because filters are one-sided (no false negatives), a partial lookup
+can always degrade to the *always-maybe* answer safely:
 :data:`Answer.MAYBE` never breaks the filter contract, it only costs the
 caller the read the filter would have saved.  That is the degradation
 posture the whole serving layer is built on.
@@ -58,15 +59,9 @@ class SimulatedClock:
 class DeadlineExceeded(TimeoutError):
     """A lookup's time budget expired before the scan completed.
 
-    ``partial`` carries whatever results were computed before expiry
-    (``multi_get`` attaches the per-key results so far); callers that
-    degrade rather than fail — the serving layer — translate this into
-    a conservative :data:`Answer.MAYBE`.
+    Callers that degrade rather than fail — the serving layer — translate
+    this into a conservative :data:`Answer.MAYBE`.
     """
-
-    def __init__(self, message: str, partial: Any = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ _BOTH_OWNER_STEPS = frozenset({
     MigrationStep.VERIFY, MigrationStep.CUTOVER,
 })
 
-_MISSING = object()  # multi_get sentinel: absent-or-tombstoned
+_MISSING = object()  # _batched_get sentinel: absent-or-tombstoned
 
 
 @dataclass
@@ -663,19 +663,27 @@ class ReshardCoordinator:
 
     def _batched_get(self, mig, batch, deadline, *, donors: bool) -> list[Any]:
         """Current values for *batch*, read from the old owners
-        (``donors=True``) or the new owners, grouped one ``multi_get``
-        per shard."""
+        (``donors=True``) or the new owners, grouped one ``lookup_many``
+        per shard.
+
+        Raises :class:`DeadlineExceeded` as soon as a shard leaves a key
+        unresolved, so the pump abandons the batch: an unresolved key
+        must never read as ``_MISSING``, or backfill would skip it.
+        """
         router = mig.old_router if donors else mig.new_router
         by_shard: dict[int, list[int]] = {}
         for i, key in enumerate(batch):
             by_shard.setdefault(router.owner(key), []).append(i)
         out: list[Any] = [_MISSING] * len(batch)
         for sid, indices in by_shard.items():
-            values = self.store.shards[sid].multi_get(
-                [batch[i] for i in indices], default=_MISSING, deadline=deadline
+            results = self.store.shards[sid].lookup_many(
+                [batch[i] for i in indices], deadline=deadline
             )
-            for i, value in zip(indices, values):
-                out[i] = value
+            for i, result in zip(indices, results):
+                if not result.complete:
+                    raise DeadlineExceeded("migration batch missed its deadline")
+                if result.found:
+                    out[i] = result.value
         return out
 
     def _do_cutover(self, mig: MigrationState) -> None:

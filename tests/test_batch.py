@@ -5,10 +5,13 @@ element-wise ``may_contain``, ``insert_many`` is equivalent to inserting
 in order (so no false negatives afterwards), and the base-class
 scalar-loop defaults satisfy the same contract as the vectorised
 overrides.  Checked with hypothesis across mixed int/numpy-int/str/bytes
-batches, plus numpy-array inputs and the instrumentation wrapper.  The
-LSM write path builds its filters and writes its blocks in batch; the
-last two classes check that the device sees exactly the operations and
-bytes of the scalar insert loop and of one ``put`` per item.
+batches, plus numpy-array inputs and the instrumentation wrapper.
+``TestLookupManyContract`` checks the one read scan of each store
+against a lookup per key, and its reads and counters against the
+device.  The LSM write path builds its filters and writes its blocks in
+batch; the last two classes check that the device sees exactly the
+operations and bytes of the scalar insert loop and of one ``put`` per
+item.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.lsm import TOMBSTONE, LSMConfig, LSMTree
-from repro.common.clock import SimulatedClock
+from repro.common.clock import Answer, SimulatedClock
 from repro.common.faults import FaultInjector, FaultyBlockDevice, LatencyInjector
 from repro.common.hashing import MASK64, as_key_array, hash64, hash64_many
 from repro.common.storage import BlockDevice
 from repro.core.concurrent import ShardedFilter
-from repro.core.interfaces import DynamicFilter, as_key_list
+from repro.core.interfaces import AdaptiveFilter, DynamicFilter, as_key_list
 from repro.core.registry import FEATURE_MATRIX, make_filter
 from repro.filters.bloom import BloomFilter
 from repro.obs import InstrumentedFilter, MetricsRegistry, use_registry
@@ -236,51 +239,47 @@ class TestInstrumentedBatch:
 
 
 class TestBatchApps:
-    def test_lsm_multi_get_matches_get(self):
-        from repro.apps.lsm import LSMConfig, LSMTree
-
+    def test_lsm_lookup_many_matches_lookup(self):
         tree = LSMTree(LSMConfig(memtable_entries=32, seed=3))
         for i in range(500):
             tree.put(i, i * 10)
         for i in range(0, 100, 7):
             tree.delete(i)
         probe = list(range(-50, 600, 3))
-        want = [tree.get(k, default="miss") for k in probe]
-        got = tree.multi_get(probe, default="miss")
-        assert got == want
-        assert tree.multi_get([]) == []
+        want = [tree.lookup(k) for k in probe]
+        assert tree.lookup_many(probe) == want
+        assert tree.lookup_many([]) == []
 
-    def test_lsm_multi_get_issues_fewer_device_reads(self):
-        from repro.apps.lsm import LSMConfig, LSMTree
-
+    def test_lsm_lookup_many_issues_fewer_device_reads(self):
         tree = LSMTree(LSMConfig(memtable_entries=32, seed=3))
         for i in range(500):
             tree.put(i, i)
         tree.flush()
         probe = list(range(200, 400))
         before = tree.device.stats.reads
-        tree.multi_get(probe)
+        tree.lookup_many(probe)
         batch_reads = tree.device.stats.reads - before
         before = tree.device.stats.reads
         for key in probe:
-            tree.get(key)
+            tree.lookup(key)
         scalar_reads = tree.device.stats.reads - before
         # One read per run per batch vs one per (key, probed run).
         assert batch_reads <= tree.n_runs
         assert batch_reads < scalar_reads
 
-    def test_lsm_multi_get_maplet_mode(self):
-        from repro.apps.lsm import LSMConfig, LSMTree
-
+    def test_lsm_lookup_many_maplet_mode(self):
         tree = LSMTree(
             LSMConfig(memtable_entries=16, use_maplet=True, seed=3)
         )
         for i in range(200):
             tree.put(i, -i)
         probe = list(range(-20, 250, 2))
-        assert tree.multi_get(probe) == [tree.get(k) for k in probe]
+        before = tree.device.stats.reads
+        got = tree.lookup_many(probe)
+        assert tree.device.stats.reads - before <= tree.n_runs
+        assert got == [tree.lookup(k) for k in probe]
 
-    def test_filtered_dictionary_get_many(self, small_keys):
+    def test_filtered_dictionary_lookup_many(self, small_keys):
         from repro.adaptive.dictionary import FilteredDictionary
 
         members, negatives = small_keys
@@ -289,12 +288,12 @@ class TestBatchApps:
         for key in members:
             d.put(key, str(key))
         probe = members[:50] + negatives[:100]
-        got = d.get_many(probe, default="miss")
-        want = [d.get(k, "miss") for k in probe]
-        assert got == want
-        assert d.get_many([]) == []
+        got = d.lookup_many(probe)
+        assert got == [d.lookup(k) for k in probe]
+        assert [r.value for r in got] == [d.get(k) for k in probe]
+        assert d.lookup_many([]) == []
 
-    def test_filtered_dictionary_get_many_adaptive_feedback(self, small_keys):
+    def test_filtered_dictionary_lookup_many_adaptive_feedback(self, small_keys):
         from repro.adaptive.dictionary import FilteredDictionary
 
         members, negatives = small_keys
@@ -302,12 +301,225 @@ class TestBatchApps:
         d = FilteredDictionary(filt)
         for key in members[:300]:
             d.put(key, key)
-        d.get_many(negatives)
+        d.lookup_many(negatives)
         assert d.stats.adaptations_fed_back == d.stats.false_positives
         # Adapted keys stop false-positiving on the next batch.
         second = d.stats.false_positives
-        d.get_many(negatives)
+        d.lookup_many(negatives)
         assert d.stats.false_positives - second <= second
+
+
+class _ReadLog(BlockDevice):
+    """A block device that logs the address of every read."""
+
+    def __init__(self):
+        super().__init__()
+        self.log: list = []
+
+    def read(self, address):
+        self.log.append(address)
+        return super().read(address)
+
+
+class _AdaptiveInstrumented(InstrumentedFilter, AdaptiveFilter):
+    """An instrumented adaptive filter that logs the feedback it gets."""
+
+    def __init__(self, inner, **kwargs):
+        super().__init__(inner, **kwargs)
+        self.reported: list = []
+
+    def report_false_positive(self, key):
+        self.reported.append(key)
+        self.inner.report_false_positive(key)
+
+
+@st.composite
+def _lsm_scenarios(draw):
+    """A config over every read-path knob, the puts and deletes that load
+    the tree, and a batch of keys to look up, present or not."""
+    config = LSMConfig(
+        memtable_entries=4,
+        size_ratio=3,
+        compaction=draw(st.sampled_from(("leveling", "tiering", "lazy-leveling"))),
+        page_entries=draw(st.sampled_from((0, 16))),
+        use_maplet=draw(st.booleans()),
+        filter_memo_entries=draw(st.sampled_from((0, 64))),
+        charge_filter_reads=draw(st.booleans()),
+        retry_attempts=1,
+        seed=draw(st.integers(0, 3)),
+    )
+    # Enough writes for several flushes, so most keys live in runs.
+    ops = draw(st.lists(st.tuples(st.integers(0, 120), st.booleans()),
+                        min_size=24, max_size=150))
+    batch = draw(st.lists(st.integers(0, 160), min_size=1, max_size=24))
+    return config, ops, batch
+
+
+def _load(config, ops, device=None):
+    """The tree after *ops* (``(key, delete)`` pairs), and a dict model."""
+    tree = LSMTree(config, device=device)
+    model = {}
+    for n, (key, delete) in enumerate(ops):
+        if delete:
+            tree.delete(key)
+            model.pop(key, None)
+        else:
+            tree.put(key, n)
+            model[key] = n
+    return tree, model
+
+
+def _batch_keys(tree, ops, batch) -> list:
+    """*batch*, plus a duplicate, memtable keys and deleted keys."""
+    deleted = [key for key, delete in ops if delete]
+    return batch + batch[:1] + sorted(tree._memtable)[:2] + deleted[:2]
+
+
+def _counter_values(registry) -> dict:
+    """``{name: {label values: value}}`` for every counter series."""
+    out: dict = {}
+    for name, entry in registry.snapshot().items():
+        for series in entry["series"]:
+            out.setdefault(name, {})[tuple(series["labels"].values())] = series["value"]
+    return out
+
+
+class TestLookupManyContract:
+    """``lookup_many`` is the one LSM read scan: batching changes how
+    many blocks are read, never an answer."""
+
+    @given(_lsm_scenarios())
+    def test_lookup_many_equals_lookup(self, scenario):
+        config, ops, batch = scenario
+        tree, model = _load(config, ops)
+        keys = _batch_keys(tree, ops, batch)
+        for key, result in zip(keys, tree.lookup_many(keys)):
+            scalar = tree.lookup(key)
+            assert (result.state, result.value) == (scalar.state, scalar.value)
+            assert result.complete
+            assert result.state is (Answer.PRESENT if key in model else Answer.ABSENT)
+            assert result.value == model.get(key)
+
+    @given(_lsm_scenarios(), st.sampled_from((0.2, 0.5, 1.0)), st.integers(0, 2**16))
+    def test_lookup_many_degrades_each_key_under_read_faults(self, scenario, rate, fault_seed):
+        config, ops, batch = scenario
+        injector = FaultInjector(seed=fault_seed)
+        tree, model = _load(config, ops, FaultyBlockDevice(injector=injector))
+        keys = _batch_keys(tree, ops, batch)
+        injector.transient_read = rate
+        for key, result in zip(keys, tree.lookup_many(keys, degrade_on_error=True)):
+            if result.state is Answer.MAYBE:
+                assert result.reason == "unavailable" and result.runs_skipped
+                assert not result.complete
+                continue
+            # Authoritative answers come only from scans that skipped nothing.
+            assert result.complete and not result.runs_skipped
+            if result.state is Answer.PRESENT:
+                assert result.value == model[key]
+            else:
+                assert key not in model  # never a stored key
+
+    @given(_lsm_scenarios())
+    def test_lookup_many_reads_each_block_at_most_once(self, scenario):
+        config, ops, batch = scenario
+        device = _ReadLog()
+        tree, _model = _load(config, ops, device)
+        keys = _batch_keys(tree, ops, batch)
+        device.log.clear()
+        tree.lookup_many(keys)
+        assert len(device.log) == len(set(device.log))
+
+    def test_lookup_many_accounting_follows_the_device(self):
+        # Unfiltered tiered runs: two absent keys share one read per run.
+        injector = FaultInjector(seed=0)
+        config = LSMConfig(memtable_entries=8, compaction="tiering",
+                           filter_policy="none", retry_attempts=1)
+        tree, _model = _load(config, [(key, False) for key in range(40)],
+                             FaultyBlockDevice(injector=injector))
+        runs = tree.n_runs
+        assert runs >= 3
+        with use_registry() as registry:
+            injector.transient_read = 1.0
+            failed = tree.lookup_many([1_000, 1_001], degrade_on_error=True)
+            # Each failed read is attempted and counted, but reads no run.
+            assert [r.runs_skipped for r in failed] == [runs, runs]
+            assert tree.stats.lookup_ios == runs
+            assert tree.stats.wasted_lookup_ios == 0
+            outcomes = _counter_values(registry)["repro_lsm_lookup_ios_total"]
+            assert outcomes == {("hit",): 0, ("wasted",): 0}
+            injector.transient_read = 0.0
+            tree.lookup_many([1_000, 1_001])
+            assert tree.stats.lookup_ios == 2 * runs
+            assert tree.stats.wasted_lookup_ios == runs
+            counts = _counter_values(registry)
+            assert counts["repro_lsm_lookup_ios_total"] == {("hit",): 0, ("wasted",): runs}
+            # No filter passed these keys, so no false positive is counted.
+            assert "repro_lsm_filter_false_positives_total" not in counts
+
+    def test_lookup_many_counts_probes_by_level_and_result(self):
+        tree, _model = _load(LSMConfig(memtable_entries=16, seed=1),
+                             [(key, False) for key in range(400)])
+        keys = list(range(300, 700))
+        expected: dict = {}
+        for key in keys:
+            if key in tree._memtable:
+                continue
+            for run in tree._runs_newest_first():
+                maybe = run.filter.may_contain(key)
+                label = (str(run.level), "positive" if maybe else "negative")
+                expected[label] = expected.get(label, 0) + 1
+                if maybe and run.get(key)[0]:
+                    break
+        # One key per batch probes key by key; one batch of all keys
+        # probes each run in one kernel call.
+        for batches in ([[key] for key in keys], [keys]):
+            with use_registry() as registry:
+                for batch in batches:
+                    tree.lookup_many(batch)
+                counts = _counter_values(registry)["repro_lsm_filter_probes_total"]
+            assert {k: v for k, v in counts.items() if v} == expected
+
+    def test_lookup_many_memoizes_filter_negatives(self):
+        config = LSMConfig(memtable_entries=16, filter_memo_entries=4096,
+                           charge_filter_reads=True, seed=1)
+        tree, _model = _load(config, [(key, False) for key in range(200)])
+        runs = tree._runs_newest_first()
+        absent = [k for k in range(1_000, 2_000)
+                  if not any(run.filter.may_contain(k) for run in runs)][:50]
+        tree.lookup_many(absent)
+        charged = tree.stats.filter_ios
+        assert charged == len(runs)
+        for key in absent:
+            assert tree.lookup(key).state is Answer.ABSENT
+        assert tree.stats.filter_ios == charged  # every verdict was memoized
+
+    @given(st.lists(st.integers(0, 400), min_size=1, max_size=40),
+           st.booleans(), st.integers(0, 3))
+    def test_dictionary_lookup_many_equals_lookup_loop(self, keys, cached, seed):
+        from repro.adaptive.dictionary import FilteredDictionary
+        from repro.cache import NegativeLookupCache
+
+        def run(batched: bool):
+            with use_registry() as registry:
+                filt = _AdaptiveInstrumented(
+                    make_filter("adaptive-cuckoo", capacity=256, epsilon=0.05, seed=seed),
+                    name="d", registry=registry,
+                )
+                cache = NegativeLookupCache(64) if cached else None
+                d = FilteredDictionary(filt, negative_cache=cache)
+                for key in range(0, 200, 2):
+                    d.put(key, key)
+                if batched:
+                    results = d.lookup_many(keys)
+                else:
+                    results = [d.lookup(key) for key in keys]
+                # Only keys the negative cache did not answer are probed.
+                assert filt.probes == len(keys) - (cache.hits if cached else 0)
+                counters = registry.snapshot()
+                del counters["repro_filter_insert_seconds"]  # wall-clock
+                return results, d.stats, filt.probes, filt.reported, counters
+
+        assert run(batched=True) == run(batched=False)
 
 
 @pytest.mark.parametrize("keys", [

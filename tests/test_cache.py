@@ -285,10 +285,12 @@ class CachedEquivalenceMachine(RuleBasedStateMachine):
         assert self.cached.get(key) == expected
 
     @rule(keys=st.lists(KEYS, min_size=1, max_size=12))
-    def multi_get_agrees(self, keys):
+    def lookup_many_agrees(self, keys):
         expected = [self.model.get(k) for k in keys]
-        assert self.plain.multi_get(keys) == expected
-        assert self.cached.multi_get(keys) == expected
+        for tree in (self.plain, self.cached):
+            results = tree.lookup_many(keys)
+            assert [r.value for r in results] == expected
+            assert [r.found for r in results] == [k in self.model for k in keys]
 
     @rule(lo=KEYS, width=st.integers(min_value=0, max_value=40))
     def range_agrees(self, lo, width):

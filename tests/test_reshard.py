@@ -22,9 +22,11 @@ from hypothesis.stateful import (
 )
 
 from repro.common.clock import Answer, LookupResult, SimulatedClock
+from repro.apps.lsm import LSMConfig
 from repro.common.faults import (
     FaultInjector,
     FaultyBlockDevice,
+    LatencyInjector,
     SimulatedCrash,
     TransientIOError,
 )
@@ -370,6 +372,51 @@ class TestCoordinator:
         ReshardCoordinator.recover(recovered, clock=clock)
         assert recovered.migration is None
         assert sorted(recovered.shards) == shards
+
+
+class TestPumpBudget:
+    """A pump whose budget runs out inside a batched read abandons the
+    batch: an unresolved key must not read as deleted, or backfill would
+    skip copying it."""
+
+    N = 300
+
+    @pytest.mark.parametrize("step", [MigrationStep.BACKFILL, MigrationStep.VERIFY])
+    def test_budget_spent_inside_a_batch_commits_nothing(self, step, monkeypatch):
+        # Unfiltered tiered runs and ~1 ms reads: every key reads every
+        # run, and one read spends the whole budget.
+        clock = SimulatedClock()
+        device = FaultyBlockDevice(latency=LatencyInjector(seed=0, base=0.001), clock=clock)
+        config = LSMConfig(memtable_entries=16, compaction="tiering",
+                           filter_policy="none", seed=0)
+        store = ShardedStore.create(device, 2, seed=0, config=config, clock=clock)
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        coordinator = ReshardCoordinator(store, clock=clock, batch_keys=8)
+        mig = coordinator.plan_split(source=0)
+        while mig.step is not step:
+            coordinator.pump(budget=10.0, force=True)
+        moved = mig.keys_moved
+        target = store.shards[mig.target]
+        on_target = {k for k, _v in target.items()}
+
+        unresolved = []
+        for tree in store.shards.values():
+            def spy(keys, *, lookup_many=tree.lookup_many, **kwargs):
+                results = lookup_many(keys, **kwargs)
+                unresolved.extend(r for r in results if not r.complete)
+                return results
+            monkeypatch.setattr(tree, "lookup_many", spy)
+        coordinator.pump(budget=1e-9, force=True)
+        monkeypatch.undo()
+
+        assert unresolved and all(r.reason == "deadline" for r in unresolved)
+        assert mig.step is step and mig.floor is None
+        assert mig.keys_moved == moved and mig.keys_verified == 0
+        assert {k for k, _v in target.items()} == on_target
+        _pump_to_done(coordinator, store)
+        for key in range(self.N):
+            assert store.shards[store.router.owner(key)].get(key) == f"v{key}"
 
 
 # -- crash chaos: every crash point, recover from the devices alone ----------------

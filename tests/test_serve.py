@@ -18,7 +18,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.adaptive.dictionary import FilteredDictionary
-from repro.common.clock import Answer, Deadline, DeadlineExceeded, SimulatedClock
+from repro.common.clock import (
+    Answer,
+    Deadline,
+    DeadlineExceeded,
+    LookupResult,
+    SimulatedClock,
+)
 from repro.common.faults import (
     CircuitOpenError,
     FaultInjector,
@@ -64,11 +70,6 @@ class TestClockAndDeadline:
         assert deadline.expired()
         with pytest.raises(ValueError):
             Deadline.after(clock, -1.0)
-
-    def test_deadline_exceeded_carries_partial(self):
-        err = DeadlineExceeded("late", partial=[1, 2])
-        assert isinstance(err, TimeoutError)
-        assert err.partial == [1, 2]
 
 
 class TestCircuitBreakerUnit:
@@ -345,6 +346,12 @@ class TestLSMDeadlines:
         with pytest.raises(DeadlineExceeded):
             tree.get(5, deadline=dead)
 
+    def test_expired_on_entry_skips_the_scan(self):
+        # Even a memtable hit carries no value once the budget is gone.
+        tree, clock, _inj, _lat = _latency_tree(n_keys=10)  # all in memtable
+        result = tree.lookup(3, deadline=Deadline.after(clock, 0.0))
+        assert result == LookupResult(Answer.MAYBE, complete=False, reason="deadline")
+
     def test_memtable_hits_beat_any_deadline(self):
         # Keys still in the memtable resolve without touching the device,
         # so even a nearly-exhausted budget serves them authoritatively.
@@ -381,14 +388,24 @@ class TestLSMDeadlines:
         injector.transient_read = 0.0
         assert tree.get(target) == target * 10  # device healed: authoritative again
 
-    def test_multi_get_deadline_raises_with_partial(self):
+    def test_lookup_many_deadline_keeps_resolved_answers(self):
+        # Filters off, so every absent key reads every run: a budget of
+        # about one read resolves the memtable keys and the key in the
+        # newest run, and leaves the rest MAYBE.
         tree, clock, _inj, _lat = _latency_tree(filter_policy="none",
                                                 compaction="tiering")
-        keys = [1, 2, 3, 10_001, 10_002]
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            tree.multi_get(keys, deadline=Deadline.after(clock, 1e-9))
-        assert isinstance(excinfo.value.partial, list)
-        assert tree.multi_get(keys, default=None)[:3] == [10, 20, 30]
+        newest = max((run for level in tree._levels for run in level),
+                     key=lambda run: run.seq)
+        in_memtable = sorted(tree._memtable)[:2]
+        keys = in_memtable + [newest.keys[0], 10_001, 10_002]
+        results = tree.lookup_many(keys, deadline=Deadline.after(clock, 1e-9))
+        for key, result in zip(keys[:3], results):
+            assert result.state is Answer.PRESENT and result.complete
+            assert result.value == key * 10
+        for result in results[3:]:
+            assert result.state is Answer.MAYBE
+            assert not result.complete and result.reason == "deadline"
+        assert [r.value for r in tree.lookup_many(keys)] == [k * 10 for k in keys[:3]] + [None, None]
 
 
 class TestDictionaryDeadlines:
@@ -418,6 +435,41 @@ class TestDictionaryDeadlines:
         result = d.lookup(absent, deadline=Deadline.after(clock, 1e-9))
         assert result.state is Answer.ABSENT and result.complete
 
+    def test_expired_on_entry_consults_nothing(self):
+        d, clock, _inj = self._dictionary()
+        absent = next(k for k in range(10_000, 11_000)
+                      if not d.filter.may_contain(k))
+        with use_registry() as registry:
+            result = d.lookup(absent, deadline=Deadline.after(clock, 0.0))
+            outcomes = registry.snapshot()["repro_dict_queries_total"]["series"]
+        assert result.state is Answer.MAYBE and result.reason == "deadline"
+        assert outcomes == []  # no cache or filter verdict was counted
+
+    def test_late_confirmed_absence_is_not_cached(self):
+        from repro.cache import NegativeLookupCache
+        from repro.common.storage import BlockDevice
+
+        class SlowLookups(BlockDevice):
+            """Every existence check takes 10 ms of simulated time."""
+
+            def exists(self, address):
+                clock.advance(0.01)
+                return super().exists(address)
+
+        clock = SimulatedClock()
+        cache = NegativeLookupCache(64)
+        d = FilteredDictionary(BloomFilter(64, 0.2, seed=0), device=SlowLookups(),
+                               negative_cache=cache)
+        for key in range(100):
+            d.put(key, f"v{key}")
+        fp = next(k for k in range(1_000, 100_000) if d.filter.may_contain(k))
+        [late] = d.lookup_many([fp], deadline=Deadline.after(clock, 1e-3))
+        assert late.state is Answer.ABSENT and late.complete
+        assert d.lookup(fp, deadline=Deadline.after(clock, 1e-3)).reason == "deadline"
+        assert not cache.known_absent(fp, d.mutation_epoch)
+        assert d.lookup(fp).state is Answer.ABSENT  # no deadline: cached
+        assert cache.known_absent(fp, d.mutation_epoch)
+
     def test_late_read_reports_maybe(self):
         d, clock, _inj = self._dictionary()
         # Budget smaller than one device read: the read lands but late.
@@ -433,13 +485,21 @@ class TestDictionaryDeadlines:
         result = d.lookup(5, degrade_on_error=True)
         assert result.state is Answer.MAYBE and result.reason == "unavailable"
 
-    def test_get_many_deadline_carries_partial(self):
+    def test_lookup_many_deadline_keeps_resolved_answers(self):
         d, clock, _inj = self._dictionary()
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            d.get_many([1, 2, 3, 4], deadline=Deadline.after(clock, 1.5e-3))
-        partial = excinfo.value.partial
-        assert isinstance(partial, list) and len(partial) == 4
-        assert partial[0] == "v1"  # the first read fit the budget
+        absent = next(k for k in range(10_000, 11_000)
+                      if not d.filter.may_contain(k))
+        # About 1 ms per read: the first read fits the budget, the second
+        # starts in it and lands late, and no later read may start.
+        results = d.lookup_many([1, 2, 3, absent, 4],
+                                deadline=Deadline.after(clock, 1.5e-3))
+        assert [r.value for r in results[:2]] == ["v1", "v2"]
+        assert all(r.state is Answer.PRESENT and r.complete for r in results[:2])
+        for r in (results[2], results[4]):
+            assert r.state is Answer.MAYBE
+            assert not r.complete and r.reason == "deadline"
+        # A filter negative needs no read, so it stays authoritative.
+        assert results[3].state is Answer.ABSENT and results[3].complete
 
 
 class TestAdmission:
