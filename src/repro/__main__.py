@@ -28,29 +28,30 @@ serve-sim [--seed S] [--n-requests N] [--fault-rate R] [--budget-ms B]
           [--tenant-quota RATE] [--tenant-mode router|flat]
           [--tenant-trees T]
     Run a calm → storm → recovery chaos schedule through the deadline-
-    aware serving layer (docs/robustness.md) and print the per-phase
-    outcome table, breaker transitions, and served-latency tail.
-    ``--cache-mb`` interposes the block-cache tier above the breakers
-    (docs/performance.md) and reports its hit rate; ``--negative-cache``
-    memoizes authoritative ABSENT answers at the serving facade.
-    ``--shards`` serves from a sharded store instead; ``--reshard-at``
-    splits/merges a shard online mid-storm, ``--crash-at-step`` kills the
-    simulated process at a migration step and recovers, and
-    ``--journal-out`` dumps the migration journal (the reshard-chaos CI
-    job's failure artifact).  ``--replicas`` serves from an R-way
-    replicated fleet instead (quorum reads, hinted handoff, anti-entropy
-    — docs/robustness.md); ``--kill-replica-at``/``--heal-at`` take one
-    replica down and back mid-storm, ``--wipe-replica`` destroys its
-    data too, and ``--crash-at-step`` also accepts handoff-replay steps
-    (``handoff.replay``, ``handoff.replay:applied``,
-    ``handoff.replay:batch``) for the replica-chaos CI job.
-    ``--tenants`` serves a multi-tenant fleet behind the Bloofi
-    filter-of-filters router instead (O(log N) probes per lookup;
-    docs/robustness.md): ``--tenant-zipf`` sets the traffic skew,
-    ``--tenant-churn`` deprovisions/provisions one tenant every that
-    many requests mid-storm, ``--tenant-quota`` enables per-tenant
-    token-bucket admission at that rate, and ``--tenant-mode flat``
-    runs the O(N) fan-out control the router is benchmarked against.
+    aware serving layer (docs/robustness.md).  Every topology prints the
+    per-phase outcome table, goodput and false negatives, then its
+    report's fields as ``name: value`` lines, then ``checks: N failed``,
+    and exits 1 when a check failed.  The default topology is one tree,
+    reported by its breakers and caches: ``--cache-mb`` interposes the
+    block-cache tier above the breakers (docs/performance.md);
+    ``--negative-cache`` memoizes authoritative ABSENT answers at the
+    serving facade.  ``--shards`` serves from a sharded store instead;
+    ``--reshard-at`` splits/merges a shard online mid-storm, and
+    ``--crash-at-step`` kills the simulated process at a migration step
+    and recovers.  ``--journal-out`` writes the report as JSON, with the
+    migration journal for a sharded storm (the chaos CI jobs' failure
+    artifact).  ``--replicas`` serves from an R-way replicated fleet
+    instead (quorum reads, hinted handoff, anti-entropy);
+    ``--kill-replica-at``/``--heal-at`` take one replica down and back
+    mid-storm, ``--wipe-replica`` destroys its data too, and
+    ``--crash-at-step`` also accepts ``handoff.replay``,
+    ``handoff.replay:applied``, ``handoff.replay:batch`` and
+    ``repair.stream``.  ``--tenants`` serves a multi-tenant fleet behind
+    the Bloofi filter-of-filters router instead (O(log N) probes per
+    lookup): ``--tenant-zipf`` sets the traffic skew, ``--tenant-churn``
+    deprovisions/provisions one tenant every that many requests,
+    ``--tenant-quota`` enables per-tenant token-bucket admission at that
+    rate, and ``--tenant-mode flat`` runs the O(N) fan-out control.
 
 (For end-to-end demonstrations, run the scripts in ``examples/``.)
 """
@@ -227,241 +228,109 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _print_storm(title: str, storm) -> None:
-    """The serve-sim phase table, goodput and false-negative count."""
-    from repro.serve import ServeOutcome
+def _tree_storm(*, seed, phases, budget, **stack_kwargs):
+    """``run_storm`` over ``build_stack``, reported like the other
+    topologies: breaker transitions, then each cache that is on."""
+    from dataclasses import make_dataclass
 
+    from repro.serve import BreakerState, build_stack, run_storm
+    from repro.serve.stack import StormSummary
+
+    served, tree, *_ = build_stack(seed=seed, budget=budget, **stack_kwargs)
+    storm = run_storm(served, phases, seed=seed, n_keys=stack_kwargs["n_keys"])
+    breakers = served.breaker_device
+    fields = {
+        "breaker_opens": storm.breaker_opens,
+        "breaker_closes": storm.breaker_closes,
+        "breakers_not_recovered": len(breakers.open_breakers()),
+        "half_open_probe_rounds": breakers.n_transitions(BreakerState.HALF_OPEN),
+    }
+    cache, neg = getattr(tree.device, "cache", None), served.negative_cache
+    if cache is not None:
+        fields.update({f"block_cache_{k}": v for k, v in vars(cache.stats).items()},
+                      block_cache_reads=cache.stats.requests,
+                      block_cache_hit_rate=cache.stats.hit_rate)
+    if neg is not None:
+        fields.update(negative_cache_hits=neg.hits, negative_cache_misses=neg.misses,
+                      negative_cache_epoch_flushes=neg.epoch_flushes)
+    # A report with exactly these fields, so it prints like the others.
+    return storm, make_dataclass("TreeReport", list(fields), bases=(StormSummary,))(**fields)
+
+
+def _cmd_serve_sim(args) -> int:
+    """One body for every topology: the flags pick a storm function and
+    its keyword arguments; the phase table, the report, ``--journal-out``
+    and the exit rule are shared."""
+    import json
+
+    from repro import obs, serve
+
+    n = args.n_requests
+    phases = (
+        serve.StormPhase("calm", n // 3),
+        serve.StormPhase("storm", n - 2 * (n // 3), transient_read=args.fault_rate,
+                         slowdown=4.0, spike_prob=0.05),
+        serve.StormPhase("recovery", n // 3),
+    )
+    if args.shards > 0:
+        run, kwargs = serve.run_reshard_storm, dict(
+            n_keys=args.n_keys, n_shards=args.shards, reshard_at=args.reshard_at,
+            kind=args.reshard_kind, crash_at_step=args.crash_at_step)
+    elif args.replicas > 0:
+        replication = min(3, args.replicas)
+        run, kwargs = serve.run_replica_storm, dict(
+            n_keys=args.n_keys, n_nodes=args.replicas, replication=replication,
+            read_quorum=args.repl_quorum or replication // 2 + 1,
+            kill_at=args.kill_replica_at, heal_at=args.heal_at, wipe=args.wipe_replica,
+            crash_at_step=args.crash_at_step, write_fraction=0.05)
+    elif args.tenants > 0:
+        quota = None
+        if args.tenant_quota > 0:
+            quota = serve.TenantQuota(rate=args.tenant_quota,
+                                      burst=max(1.0, args.tenant_quota / 10))
+        run, kwargs = serve.run_tenant_storm, dict(
+            n_tenants=args.tenants, n_trees=args.tenant_trees, mode=args.tenant_mode,
+            zipf_skew=args.tenant_zipf, churn_every=args.tenant_churn, quota=quota)
+    else:
+        run, kwargs = _tree_storm, dict(
+            n_keys=args.n_keys, cache_mb=args.cache_mb, cache_policy=args.cache_policy,
+            negative_cache_entries=args.negative_cache)
+    with obs.use_registry():
+        storm, report, *parts = run(seed=args.seed, phases=phases,
+                                    budget=args.budget_ms / 1000.0, **kwargs)
+        journal = parts[0].journal_records() if args.journal_out and args.shards > 0 else None
+    print(f"{run.__name__.lstrip('_')}: {n} requests, "
+          + ", ".join(f"{key}={value!r}" for key, value in kwargs.items())
+          + f", budget {args.budget_ms:g} ms, fault rate {args.fault_rate}, seed {args.seed}")
     header = (f"{'phase':10s} {'requests':>8s} "
-              + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-              + f" {'p99 (ms)':>9s}")
-    print(title)
+              + "".join(f"{o.value:>10s}" for o in serve.ServeOutcome) + f" {'p99 (ms)':>9s}")
     print(header)
     print("-" * len(header))
     for p in storm.phases:
         print(f"{p.name:10s} {p.n_requests:8d} "
-              + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
+              + "".join(f"{p.outcomes[o]:10d}" for o in serve.ServeOutcome)
               + f" {1e3 * p.latency_quantile(0.99):9.2f}")
     print(f"\ngoodput (served/total): {storm.goodput():.3f}")
     print(f"false negatives: {storm.false_negatives} (must be 0)")
-
-
-def _write_json(path: str, what: str, doc: dict) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    print(f"\n{what} written to {path}")
-
-
-def _cmd_serve_sim(args) -> int:
-    from repro import obs
-    from repro.serve import StormPhase
-
-    n = args.n_requests
-    phases = (
-        StormPhase("calm", n // 3),
-        StormPhase("storm", n - 2 * (n // 3),
-                   transient_read=args.fault_rate, slowdown=4.0,
-                   spike_prob=0.05),
-        StormPhase("recovery", n // 3),
-    )
-    with obs.use_registry():
-        if args.shards > 0:
-            return _serve_sim_sharded(args, phases)
-        if args.replicas > 0:
-            return _serve_sim_replicated(args, phases)
-        if args.tenants > 0:
-            return _serve_sim_tenant(args, phases)
-        return _serve_sim_single(args, phases)
-
-
-def _serve_sim_single(args, phases) -> int:
-    """serve-sim over the single-tree stack; non-zero on a false negative."""
-    from repro.serve import BreakerState, build_stack, run_storm
-
-    served, tree, _device, _injector, _latency, _clock = build_stack(
-        seed=args.seed, n_keys=args.n_keys, budget=args.budget_ms / 1000.0,
-        cache_mb=args.cache_mb, cache_policy=args.cache_policy,
-        negative_cache_entries=args.negative_cache,
-    )
-    report = run_storm(served, phases, seed=args.seed, n_keys=args.n_keys)
-    _print_storm(f"storm schedule: {args.n_requests} requests, "
-                 f"fault rate {args.fault_rate}, "
-                 f"budget {args.budget_ms:.1f} ms, seed {args.seed}", report)
-    print(f"breaker transitions: {report.breaker_opens} opened, "
-          f"{report.breaker_closes} closed "
-          f"({len(served.breaker_device.open_breakers())} not yet recovered)")
-    half_open = served.breaker_device.n_transitions(BreakerState.HALF_OPEN)
-    print(f"half-open probe rounds: {half_open}")
-    if args.cache_mb > 0:
-        cache = tree.device.cache
-        print(f"block cache ({args.cache_policy}, {args.cache_mb:g} MiB): "
-              f"hit rate {cache.stats.hit_rate:.3f} "
-              f"({cache.stats.hits} hits / {cache.stats.requests} reads), "
-              f"{cache.stats.evictions} evictions, "
-              f"{cache.stats.invalidations} invalidations")
-    if served.negative_cache is not None:
-        neg = served.negative_cache
-        print(f"negative-lookup cache: {neg.hits} hits, {neg.misses} misses, "
-              f"{neg.epoch_flushes} epoch flushes")
-    return 0 if report.false_negatives == 0 else 1
-
-
-def _serve_sim_sharded(args, phases) -> int:
-    """serve-sim over a sharded stack, with an optional live migration.
-
-    Exit status is non-zero on any false negative *or* a migration that
-    failed to reach DONE — the two invariants the chaos CI job gates on
-    for the reshard suite.
-    """
-    from repro.serve import run_reshard_storm
-
-    storm, reshard, coordinator = run_reshard_storm(
-        seed=args.seed,
-        n_keys=args.n_keys,
-        n_shards=args.shards,
-        phases=phases,
-        reshard_at=args.reshard_at,
-        kind=args.reshard_kind,
-        crash_at_step=args.crash_at_step,
-        budget=args.budget_ms / 1000.0,
-    )
-    _print_storm(f"sharded storm: {storm.n_requests} requests over {args.shards} "
-                 f"shards, fault rate {args.fault_rate}, seed {args.seed}", storm)
-    if args.reshard_at > 0:
-        print(f"\nmigration ({args.reshard_kind} at request "
-              f"{args.reshard_at}"
-              + (f", crash armed at {args.crash_at_step!r}"
-                 if args.crash_at_step else "")
-              + "):")
-        for t, label in reshard.events:
-            print(f"  t={1e3 * t:9.2f} ms  {label}")
-        print(f"  completed: {reshard.completed}  "
-              f"crashes: {reshard.crashes}  "
-              f"recoveries: {reshard.recoveries}")
-        print(f"  keys moved/verified/retired: {reshard.keys_moved}/"
-              f"{reshard.keys_verified}/{reshard.keys_retired} "
-              f"(repairs: {reshard.repairs})")
-        print(f"  double-read amplification: "
-              f"{reshard.double_read_amplification:.3f} "
-              f"({reshard.double_reads} double reads)")
-        print(f"  migration batches shed: {reshard.pump_sheds}")
-        print(f"  routing epoch: {reshard.final_epoch}, shards: "
-              f"{list(reshard.final_shards)}")
+    doc = report.as_dict()
+    for key, value in doc.items():
+        if key == "events":
+            print("events:")
+            for t, label in value:
+                print(f"  t={1e3 * t:9.2f} ms  {label}")
+        else:
+            print(f"{key}: {value:.4f}" if isinstance(value, float) else f"{key}: {value}")
     if args.journal_out:
-        _write_json(args.journal_out, "migration journal", {
-            "journal": coordinator.journal_records(),
-            "report": reshard.as_dict(),
-            "seed": args.seed,
-            "crash_at_step": args.crash_at_step,
-        })
-    ok = storm.false_negatives == 0 and (
-        args.reshard_at <= 0 or reshard.completed
-    )
-    return 0 if ok else 1
-
-
-def _serve_sim_replicated(args, phases) -> int:
-    """serve-sim over a replicated fleet, with an optional kill/heal.
-
-    Exit status is non-zero on any false negative, an unconverged fleet,
-    or leftover handoff backlog — the invariants the chaos CI job gates
-    on for the replica suite.
-    """
-    from repro.serve import run_replica_storm
-
-    storm, rep, store, repairer = run_replica_storm(
-        seed=args.seed,
-        n_keys=args.n_keys,
-        n_nodes=args.replicas,
-        read_quorum=args.repl_quorum or None,
-        phases=phases,
-        kill_at=args.kill_replica_at,
-        heal_at=args.heal_at,
-        wipe=args.wipe_replica,
-        crash_at_step=args.crash_at_step,
-        write_fraction=0.05,
-        budget=args.budget_ms / 1000.0,
-    )
-    _print_storm(f"replicated storm: {storm.n_requests} requests over "
-                 f"{args.replicas} replicas (R={store.replication}, "
-                 f"read quorum {store.read_quorum}), "
-                 f"fault rate {args.fault_rate}, seed {args.seed}", storm)
-    if args.kill_replica_at > 0:
-        print(f"\nreplica lifecycle (kill at request "
-              f"{args.kill_replica_at}"
-              + (", wiped" if args.wipe_replica else "")
-              + (f", heal at {args.heal_at}" if args.heal_at else "")
-              + (f", crash armed at {args.crash_at_step!r}"
-                 if args.crash_at_step else "")
-              + "):")
-        for t, label in rep.events:
-            print(f"  t={1e3 * t:9.2f} ms  {label}")
-        print(f"  crashes: {rep.crashes}  recoveries: {rep.recoveries}")
-    print(f"hints journaled/replayed/dropped: {rep.hints_journaled}/"
-          f"{rep.hints_replayed}/{rep.hints_dropped} "
-          f"(backlog: {rep.backlog})")
-    print(f"anti-entropy: {rep.repairs} records repaired "
-          f"({rep.repair_bytes} bytes), {rep.buckets_checked} buckets "
-          f"checked, {rep.repair_sheds} pumps shed")
-    print(f"digests converged: {rep.converged} (must be true)")
-    if args.journal_out:
-        _write_json(args.journal_out, "replica report", {
-            "report": rep.as_dict(),
-            "seed": args.seed,
-            "replicas": args.replicas,
-            "crash_at_step": args.crash_at_step,
-        })
-    ok = (storm.false_negatives == 0 and rep.converged
-          and rep.backlog == 0 and rep.hints_dropped == 0)
-    return 0 if ok else 1
-
-
-def _serve_sim_tenant(args, phases) -> int:
-    """serve-sim over the multi-tenant Bloofi fleet.
-
-    Exit status is non-zero on any false negative (mid-storm or in the
-    post-drain ground-truth audit) or on a tree invariant failure — the
-    conditions the chaos CI job gates on for the tenant suite.
-    """
-    from repro.serve import TenantQuota, run_tenant_storm
-
-    quota = (
-        TenantQuota(rate=args.tenant_quota, burst=max(1.0, args.tenant_quota / 10))
-        if args.tenant_quota > 0 else None
-    )
-    storm, rep, store = run_tenant_storm(
-        seed=args.seed,
-        n_tenants=args.tenants,
-        n_trees=args.tenant_trees,
-        mode=args.tenant_mode,
-        phases=phases,
-        zipf_skew=args.tenant_zipf,
-        churn_every=args.tenant_churn,
-        quota=quota,
-        budget=args.budget_ms / 1000.0,
-    )
-    _print_storm(f"tenant storm: {storm.n_requests} requests over "
-                 f"{rep.n_tenants_start} tenants ({args.tenant_trees} trees, "
-                 f"mode {args.tenant_mode}, zipf {args.tenant_zipf}), "
-                 f"fault rate {args.fault_rate}, seed {args.seed}", storm)
-    print(f"mean probes per lookup: {rep.mean_probes:.1f} "
-          f"(flat fan-out would be >= {rep.n_tenants_final})")
-    print(f"fleet: {rep.n_tenants_final} tenants, max tree height "
-          f"{rep.max_height}, {rep.tenants_added} provisioned / "
-          f"{rep.tenants_removed} deprovisioned mid-storm")
-    if quota is not None:
-        print(f"quota sheds: {rep.quota_sheds} "
-              f"(rate {args.tenant_quota:g}/s per tenant)")
-    print(f"staleness: {rep.stale_fraction:.4f} of interior bits "
-          f"pre-re-OR, {rep.stale_bits_cleared} cleared, "
-          f"{rep.reor_runs} re-OR runs")
-    print(f"post-drain audit: {rep.audited_keys} keys checked, "
-          f"{rep.audit_false_negatives} lost (must be 0), "
-          f"{rep.invariant_failures} invariant failures (must be 0)")
-    ok = (storm.false_negatives == 0 and rep.audit_false_negatives == 0
-          and rep.invariant_failures == 0)
-    return 0 if ok else 1
+        with open(args.journal_out, "w") as fh:
+            json.dump({"report": doc, "seed": args.seed, "crash_at_step": args.crash_at_step,
+                       **({"journal": journal} if journal is not None else {})},
+                      fh, indent=2, sort_keys=True)
+        print(f"storm report written to {args.journal_out}")
+    failures = storm.failures() + report.failures()
+    for failure in failures:
+        print(f"FAILED: {failure}")
+    print(f"checks: {len(failures)} failed")
+    return 1 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -584,33 +453,19 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--fault-rate must be in [0, 1]")
         if args.budget_ms <= 0:
             parser.error("--budget-ms must be positive")
-        if args.cache_mb < 0:
-            parser.error("--cache-mb must be non-negative")
-        if args.negative_cache < 0:
-            parser.error("--negative-cache must be non-negative")
-        if args.shards < 0:
-            parser.error("--shards must be non-negative")
-        if args.replicas < 0:
-            parser.error("--replicas must be non-negative")
-        if args.replicas > 0 and args.shards > 0:
-            parser.error("--replicas and --shards are mutually exclusive")
-        if args.tenants < 0:
-            parser.error("--tenants must be non-negative")
-        if args.tenants > 0 and (args.shards > 0 or args.replicas > 0):
-            parser.error("--tenants is mutually exclusive with "
-                         "--shards/--replicas")
-        if args.tenant_churn > 0 and args.tenants <= 0:
-            parser.error("--tenant-churn requires --tenants")
-        if args.tenant_quota > 0 and args.tenants <= 0:
-            parser.error("--tenant-quota requires --tenants")
         if args.tenant_trees < 1:
             parser.error("--tenant-trees must be positive")
-        if args.reshard_at > 0 and args.shards <= 0:
-            parser.error("--reshard-at requires --shards")
-        if args.kill_replica_at > 0 and args.replicas <= 0:
-            parser.error("--kill-replica-at requires --replicas")
-        if args.heal_at > 0 and args.kill_replica_at <= 0:
-            parser.error("--heal-at requires --kill-replica-at")
+        for flag in ("cache_mb", "negative_cache", "shards", "replicas", "tenants"):
+            if getattr(args, flag) < 0:
+                parser.error(f"--{flag.replace('_', '-')} must be non-negative")
+        if sum(count > 0 for count in (args.shards, args.replicas, args.tenants)) > 1:
+            parser.error("--shards, --replicas and --tenants are mutually exclusive")
+        for flag, needs in (("tenant_churn", "tenants"), ("tenant_quota", "tenants"),
+                            ("reshard_at", "shards"), ("kill_replica_at", "replicas"),
+                            ("heal_at", "kill_replica_at")):
+            if getattr(args, flag) > 0 and getattr(args, needs) <= 0:
+                parser.error(f"--{flag.replace('_', '-')} requires "
+                             f"--{needs.replace('_', '-')}")
         if args.heal_at > 0 and args.heal_at <= args.kill_replica_at:
             parser.error("--heal-at must come after --kill-replica-at")
         if args.crash_at_step and args.reshard_at <= 0 \

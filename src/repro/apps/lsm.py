@@ -63,7 +63,7 @@ from repro.common.clock import Answer, DeadlineExceeded, LookupResult
 from repro.common.faults import CircuitOpenError, RetryPolicy, TransientIOError
 from repro.common.storage import BlockDevice, IOStats
 from repro.core.errors import ChecksumError
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
 from repro.obs.tracing import trace
 from repro.core.serialize import dumps as filter_dumps
 from repro.core.serialize import frame, loads as filter_loads, unframe, verify as filter_verify
@@ -324,12 +324,6 @@ class LSMTree:
             self.filter_memo = FilterResultCache(self.config.filter_memo_entries)
         self._obs: _LSMMetrics | None = None
 
-    def _metrics(self) -> _LSMMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _LSMMetrics(registry)
-        return self._obs
-
     # -- device helpers ---------------------------------------------------------
 
     def _read_block(self, address):
@@ -375,7 +369,7 @@ class LSMTree:
         self.mutation_epoch += n
         if self.config.wal_enabled:
             self._append_wal(chunk)
-            self._metrics().wal_appends.inc(n)
+            bind_handles(self, _LSMMetrics).wal_appends.inc(n)
         memtable = self._memtable
         for key, value in chunk:
             memtable[key] = value
@@ -401,7 +395,7 @@ class LSMTree:
     def flush(self) -> None:
         if not self._memtable:
             return
-        self._metrics().flushes.inc()
+        bind_handles(self, _LSMMetrics).flushes.inc()
         keys = sorted(self._memtable)
         values = [self._memtable[k] for k in keys]
         self._memtable = {}
@@ -628,7 +622,7 @@ class LSMTree:
             keys = [key for key in keys if merged[key] is not TOMBSTONE]
         self._emit_run(dst_level, keys, list(map(merged.__getitem__, keys)))
         self.stats.compactions += 1
-        self._metrics().compactions.inc()
+        bind_handles(self, _LSMMetrics).compactions.inc()
 
     # -- read path -------------------------------------------------------------------
 
@@ -681,7 +675,7 @@ class LSMTree:
         contract (no false negatives) survives any fault or latency storm.
         """
         if deadline is not None and deadline.expired():
-            self._metrics().lookups.inc()
+            bind_handles(self, _LSMMetrics).lookups.inc()
             self.stats.lookups += 1
             return LookupResult(Answer.MAYBE, complete=False, reason="deadline")
         result = self.lookup_many(
@@ -711,7 +705,7 @@ class LSMTree:
         ``io_hit``/``io_wasted`` each run read, and lookups, probes and
         false positives each key, so a batch of one is a scalar scan.
         """
-        m = self._metrics()
+        m = bind_handles(self, _LSMMetrics)
         stats = self.stats
         m.lookups.inc(len(keys))
         stats.lookups += len(keys)
@@ -1259,7 +1253,7 @@ class LSMTree:
         filter negatives (never false) plus its confirmed false positives.
         """
         reg = registry if registry is not None else default_registry()
-        m = self._metrics() if reg is default_registry() else _LSMMetrics(reg)
+        m = bind_handles(self, _LSMMetrics) if reg is default_registry() else _LSMMetrics(reg)
         fp_rate = reg.gauge(
             "repro_lsm_filter_fp_rate",
             "realised per-level filter false-positive rate", labels=("level",),

@@ -42,7 +42,7 @@ from typing import Any
 
 from repro.common.hashing import splitmix64
 from repro.common.storage import BatchOps, _default_size
-from repro.obs.metrics import MetricsRegistry, WindowedRate, default_registry
+from repro.obs.metrics import MetricsRegistry, WindowedRate, bind_handles
 
 
 @dataclass
@@ -179,12 +179,6 @@ class BlockCache:
         self._in_storm = False
         self._obs: _CacheMetrics | None = None
 
-    def _metrics(self) -> _CacheMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _CacheMetrics(registry)
-        return self._obs
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -199,10 +193,10 @@ class BlockCache:
         if entry is not None:
             self._entries.move_to_end(address)
             self.stats.hits += 1
-            self._metrics().hits.inc()
+            bind_handles(self, _CacheMetrics).hits.inc()
             return True, entry[0]
         self.stats.misses += 1
-        self._metrics().misses.inc()
+        bind_handles(self, _CacheMetrics).misses.inc()
         return False, None
 
     def put(self, address: Any, payload: Any, size: int) -> bool:
@@ -226,7 +220,7 @@ class BlockCache:
             victim = next(iter(self._entries))
             if self._sketch.estimate(address) < self._sketch.estimate(victim):
                 self.stats.admission_rejects += 1
-                self._metrics().rejects.inc()
+                bind_handles(self, _CacheMetrics).rejects.inc()
                 return False
         self._entries[address] = (payload, size)
         self.used_bytes += size
@@ -235,8 +229,8 @@ class BlockCache:
             _, (_, evicted_size) = self._entries.popitem(last=False)
             self.used_bytes -= evicted_size
             self.stats.evictions += 1
-            self._metrics().evictions.inc()
-        self._metrics().used_bytes.set(self.used_bytes)
+            bind_handles(self, _CacheMetrics).evictions.inc()
+        bind_handles(self, _CacheMetrics).used_bytes.set(self.used_bytes)
         return True
 
     def invalidate(self, address: Any) -> bool:
@@ -262,7 +256,7 @@ class BlockCache:
                 dropped += 1
         if not n:
             return 0
-        m = self._metrics()
+        m = bind_handles(self, _CacheMetrics)
         tick = self.stats.requests
         first = self._storm.record(tick)
         last = self._storm.record(tick, n - 1)
@@ -280,7 +274,7 @@ class BlockCache:
         """Drop everything (a crash: the cache is volatile by definition)."""
         self._entries.clear()
         self.used_bytes = 0
-        self._metrics().used_bytes.set(0)
+        bind_handles(self, _CacheMetrics).used_bytes.set(0)
 
 
 class CachedDevice(BatchOps):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry, bind_handles
 
 
 class _ResultMetrics:
@@ -58,13 +58,6 @@ class _ResultMetrics:
         )
 
 
-def _result_metrics(holder) -> _ResultMetrics:
-    registry = default_registry()
-    if holder._obs is None or holder._obs.registry is not registry:
-        holder._obs = _ResultMetrics(registry)
-    return holder._obs
-
-
 class FilterResultCache:
     """Bounded memo of per-run negative filter verdicts.
 
@@ -91,7 +84,7 @@ class FilterResultCache:
 
     def known_negative(self, run_id: int, key: Hashable) -> bool:
         entry_key = (run_id, key)
-        m = _result_metrics(self)
+        m = bind_handles(self, _ResultMetrics)
         if entry_key in self._entries:
             self._entries.move_to_end(entry_key)
             self.hits += 1
@@ -159,12 +152,12 @@ class NegativeLookupCache:
             if self._entries:
                 self._entries.clear()
                 self.epoch_flushes += 1
-                _result_metrics(self).neg_flushes.inc()
+                bind_handles(self, _ResultMetrics).neg_flushes.inc()
             self._epoch = epoch
 
     def known_absent(self, key: Hashable, epoch: Any) -> bool:
         self._sync_epoch(epoch)
-        m = _result_metrics(self)
+        m = bind_handles(self, _ResultMetrics)
         if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.storage import BatchOps, BlockDevice, IOStats, _default_size
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
 from repro.obs.tracing import trace
 
 
@@ -523,14 +523,8 @@ class RetryPolicy:
         )
         return self._prev_backoff
 
-    def _metrics(self) -> _RetryMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _RetryMetrics(registry)
-        return self._obs
-
     def call(self, fn: Callable, *args, **kwargs):
-        attempts = self._metrics().attempts
+        attempts = bind_handles(self, _RetryMetrics).attempts
         for attempt in range(self.max_attempts):
             self.stats.attempts += 1
             try:
@@ -549,5 +543,5 @@ class RetryPolicy:
                 self.stats.backoff_seconds += backoff
                 if self.clock is not None:
                     self.clock.advance(backoff)
-                self._metrics().backoff().observe(backoff)
+                bind_handles(self, _RetryMetrics).backoff().observe(backoff)
         raise AssertionError("unreachable")  # pragma: no cover

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry, bind_handles
 
 
 @dataclass
@@ -126,12 +126,6 @@ class BlockDevice(BatchOps):
         self.stats = IOStats()
         self._obs: _DeviceMetrics | None = None
 
-    def _metrics(self) -> _DeviceMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _DeviceMetrics(registry)
-        return self._obs
-
     def write_many(self, items: Sequence[tuple[Any, Any, int | None]]) -> None:
         """Write every ``(address, payload, size)`` in order; counts one
         device write per item (``size=None`` means the default size)."""
@@ -150,7 +144,7 @@ class BlockDevice(BatchOps):
             return  # an empty batch is no I/O and registers no metrics
         self.stats.writes += n
         self.stats.bytes_written += total_bytes
-        m = self._metrics()
+        m = bind_handles(self, _DeviceMetrics)
         m.writes.inc(n)
         m.bytes_written.inc(total_bytes)
 
@@ -161,7 +155,7 @@ class BlockDevice(BatchOps):
             raise KeyError(f"no block at address {address!r}")
         self.stats.reads += 1
         self.stats.bytes_read += block.size
-        m = self._metrics()
+        m = bind_handles(self, _DeviceMetrics)
         m.reads.inc()
         m.bytes_read.inc(block.size)
         return block.payload

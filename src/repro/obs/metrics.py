@@ -473,3 +473,86 @@ def use_registry(registry: MetricsRegistry | None = None) -> Iterator[MetricsReg
         yield registry
     finally:
         set_default_registry(previous)
+
+
+# -- handles bound once per registry ------------------------------------------------
+
+
+def bind_handles(holder: Any, factory: Any) -> Any:
+    """``holder._obs``: metric handles into the default registry.
+
+    *factory* builds them as ``factory(registry)``, and whatever it
+    returns keeps that registry as ``.registry``.  They are rebuilt only
+    when the default registry has been swapped since, so a hot path
+    resolves each metric once per registry instead of by name per event.
+    """
+    obs = holder._obs
+    if obs is None or obs.registry is not _default:
+        obs = holder._obs = factory(_default)
+    return obs
+
+
+class LazyCounters:
+    """Counter children in one registry, each bound on first use.
+
+    A subclass lists its counters in ``SPEC``: attribute name ->
+    ``(metric name, help, label names, label values)``.  The first read
+    of an attribute registers the family and binds the child, which then
+    stays on the instance as a plain attribute.  A family thus appears in
+    a snapshot only once something has been counted in it.
+    """
+
+    SPEC: dict[str, tuple[str, str, tuple[str, ...], tuple[str, ...]]] = {}
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+
+    def __getattr__(self, attr: str):
+        spec = type(self).SPEC.get(attr)
+        if spec is None:
+            raise AttributeError(attr)
+        name, help, labels, values = spec
+        child = self.registry.counter(name, help, labels).labels(
+            **dict(zip(labels, values)))
+        setattr(self, attr, child)
+        return child
+
+
+def counter_spec(attr: str, name: str, help: str, label: str = "", values=()) -> dict:
+    """``LazyCounters.SPEC`` entries for one counter family: the counter
+    as attribute *attr*, or, with *label*, one child per label value as
+    attribute ``attr + value``."""
+    if not label:
+        return {attr: (name, help, (), ())}
+    return {attr + value: (name, help, (label,), (value,)) for value in values}
+
+
+class CounterWindow:
+    """What a registry's counters counted since the window opened.
+
+    Storm reports read their counts through one, opened before the stack
+    is built: the registry is the only record of a storm's counts, and
+    the window subtracts whatever it held before (another storm, a
+    test's set-up).  Counts survive crash recovery because the registry
+    does; no object has to carry them across.
+    """
+
+    def __init__(self, registry: MetricsRegistry | None = None):
+        self.registry = registry if registry is not None else default_registry()
+        self._start = {
+            (metric.name, tuple(labels.items())): child.value
+            for metric in self.registry.metrics() if isinstance(metric, Counter)
+            for labels, child in metric.series()
+        }
+
+    def count(self, name: str, **labels: str) -> int | float:
+        """The change in counter *name*, summed over its series that
+        match *labels* (0 while the family is unregistered)."""
+        metric = self.registry.get(name)
+        if metric is None:
+            return 0
+        total = 0
+        for values, child in metric.series():
+            if all(values[k] == v for k, v in labels.items()):
+                total += child.value - self._start.get((name, tuple(values.items())), 0)
+        return total

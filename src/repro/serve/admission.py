@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry, bind_handles
 
 
 class Priority(enum.IntEnum):
@@ -163,17 +163,11 @@ class AdmissionController:
         """Drop *tenant*'s bucket state (tenant deprovisioned)."""
         self._buckets.pop(tenant, None)
 
-    def _metrics(self) -> _AdmissionMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _AdmissionMetrics(registry)
-        return self._obs
-
     def admit(
         self, arrival: float, priority: Priority, *, tenant: Any = None
     ) -> AdmissionDecision:
         delay = self.queue_delay(arrival)
-        m = self._metrics()
+        m = bind_handles(self, _AdmissionMetrics)
         m.queue_delay.observe(delay)
         reason = None
         if delay > self.config.delay_budgets[priority]:

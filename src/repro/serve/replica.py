@@ -78,21 +78,57 @@ from repro.common.storage import NamespacedDevice
 from repro.core.errors import ChecksumError
 from repro.core.routing import ConsistentHashRouter, Router
 from repro.core.serialize import frame, unframe
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import (
+    CounterWindow,
+    LazyCounters,
+    bind_handles,
+    counter_spec,
+    default_registry,
+)
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
 from repro.serve.stack import (
     BackgroundGate,
     DurableManifest,
+    NamespacedStore,
     StackParts,
     StormDriver,
+    StormSummary,
     crash_point,
-    retry_policy,
 )
 
 _META_NS = "replmeta"
 _HANDOFF_NS = "handoff"
 _DIGEST_SALT = 0xB0C6
+
+
+class _ReplicaMetrics(LazyCounters):
+    """The store's, the handoff's and the repairer's counters, each
+    registered when first counted."""
+
+    SPEC = {
+        **counter_spec("outcome_", "repro_replica_quorum_outcomes_total",
+                       "replicated lookups by combine-rule outcome", "outcome",
+                       ("lookups", "present", "absent", "maybe")),
+        **counter_spec("node_", "repro_replica_node_events_total",
+                       "replica lifecycle events (kill/heal/taint)", "event",
+                       ("kill", "kill_wipe", "heal", "taint", "taint_cleared",
+                        "boot_taint")),
+        **counter_spec("hints_", "repro_replica_hints_total",
+                       "hinted-handoff records, by action", "action",
+                       ("journaled", "replayed", "dropped")),
+        **counter_spec("repairs_", "repro_replica_repairs_total",
+                       "anti-entropy repair records, by action", "action",
+                       ("streamed",)),
+        **counter_spec("repair_sheds", "repro_replica_repair_sheds_total",
+                       "anti-entropy pumps shed by admission control"),
+        **counter_spec("buckets_checked", "repro_replica_buckets_checked_total",
+                       "anti-entropy (replica, bucket) digest checks"),
+        **counter_spec("repair_bytes", "repro_replica_repair_bytes_total",
+                       "serialized bytes streamed by anti-entropy repair"),
+        **counter_spec("repair_rounds", "repro_replica_repair_rounds_total",
+                       "anti-entropy snapshot rounds started"),
+    }
 
 
 # -- failure detection -------------------------------------------------------------
@@ -203,7 +239,7 @@ def _record_seq(record: Any, default: int = 0) -> int:
     return int(record.get("s", default)) if isinstance(record, dict) else default
 
 
-class ReplicatedStore:
+class ReplicatedStore(NamespacedStore):
     """R-way replicated key store behind the ServedFilter backend contract.
 
     Exposes ``lookup(key, deadline=..., degrade_on_error=...)`` plus
@@ -211,6 +247,8 @@ class ReplicatedStore:
     :class:`~repro.serve.served.ServedFilter` exactly like an LSM-tree
     or a :class:`~repro.serve.reshard.ShardedStore`.
     """
+
+    RETRY_SALT = 0x4E0D
 
     def __init__(
         self,
@@ -234,15 +272,10 @@ class ReplicatedStore:
         read_quorum = replication // 2 + 1 if read_quorum is None else read_quorum
         if not 1 <= read_quorum <= replication:
             raise ValueError("read_quorum must be in [1, replication]")
-        self.device = device
-        self.clock = clock
+        super().__init__(device, config, clock, seed)
         self.injector = injector
-        self.seed = seed
         self.replication = replication
         self.read_quorum = read_quorum
-        self.config = config if config is not None else LSMConfig(
-            memtable_entries=48, retry_attempts=3, seed=seed
-        )
         self.router: Router = ConsistentHashRouter(range(n_nodes), seed=seed)
         self.detector = detector if detector is not None else FailureDetector(
             clock if clock is not None else SimulatedClock()
@@ -252,6 +285,7 @@ class ReplicatedStore:
         self.write_seq = 0
         self._seq_floor = 0
         self._epoch_base = 0
+        self._obs: _ReplicaMetrics | None = None
         self.handoff = HintedHandoff(self, injector=injector)
         for node_id in range(n_nodes):
             self._open_node(node_id)
@@ -260,24 +294,14 @@ class ReplicatedStore:
 
     # -- node plumbing -----------------------------------------------------------
 
-    def _node_retry(self, node_id: int) -> RetryPolicy:
-        return retry_policy(
-            self.config.retry_attempts, self.seed ^ (0x4E0D + node_id), self.clock
-        )
-
-    def _open_tree(self, node_id: int, *, recover: bool = False) -> LSMTree:
+    def _node_tree(self, node_id: int, *, recover: bool = False) -> LSMTree:
         """The node's tree: recovered from its namespace if asked and it
         holds anything, else fresh."""
         ns = NamespacedDevice(self.device, f"r{node_id}")
-        if recover and ns.addresses():
-            tree = LSMTree.recover(ns, self.config)
-        else:
-            tree = LSMTree(self.config, device=ns)
-        tree.retry = self._node_retry(node_id)
-        return tree
+        return self._open_tree(ns, node_id, recover=recover and bool(ns.addresses()))
 
     def _open_node(self, node_id: int, *, recover: bool = False) -> ReplicaNode:
-        node = ReplicaNode(node_id, self._open_tree(node_id, recover=recover))
+        node = ReplicaNode(node_id, self._node_tree(node_id, recover=recover))
         self.nodes[node_id] = node
         return node
 
@@ -399,7 +423,7 @@ class ReplicatedStore:
             ns = node.tree.device
             for address in list(ns.addresses()):
                 ns.delete(address)
-            node.tree = self._open_tree(node_id)
+            node.tree = self._node_tree(node_id)
         self._count_node_event("kill_wipe" if wipe else "kill")
 
     def heal(self, node_id: int) -> None:
@@ -407,7 +431,7 @@ class ReplicatedStore:
         replay restores anything durable) and rejoin the read/write path.
         Taint, if set, stays until anti-entropy clears it."""
         node = self.nodes[node_id]
-        node.tree = self._open_tree(node_id, recover=True)
+        node.tree = self._node_tree(node_id, recover=True)
         node.alive = True
         # The heal itself is an observation that the node is back.
         self.detector.heartbeat(node_id)
@@ -423,24 +447,13 @@ class ReplicatedStore:
         self._write_state_manifest()
         self._count_node_event("taint" if tainted else "taint_cleared")
 
-    @staticmethod
-    def _count_node_event(event: str) -> None:
-        default_registry().counter(
-            "repro_replica_node_events_total",
-            "replica lifecycle events (kill/heal/taint)",
-            labels=("event",),
-        ).labels(event=event).inc()
+    def _count_node_event(self, event: str) -> None:
+        getattr(bind_handles(self, _ReplicaMetrics), "node_" + event).inc()
 
     # -- writes ------------------------------------------------------------------
 
     def put(self, key: Any, value: Any) -> None:
         self._write(key, {"s": self._next_seq(), "v": value})
-
-    def put_many(self, items) -> None:
-        """:meth:`put` each ``(key, value)`` in order: the replicas share
-        one device, so their writes interleave exactly as single puts'."""
-        for key, value in items:
-            self.put(key, value)
 
     def delete(self, key: Any) -> None:
         # A tombstone *record*, not an LSM delete: anti-entropy needs the
@@ -534,10 +547,11 @@ class ReplicatedStore:
         absence needs ``read_quorum`` complete scans from eligible
         replicas, where a tombstone counts as absence evidence.
         """
-        self._count_outcome("lookups")
+        m = bind_handles(self, _ReplicaMetrics)
+        m.outcome_lookups.inc()
         result = combine(self._evidence(key, deadline, degrade_on_error),
                          self.read_quorum)
-        self._count_outcome(result.state.value)
+        getattr(m, "outcome_" + result.state.value).inc()
         return result
 
     def _evidence(self, key: Any, deadline: Deadline | None,
@@ -567,18 +581,6 @@ class ReplicatedStore:
             # Only absence evidence needs the (hint-journal) eligibility test.
             yield result, (result.state is Answer.ABSENT
                            and self._eligible_absent_voter(node))
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        result = self.lookup(key)
-        return result.value if result.state is Answer.PRESENT else default
-
-    @staticmethod
-    def _count_outcome(outcome: str) -> None:
-        default_registry().counter(
-            "repro_replica_quorum_outcomes_total",
-            "replicated lookups by combine-rule outcome",
-            labels=("outcome",),
-        ).labels(outcome=outcome).inc()
 
     # -- maintenance -------------------------------------------------------------
 
@@ -636,9 +638,7 @@ class HintedHandoff:
         self._journal = NamespacedDevice(store.device, _HANDOFF_NS)
         self._retry = RetryPolicy(max_attempts=4, clock=store.clock)
         self._pending: dict[int, int] | None = None  # node_id -> hint count
-        self.journaled = 0
-        self.replayed = 0
-        self.dropped = 0
+        self._obs: _ReplicaMetrics | None = None
 
     # -- journaling --------------------------------------------------------------
 
@@ -664,11 +664,9 @@ class HintedHandoff:
             # write in disguise and must taint the target.
             unframe(self._retry.call(self._journal.read, address))
         except (TransientIOError, ChecksumError, KeyError):
-            self.dropped += 1
             self.store.set_tainted(node_id, True)
             self._count("dropped")
             return
-        self.journaled += 1
         if self._pending is not None:
             self._pending[node_id] = self._pending.get(node_id, 0) + 1
         self._count("journaled")
@@ -729,18 +727,12 @@ class HintedHandoff:
                 self._pending[node_id] -= 1
                 if not self._pending[node_id]:
                     del self._pending[node_id]
-        self.replayed += len(applied)
         self._count("replayed", len(applied))
         crash_point(self.injector, "handoff.replay:batch")
         return len(applied)
 
-    @staticmethod
-    def _count(action: str, n: int = 1) -> None:
-        default_registry().counter(
-            "repro_replica_hints_total",
-            "hinted-handoff records, by action",
-            labels=("action",),
-        ).labels(action=action).inc(n)
+    def _count(self, action: str, n: int = 1) -> None:
+        getattr(bind_handles(self, _ReplicaMetrics), "hints_" + action).inc(n)
 
 
 # -- anti-entropy ------------------------------------------------------------------
@@ -800,12 +792,7 @@ class AntiEntropyRepairer:
         self._building: dict[int, dict[Any, Any]] = {}
         self._snapshot: dict[int, dict[Any, Any]] | None = None
         self._clean_streak: dict[int, int] = {}
-        self.pumps = 0
-        self.sheds = 0
-        self.buckets_checked = 0
-        self.repairs = 0
-        self.repair_bytes = 0
-        self.rounds = 0
+        self._obs: _ReplicaMetrics | None = None
 
     # -- digests -----------------------------------------------------------------
 
@@ -895,13 +882,8 @@ class AntiEntropyRepairer:
         """
         if not force and not self._active():
             return False
-        self.pumps += 1
         if not self.gate.admit(arrival, budget=budget, force=force):
-            self.sheds += 1
-            default_registry().counter(
-                "repro_replica_repair_sheds_total",
-                "anti-entropy pumps shed by admission control",
-            ).inc()
+            bind_handles(self, _ReplicaMetrics).repair_sheds.inc()
             return False
         if not self._scan_queue and not self._cells:
             alive = [
@@ -928,7 +910,7 @@ class AntiEntropyRepairer:
                 self._cells = [
                     (n, b) for n in self._snapshot for b in range(self.n_buckets)
                 ]
-                self.rounds += 1
+                bind_handles(self, _ReplicaMetrics).repair_rounds.inc()
             return True
         node_id, bucket = self._cells[0]
         node = self.store.nodes.get(node_id)
@@ -952,7 +934,8 @@ class AntiEntropyRepairer:
         """Digest-check one cell against the round snapshot, streaming
         repairs under a time budget.  Returns True when the cell is done
         (clean or fully streamed), False to resume next pump."""
-        self.buckets_checked += 1
+        m = bind_handles(self, _ReplicaMetrics)
+        m.buckets_checked.inc()
         snapshot = self._snapshot or {}
         if node_id not in snapshot:
             return True
@@ -966,7 +949,7 @@ class AntiEntropyRepairer:
             return True
         crash_point(self.injector, "repair.stream")
         deadline = self._io_deadline()
-        repaired = 0
+        repaired = repair_bytes = 0
         exhausted = True
         for key, record in sorted(winners.items(), key=lambda kr: str(kr[0])):
             if _record_seq(actual.get(key), -1) >= _record_seq(record):
@@ -980,12 +963,13 @@ class AntiEntropyRepairer:
             if not self.store.apply_record(node_id, key, record):
                 continue
             repaired += 1
-            self.repair_bytes += len(
+            repair_bytes += len(
                 frame(json.dumps([key, record], sort_keys=True,
                                  default=repr).encode())
             )
-        self.repairs += repaired
-        self._count("streamed", repaired)
+        if repaired:
+            m.repairs_streamed.inc(repaired)
+            m.repair_bytes.inc(repair_bytes)
         if not exhausted:
             return False
         # Streaming only adds newer records; a replica holding spurious
@@ -1010,25 +994,6 @@ class AntiEntropyRepairer:
         self._clean_streak[node_id] = 0
         if self.node_digests(node_id) == self.expected_digests(node_id):
             self.store.set_tainted(node_id, False)
-
-    @staticmethod
-    def _count(action: str, n: int) -> None:
-        if n:
-            default_registry().counter(
-                "repro_replica_repairs_total",
-                "anti-entropy repair records, by action",
-                labels=("action",),
-            ).labels(action=action).inc(n)
-
-    def publish_gauges(self) -> None:
-        registry = default_registry()
-        registry.gauge(
-            "repro_replica_repair_bytes",
-            "serialized bytes streamed by anti-entropy repair",
-        ).set(self.repair_bytes)
-        registry.gauge(
-            "repro_replica_repair_rounds", "anti-entropy snapshot rounds started"
-        ).set(self.rounds)
 
 
 # -- storm integration -------------------------------------------------------------
@@ -1080,9 +1045,19 @@ def build_replicated_stack(
 
 
 @dataclass
-class ReplicaReport:
+class ReplicaReport(StormSummary):
     """What one replicated storm did: lifecycle events, handoff and
     repair volumes, convergence."""
+
+    COUNTED = {
+        "hints_journaled": ("repro_replica_hints_total", {"action": "journaled"}),
+        "hints_replayed": ("repro_replica_hints_total", {"action": "replayed"}),
+        "hints_dropped": ("repro_replica_hints_total", {"action": "dropped"}),
+        "repairs": ("repro_replica_repairs_total", {"action": "streamed"}),
+        "repair_bytes": ("repro_replica_repair_bytes_total", {}),
+        "buckets_checked": ("repro_replica_buckets_checked_total", {}),
+        "repair_sheds": ("repro_replica_repair_sheds_total", {}),
+    }
 
     events: list[tuple[float, str]] = field(default_factory=list)
     kills: int = 0
@@ -1099,10 +1074,15 @@ class ReplicaReport:
     converged: bool = False
     backlog: int = 0
 
-    def as_dict(self) -> dict:
-        doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        doc["events"] = [[t, label] for t, label in self.events]
-        return doc
+    def failures(self) -> list[str]:
+        failed = []
+        if not self.converged:
+            failed.append("the replica digests did not converge")
+        if self.backlog:
+            failed.append(f"{self.backlog} hints were never replayed")
+        if self.hints_dropped:
+            failed.append(f"{self.hints_dropped} hints were dropped")
+        return failed
 
 
 def run_replica_storm(
@@ -1134,6 +1114,7 @@ def run_replica_storm(
     rounds run until digests converge.
     Returns ``(storm_report, replica_report, store, repairer)``.
     """
+    window = CounterWindow()
     served, store, repairer, device, injector, latency, clock = (
         build_replicated_stack(
             seed, n_keys, n_nodes,
@@ -1145,18 +1126,8 @@ def run_replica_storm(
     victim = kill_node if kill_node is not None else (1 % n_nodes)
     state = {"store": store, "repairer": repairer}
 
-    def _absorb(old_store: ReplicatedStore, old_repairer: AntiEntropyRepairer):
-        report.hints_journaled += old_store.handoff.journaled
-        report.hints_replayed += old_store.handoff.replayed
-        report.hints_dropped += old_store.handoff.dropped
-        report.repairs += old_repairer.repairs
-        report.repair_bytes += old_repairer.repair_bytes
-        report.buckets_checked += old_repairer.buckets_checked
-        report.repair_sheds += old_repairer.sheds
-
     def recover() -> ReplicatedStore:
         old_store = state["store"]
-        _absorb(old_store, state["repairer"])
         new_store = ReplicatedStore.recover(
             old_store.device, clock=clock,
             detector=FailureDetector(clock), injector=injector,
@@ -1217,9 +1188,8 @@ def run_replica_storm(
         driver.drain(drain_step, 10_000)
 
     final_store, final_repairer = state["store"], state["repairer"]
-    _absorb(final_store, final_repairer)
+    report.read_counts(window)
     report.converged = final_repairer.converged()
     report.backlog = final_store.handoff.pending()
     final_store.publish_gauges()
-    final_repairer.publish_gauges()
     return storm, report, final_store, final_repairer

@@ -39,7 +39,6 @@ from typing import Any
 
 from repro.apps.lsm import LSMConfig, LSMTree, ScrubReport
 from repro.common.clock import (
-    Answer,
     Deadline,
     DeadlineExceeded,
     LookupResult,
@@ -62,16 +61,23 @@ from repro.core.routing import (
 )
 from repro.common.hashing import hash64
 from repro.core.serialize import frame, unframe
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import (
+    CounterWindow,
+    LazyCounters,
+    bind_handles,
+    counter_spec,
+    default_registry,
+)
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
 from repro.serve.stack import (
     BackgroundGate,
     DurableManifest,
+    NamespacedStore,
     StackParts,
     StormDriver,
+    StormSummary,
     crash_point,
-    retry_policy,
     write_verified,
 )
 
@@ -97,6 +103,30 @@ _BOTH_OWNER_STEPS = frozenset({
 _MISSING = object()  # _batched_get sentinel: absent-or-tombstoned
 
 
+class _ReshardMetrics(LazyCounters):
+    """The store's and the coordinator's counters, each registered when
+    first counted."""
+
+    SPEC = {
+        **counter_spec("lookups", "repro_reshard_lookups_total",
+                       "lookups served by the sharded store"),
+        **counter_spec("owner_reads", "repro_reshard_owner_reads_total",
+                       "shard scans by sharded lookups (two per double read)"),
+        **counter_spec("double_reads", "repro_reshard_double_reads_total",
+                       "lookups that consulted both the old and new owner"),
+        **counter_spec("pump_sheds", "repro_reshard_pump_sheds_total",
+                       "migration batches shed by admission control"),
+        **counter_spec("cutovers", "repro_reshard_cutover_epoch_bumps_total",
+                       "routing-table epoch bumps at cutover"),
+        **counter_spec("step_", "repro_reshard_steps_total",
+                       "migration state-machine transitions, by step entered",
+                       "step", [step.value for step in MigrationStep]),
+        **counter_spec("keys_", "repro_reshard_keys_total",
+                       "keys processed by migration, by action",
+                       "action", ("moved", "verified", "repaired", "retired")),
+    }
+
+
 @dataclass
 class MigrationState:
     """One in-flight migration: an (old_router, new_router) pair plus
@@ -110,22 +140,20 @@ class MigrationState:
     new_router: Router
     step: MigrationStep = MigrationStep.PLANNED
     floor: Any = None             # last key durably processed in this step
-    keys_moved: int = 0
-    keys_verified: int = 0
-    keys_retired: int = 0
-    repairs: int = 0
 
     def moving(self, key: Any) -> bool:
         return self.old_router.owner(key) != self.new_router.owner(key)
 
 
-class ShardedStore:
+class ShardedStore(NamespacedStore):
     """Per-shard LSM-trees behind a versioned router, one shared device.
 
     Exposes the deadline-aware ``lookup(key, deadline=...,
     degrade_on_error=...)`` contract, so it can sit directly behind a
     :class:`~repro.serve.served.ServedFilter`.
     """
+
+    RETRY_SALT = 0x51ED
 
     def __init__(
         self,
@@ -139,23 +167,15 @@ class ShardedStore:
         meta_namespace: str = "meta",
         write_manifest: bool = True,
     ):
-        self.device = device
+        super().__init__(device, config, clock, seed)
         self.router = router
-        self.clock = clock
-        self.seed = seed
-        self.config = config if config is not None else LSMConfig(
-            memtable_entries=48, retry_attempts=3, seed=seed
-        )
         self._meta = NamespacedDevice(device, meta_namespace)
         self._meta_retry = RetryPolicy(max_attempts=4, clock=clock)
         self._routing = DurableManifest(self._meta, "routing")
         self.shards: dict[int, LSMTree] = {}
         self.migration: MigrationState | None = None
         self._epoch_base = 0
-        # Read-amplification accounting for the double-read window.
-        self.lookups = 0
-        self.owner_reads = 0
-        self.double_reads = 0
+        self._obs: _ReshardMetrics | None = None
         for sid in shard_ids:
             self.open_shard(sid)
         if write_manifest:
@@ -183,14 +203,7 @@ class ShardedStore:
     def open_shard(self, shard_id: int, *, recover: bool = False) -> LSMTree:
         """Create (or recover) the LSM-tree backing *shard_id*."""
         ns = NamespacedDevice(self.device, f"s{shard_id}")
-        if recover:
-            tree = LSMTree.recover(ns, self.config)
-        else:
-            tree = LSMTree(self.config, device=ns)
-        # Seeded per shard so concurrent retriers stay decorrelated.
-        tree.retry = retry_policy(
-            self.config.retry_attempts, self.seed ^ (0x51ED + shard_id), self.clock
-        )
+        tree = self._open_tree(ns, shard_id, recover=recover)
         self.shards[shard_id] = tree
         return tree
 
@@ -311,12 +324,6 @@ class ShardedStore:
         for sid in self._owners(key):
             self.shards[sid].put(key, value)
 
-    def put_many(self, items) -> None:
-        """:meth:`put` each ``(key, value)`` in order: the shards share
-        one device, so their writes interleave exactly as single puts'."""
-        for key, value in items:
-            self.put(key, value)
-
     def delete(self, key: Any) -> None:
         for sid in self._owners(key):
             self.shards[sid].delete(key)
@@ -334,24 +341,17 @@ class ShardedStore:
         neither owner alone is trusted for absence: the old one may be
         mid-retirement, the new one mid-backfill.
         """
-        self.lookups += 1
+        m = bind_handles(self, _ReshardMetrics)
+        m.lookups.inc()
         owners = self._owners(key)
-        self.owner_reads += len(owners)
+        m.owner_reads.inc(len(owners))
         if len(owners) > 1:
-            self.double_reads += 1
-            default_registry().counter(
-                "repro_reshard_double_reads_total",
-                "lookups that consulted both the old and new owner",
-            ).inc()
+            m.double_reads.inc()
         results = (
             self.shards[sid].lookup(key, deadline=deadline, degrade_on_error=degrade_on_error)
             for sid in owners
         )
         return combine(((result, True) for result in results), len(owners))
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        result = self.lookup(key)
-        return result.value if result.state is Answer.PRESENT else default
 
     # -- maintenance -------------------------------------------------------------
 
@@ -430,7 +430,7 @@ class ReshardCoordinator:
         self.injector = injector
         self.batch_keys = batch_keys
         self._commits_since_journal = 0
-        self.sheds = 0
+        self._obs: _ReshardMetrics | None = None
         self.last_migration: MigrationState | None = None
         self._moving: list[Any] | None = None  # keys left in the current scan
         self._journal_seq = 1 + max(
@@ -534,11 +534,7 @@ class ReshardCoordinator:
         if mig is None:
             return False
         if not self.gate.admit(arrival, budget=budget, force=force):
-            self.sheds += 1
-            default_registry().counter(
-                "repro_reshard_pump_sheds_total",
-                "migration batches shed by admission control",
-            ).inc()
+            bind_handles(self, _ReshardMetrics).pump_sheds.inc()
             return False
         deadline = None
         if self.clock is not None:
@@ -634,7 +630,6 @@ class ReshardCoordinator:
                 continue  # deleted while we scanned; tombstone double-applied
             self.store.shards[mig.new_router.owner(key)].put(key, value)
             moved += 1
-        mig.keys_moved += moved
         self._meter_keys("moved", moved)
         self._commit_batch(mig, batch[:done])
         crash_point(self.injector, "reshard.backfill:batch")
@@ -654,11 +649,8 @@ class ReshardCoordinator:
                 # The copy is missing or stale — re-copy before cutover.
                 self.store.shards[mig.new_router.owner(key)].put(key, src)
                 repaired += 1
-        mig.keys_verified += len(batch)
-        mig.repairs += repaired
         self._meter_keys("verified", len(batch))
-        if repaired:
-            self._meter_keys("repaired", repaired)
+        self._meter_keys("repaired", repaired)
         self._commit_batch(mig, batch)
 
     def _batched_get(self, mig, batch, deadline, *, donors: bool) -> list[Any]:
@@ -697,10 +689,7 @@ class ReshardCoordinator:
         """
         self.store.router = mig.new_router
         self.store._write_routing_manifest()
-        default_registry().counter(
-            "repro_reshard_cutover_epoch_bumps_total",
-            "routing-table epoch bumps at cutover",
-        ).inc()
+        bind_handles(self, _ReshardMetrics).cutovers.inc()
         crash_point(self.injector, "reshard.cutover:manifest")
         self._enter(mig, MigrationStep.RETIRE)
 
@@ -722,7 +711,6 @@ class ReshardCoordinator:
                 break
             self.store.shards[mig.old_router.owner(key)].delete(key)
             done += 1
-        mig.keys_retired += done
         self._meter_keys("retired", done)
         self._commit_batch(mig, batch[:done])
 
@@ -831,19 +819,11 @@ class ReshardCoordinator:
     # -- crash points and telemetry ----------------------------------------------
 
     def _meter_step(self, step: MigrationStep) -> None:
-        default_registry().counter(
-            "repro_reshard_steps_total",
-            "migration state-machine transitions, by step entered",
-            labels=("step",),
-        ).labels(step=step.value).inc()
+        getattr(bind_handles(self, _ReshardMetrics), "step_" + step.value).inc()
 
     def _meter_keys(self, action: str, n: int) -> None:
         if n:
-            default_registry().counter(
-                "repro_reshard_keys_total",
-                "keys processed by migration, by action",
-                labels=("action",),
-            ).labels(action=action).inc(n)
+            getattr(bind_handles(self, _ReshardMetrics), "keys_" + action).inc(n)
 
     def publish_gauges(self) -> None:
         """Point-in-time migration gauges for ``python -m repro stats``."""
@@ -903,12 +883,30 @@ def build_sharded_stack(
 
 
 @dataclass
-class ReshardReport:
-    """What one resharded storm did: step timeline, crashes, amplification."""
+class ReshardReport(StormSummary):
+    """What one resharded storm did: step timeline, crashes, amplification.
+
+    ``requested`` says a migration was asked for; it then fails the
+    storm unless ``completed``.
+    """
+
+    COUNTED = {
+        "keys_moved": ("repro_reshard_keys_total", {"action": "moved"}),
+        "keys_verified": ("repro_reshard_keys_total", {"action": "verified"}),
+        "keys_retired": ("repro_reshard_keys_total", {"action": "retired"}),
+        "repairs": ("repro_reshard_keys_total", {"action": "repaired"}),
+        "lookups": ("repro_reshard_lookups_total", {}),
+        "double_reads": ("repro_reshard_double_reads_total", {}),
+        "owner_reads": ("repro_reshard_owner_reads_total", {}),
+        "pump_sheds": ("repro_reshard_pump_sheds_total", {}),
+    }
+    DERIVED = ("double_read_amplification",)
+    INTERNAL = ("owner_reads", "requested")
 
     events: list[tuple[float, str]] = field(default_factory=list)
     crashes: int = 0
     recoveries: int = 0
+    requested: bool = False
     completed: bool = False
     keys_moved: int = 0
     keys_verified: int = 0
@@ -926,23 +924,10 @@ class ReshardReport:
         """Owner scans per lookup (1.0 outside the double-read window)."""
         return self.owner_reads / self.lookups if self.lookups else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "events": [[t, label] for t, label in self.events],
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "completed": self.completed,
-            "keys_moved": self.keys_moved,
-            "keys_verified": self.keys_verified,
-            "keys_retired": self.keys_retired,
-            "repairs": self.repairs,
-            "lookups": self.lookups,
-            "double_reads": self.double_reads,
-            "double_read_amplification": self.double_read_amplification,
-            "pump_sheds": self.pump_sheds,
-            "final_epoch": self.final_epoch,
-            "final_shards": list(self.final_shards),
-        }
+    def failures(self) -> list[str]:
+        if self.requested and not self.completed:
+            return ["the migration did not complete"]
+        return []
 
 
 def run_reshard_storm(
@@ -975,26 +960,16 @@ def run_reshard_storm(
     flush/compaction behaviour in both runs.
     Returns ``(storm_report, reshard_report, coordinator)``.
     """
+    window = CounterWindow()
     served, store, coordinator, device, injector, latency, clock = (
         build_sharded_stack(seed, n_keys, n_shards, **stack_kwargs)
     )
     phases = CALM_STORM_RECOVERY if phases is None else phases
-    report = ReshardReport()
+    report = ReshardReport(requested=reshard_at > 0)
     state = {"coord": coordinator, "planned": False}
-
-    def _absorb(old_store: ShardedStore, mig: MigrationState | None) -> None:
-        report.lookups += old_store.lookups
-        report.owner_reads += old_store.owner_reads
-        report.double_reads += old_store.double_reads
-        if mig is not None:
-            report.keys_moved += mig.keys_moved
-            report.keys_verified += mig.keys_verified
-            report.keys_retired += mig.keys_retired
-            report.repairs += mig.repairs
 
     def recover() -> ShardedStore:
         old_store = state["coord"].store
-        _absorb(old_store, old_store.migration)
         new_store = ShardedStore.recover(
             old_store.device, clock=clock, config=old_store.config, seed=seed
         )
@@ -1056,14 +1031,8 @@ def run_reshard_storm(
 
     final_coord = state["coord"]
     final_store = final_coord.store
-    _absorb(
-        final_store,
-        final_store.migration
-        if final_store.migration is not None
-        else final_coord.last_migration,
-    )
+    report.read_counts(window)
     report.completed = final_store.migration is None and state["planned"]
-    report.pump_sheds = final_coord.sheds
     report.final_epoch = final_store.router.epoch
     report.final_shards = tuple(sorted(final_store.shards))
     final_coord.publish_gauges()

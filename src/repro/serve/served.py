@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.clock import Answer, Deadline, SimulatedClock
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
 from repro.obs.tracing import trace
 from repro.serve.admission import AdmissionController, Priority
 from repro.serve.breaker import BreakerState
@@ -224,14 +224,8 @@ class ServedFilter:
 
     # -- telemetry ---------------------------------------------------------------
 
-    def _metrics(self) -> _ServeMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _ServeMetrics(registry)
-        return self._obs
-
     def _meter(self, response: ServedResponse) -> None:
-        m = self._metrics()
+        m = bind_handles(self, _ServeMetrics)
         m.requests.labels(
             outcome=response.outcome.value,
             priority=response.priority.name.lower(),

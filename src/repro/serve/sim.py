@@ -113,6 +113,12 @@ class StormReport:
         if present and response.answer is Answer.ABSENT:
             self.false_negatives += 1
 
+    def failures(self) -> list[str]:
+        """The contract's one check: no stored key answered ABSENT."""
+        if self.false_negatives:
+            return [f"{self.false_negatives} stored keys were answered ABSENT"]
+        return []
+
 
 def storm_arrivals(phases, rng, report, injector, latency, fault_kinds, arrival):
     """Yield ``(phase_report, arrival)`` for every request of *phases*.

@@ -2,19 +2,24 @@
 
 The single-tree, sharded, replicated and multi-tenant stacks differ only
 in their backend.  What surrounds it lives here once: the stack's shared
-bottom and top (:class:`StackParts`, :func:`retry_policy`), the
-double-buffered :class:`DurableManifest`, the :class:`BackgroundGate`
-for migration/repair pumps, and the crash-recovering
-:class:`StormDriver` that wraps :func:`repro.serve.sim.run_storm`.
+bottom and top (:class:`StackParts`, :func:`retry_policy`), the trees
+the sharded and replicated stores keep in device namespaces
+(:class:`NamespacedStore`), the double-buffered
+:class:`DurableManifest`, the :class:`BackgroundGate` for
+migration/repair pumps, the crash-recovering :class:`StormDriver` that
+wraps :func:`repro.serve.sim.run_storm`, and :class:`StormSummary`, the
+one shape of the storm reports.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
-from repro.common.clock import SimulatedClock
+from repro.apps.lsm import LSMConfig, LSMTree
+from repro.common.clock import Answer, SimulatedClock
 from repro.common.faults import (
     CircuitOpenError,
     FaultInjector,
@@ -26,6 +31,7 @@ from repro.common.faults import (
 )
 from repro.core.errors import ChecksumError
 from repro.core.serialize import frame, unframe
+from repro.obs.metrics import CounterWindow
 from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
 from repro.serve.breaker import BreakerDevice
 from repro.serve.served import ServedFilter
@@ -84,6 +90,46 @@ class StackParts:
             breaker_device=self.breaker_device, default_budget=budget,
             negative_cache=negative_cache,
         )
+
+
+class NamespacedStore:
+    """LSM-trees kept in namespaces of one shared device.
+
+    The base of :class:`~repro.serve.reshard.ShardedStore` (one tree per
+    shard) and :class:`~repro.serve.replica.ReplicatedStore` (one per
+    replica).  Each subclass defines ``put`` and ``lookup`` itself and
+    names the salt of its trees' retry seeds in ``RETRY_SALT``.
+    """
+
+    RETRY_SALT: ClassVar[int]
+
+    def __init__(self, device: Any, config: LSMConfig | None,
+                 clock: SimulatedClock | None, seed: int):
+        self.device = device
+        self.clock = clock
+        self.seed = seed
+        self.config = config if config is not None else LSMConfig(
+            memtable_entries=48, retry_attempts=3, seed=seed
+        )
+
+    def _open_tree(self, ns: Any, index: int, *, recover: bool) -> LSMTree:
+        """Tree *index* over namespace *ns*: recovered from it, or fresh."""
+        tree = LSMTree.recover(ns, self.config) if recover else LSMTree(self.config, device=ns)
+        # Seeded per tree so concurrent retriers stay decorrelated.
+        tree.retry = retry_policy(
+            self.config.retry_attempts, self.seed ^ (self.RETRY_SALT + index), self.clock
+        )
+        return tree
+
+    def put_many(self, items) -> None:
+        """``put`` each ``(key, value)`` in order: the trees share one
+        device, so their writes interleave exactly as single puts'."""
+        for key, value in items:
+            self.put(key, value)
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        result = self.lookup(key)
+        return result.value if result.state is Answer.PRESENT else default
 
 
 def write_verified(meta: Any, address: Any, payload: bytes) -> None:
@@ -232,3 +278,28 @@ class StormDriver:
         self.served.backend = self._recover()
         report.recoveries += 1
         report.events.append((clock.now(), f"recovered:{where}"))
+
+
+class StormSummary:
+    """The one shape of the reshard, replica and tenant storm reports, each
+    a dataclass.  ``COUNTED`` maps a field to the counter family and
+    labels it sums (docs/observability.md, "Storm reports"), read as the
+    change over the storm.  :meth:`as_dict` is the JSON form: the fields
+    not ``INTERNAL``, plus the ``DERIVED`` properties.  :meth:`failures`
+    names the failed checks.
+    """
+
+    COUNTED: ClassVar[dict[str, tuple[str, dict[str, str]]]] = {}
+    DERIVED: ClassVar[tuple[str, ...]] = ()
+    INTERNAL: ClassVar[tuple[str, ...]] = ()
+
+    def read_counts(self, window: CounterWindow) -> None:
+        for name, (family, labels) in self.COUNTED.items():
+            setattr(self, name, window.count(family, **labels))
+
+    def as_dict(self) -> dict:
+        names = [f.name for f in dataclasses.fields(self) if f.name not in self.INTERNAL]
+        return json.loads(json.dumps({n: getattr(self, n) for n in (*names, *self.DERIVED)}))
+
+    def failures(self) -> list[str]:
+        return []

@@ -47,10 +47,10 @@ from repro.common.faults import FaultInjector, LatencyInjector
 from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.routing import ConsistentHashRouter
 from repro.filters.bloom import BloomFilter
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import CounterWindow, MetricsRegistry, bind_handles, default_registry
 from repro.serve.admission import AdmissionConfig, Priority, TenantQuota
 from repro.serve.sim import StormPhase, StormReport, storm_arrivals
-from repro.serve.stack import StackParts
+from repro.serve.stack import StackParts, StormSummary
 from repro.workloads.synthetic import zipf_queries
 
 
@@ -328,17 +328,23 @@ class TenantRouter:
 
 
 class _TenantMetrics:
-    """Default-registry handles, rebound when the registry is swapped."""
+    """Default-registry handles for one lookup mode, rebound when the
+    registry is swapped."""
 
-    __slots__ = ("registry", "probes", "probes_by_level")
+    __slots__ = ("registry", "lookups", "probes", "probes_by_level")
 
-    def __init__(self, registry: MetricsRegistry):
+    def __init__(self, registry: MetricsRegistry, mode: str):
         self.registry = registry
+        self.lookups = registry.counter(
+            "repro_tenant_lookups_total",
+            "fleet lookups answered by the tenant store, by mode",
+            labels=("mode",),
+        ).labels(mode=mode)
         self.probes = registry.counter(
             "repro_tenant_probes_total",
             "filter probes spent answering fleet lookups, by mode",
             labels=("mode",),
-        )
+        ).labels(mode=mode)
         self.probes_by_level = registry.counter(
             "repro_tenant_probes_by_level_total",
             "tree-node probes by depth (root=0; flat mode books all at 0)",
@@ -373,15 +379,10 @@ class TenantStore:
         self.latency = latency
         self.mode = mode
         self.truth: dict[Any, set] = {}
-        self.lookups = 0
-        self.probes_total = 0
         self._obs: _TenantMetrics | None = None
 
-    def _metrics(self) -> _TenantMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _TenantMetrics(registry)
-        return self._obs
+    def _handles(self, registry: MetricsRegistry) -> _TenantMetrics:
+        return _TenantMetrics(registry, self.mode)
 
     # -- mutations (epoch-versioned for the negative cache) ----------------------
 
@@ -442,7 +443,8 @@ class TenantStore:
         counts filter probes charged, ``runs_skipped`` counts candidates
         left unresolved.
         """
-        self.lookups += 1
+        m = bind_handles(self, self._handles)
+        m.lookups.inc()
         fault = None
         if self.injector is not None and self.mode == "router":
             def fault(kind, detail):
@@ -452,9 +454,7 @@ class TenantStore:
             self.router.query(key, fault=fault) if self.mode == "router"
             else self.router.query_flat(key)
         )
-        self.probes_total += look.probes
-        m = self._metrics()
-        m.probes.labels(mode=self.mode).inc(look.probes)
+        m.probes.inc(look.probes)
         for level, n in look.probes_by_level.items():
             m.probes_by_level.labels(level=str(level)).inc(n)
         evidence = ((result, True) for result in self._sources(key, look, deadline))
@@ -502,15 +502,24 @@ class TenantStore:
 
 
 @dataclass
-class TenantReport:
-    """Fleet-level outcome of one tenant storm."""
+class TenantReport(StormSummary):
+    """Fleet-level outcome of one tenant storm; ``lookups`` and ``probes``
+    leave out the post-drain audit's."""
+
+    COUNTED = {
+        "lookups": ("repro_tenant_lookups_total", {}),
+        "probes": ("repro_tenant_probes_total", {}),
+    }
+    DERIVED = ("mean_probes",)
+    INTERNAL = ("lookups", "probes")
 
     n_tenants_start: int = 0
     n_tenants_final: int = 0
     tenants_added: int = 0
     tenants_removed: int = 0
     quota_sheds: int = 0
-    mean_probes: float = 0.0
+    lookups: int = 0
+    probes: int = 0
     max_height: int = 0
     reor_runs: int = 0
     stale_fraction: float = 0.0
@@ -519,8 +528,18 @@ class TenantReport:
     audit_false_negatives: int = 0
     audited_keys: int = 0
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+    @property
+    def mean_probes(self) -> float:
+        """Filter probes per fleet lookup."""
+        return self.probes / self.lookups if self.lookups else 0.0
+
+    def failures(self) -> list[str]:
+        failed = []
+        if self.audit_false_negatives:
+            failed.append(f"{self.audit_false_negatives} audited keys were lost")
+        if self.invariant_failures:
+            failed.append(f"{self.invariant_failures} tree invariant failures")
+        return failed
 
 
 TENANT_STORM = (
@@ -604,6 +623,7 @@ def run_tenant_storm(
     in the :class:`~repro.serve.sim.StormReport`, exactly like every
     other storm harness in this repo.
     """
+    window = CounterWindow()
     served, store, injector, latency, clock = build_tenant_stack(
         seed,
         n_tenants=n_tenants, keys_per_tenant=keys_per_tenant,
@@ -676,9 +696,7 @@ def run_tenant_storm(
         if served.admission is not None else 0
     )
     tenant_report.n_tenants_final = store.n_tenants
-    tenant_report.mean_probes = (
-        store.probes_total / store.lookups if store.lookups else 0.0
-    )
+    tenant_report.read_counts(window)
     tenant_report.max_height = max(
         (t.height for t in store.router.trees.values()), default=0
     )

@@ -45,3 +45,12 @@ def measured_fpr(filt, negatives) -> float:
     """Fraction of negatives a filter wrongly accepts."""
     hits = sum(1 for key in negatives if filt.may_contain(key))
     return hits / len(negatives)
+
+
+def registry_count(registry, name: str, **labels) -> int:
+    """Counter *name* summed over its series matching *labels*."""
+    metric = registry.get(name)
+    if metric is None:
+        return 0
+    return sum(child.value for values, child in metric.series()
+               if all(values[k] == v for k, v in labels.items()))

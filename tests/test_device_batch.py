@@ -24,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache import BlockCache, CachedDevice
+from repro.cache.block import _CacheMetrics
 from repro.common.clock import SimulatedClock
 from repro.common.faults import (
     CircuitOpenError,
@@ -34,6 +35,7 @@ from repro.common.faults import (
 )
 from repro.common.storage import BlockDevice, NamespacedDevice
 from repro.obs import use_registry
+from repro.obs.metrics import bind_handles
 from repro.serve.breaker import BreakerDevice
 
 _ADDRESSES = st.sampled_from([
@@ -240,7 +242,7 @@ def _invalidate_one_at_a_time(cache, addresses) -> int:
     address, each recording one storm-detector event at the current tick."""
     dropped = 0
     for address in addresses:
-        m = cache._metrics()
+        m = bind_handles(cache, _CacheMetrics)
         entry = cache._entries.pop(address, None)
         if cache._storm.record(cache.stats.requests) > cache._storm_threshold:
             if not cache._in_storm:

@@ -17,7 +17,14 @@ from repro.common.storage import BlockDevice, IOStats
 from repro.core.concurrent import ShardedFilter
 from repro.core.registry import make_filter
 from repro.filters.bloom import BloomFilter
-from repro.obs.metrics import MetricError, _HistogramChild
+from repro.obs.metrics import (
+    CounterWindow,
+    LazyCounters,
+    MetricError,
+    _HistogramChild,
+    bind_handles,
+    counter_spec,
+)
 
 
 @pytest.fixture()
@@ -87,6 +94,53 @@ class TestRegistry:
             assert obs.default_registry() is inner
             assert inner is not outer
         assert obs.default_registry() is outer
+
+
+class _Handles(LazyCounters):
+    SPEC = {
+        **counter_spec("events", "repro_demo_events_total", "events"),
+        **counter_spec("kind_", "repro_demo_kinds_total", "events by kind", "kind",
+                       ("a", "b")),
+    }
+
+
+class _Holder:
+    _obs = None
+
+
+class TestBoundHandles:
+    def test_lazy_counters_register_a_family_on_first_use(self):
+        with obs.use_registry() as registry:
+            handles = _Handles(registry)
+            assert registry.snapshot() == {}
+            handles.kind_a.inc(2)
+            assert registry.names() == ["repro_demo_kinds_total"]
+            assert handles.kind_a is registry.get("repro_demo_kinds_total").labels(kind="a")
+            assert [labels for labels, _ in registry.get("repro_demo_kinds_total").series()] \
+                == [{"kind": "a"}]
+        with pytest.raises(AttributeError):
+            handles.kind_c
+
+    def test_bind_handles_rebinds_after_a_registry_swap(self):
+        holder = _Holder()
+        with obs.use_registry() as first:
+            bound = bind_handles(holder, _Handles)
+            assert bind_handles(holder, _Handles) is bound
+            bound.events.inc()
+        with obs.use_registry() as second:
+            bind_handles(holder, _Handles).events.inc(3)
+        assert first.get("repro_demo_events_total").value == 1
+        assert second.get("repro_demo_events_total").value == 3
+
+    def test_counter_window_counts_only_what_came_after_it(self, registry):
+        registry.counter("repro_demo_kinds_total", labels=("kind",)).labels(kind="a").inc(5)
+        window = CounterWindow(registry)
+        handles = _Handles(registry)
+        handles.kind_a.inc(2)
+        handles.kind_b.inc(7)
+        assert window.count("repro_demo_kinds_total") == 9
+        assert window.count("repro_demo_kinds_total", kind="a") == 2
+        assert window.count("repro_demo_events_total") == 0
 
 
 bucket_specs = st.tuples(

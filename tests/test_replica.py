@@ -29,6 +29,9 @@ from repro.core.routing import (
     ConsistentHashRouter,
     HashRangeRouter,
 )
+from repro.obs import use_registry
+from repro.obs.metrics import CounterWindow
+from tests.conftest import registry_count
 from repro.serve.replica import (
     AntiEntropyRepairer,
     FailureDetector,
@@ -278,9 +281,10 @@ class TestHintedHandoff:
         store, _ = _fresh_store()
         victim = store.replicas_of("k")[0]
         store.kill(victim)
+        window = CounterWindow()
         store.put("k", "v1")
         assert store.handoff.pending_for(victim) == 1
-        assert store.handoff.journaled == 1
+        assert window.count("repro_replica_hints_total", action="journaled") == 1
 
     def test_replay_skips_dead_targets(self):
         store, _ = _fresh_store()
@@ -308,8 +312,9 @@ class TestHintedHandoff:
         victim = store.replicas_of("k")[0]
         store.kill(victim)
         injector.lost_write = {"hint@handoff": 1.0, "*": 0.0}
+        window = CounterWindow()
         store.put("k", "v1")
-        assert store.handoff.dropped == 1
+        assert window.count("repro_replica_hints_total", action="dropped") == 1
         assert store.nodes[victim].tainted
 
     def test_tombstones_travel_through_hints(self):
@@ -404,8 +409,9 @@ class TestAntiEntropy:
         assert store.nodes[1].tainted
         repairer = AntiEntropyRepairer(store)
         assert not repairer.converged()
+        window = CounterWindow()
         self._drain(repairer)
-        assert repairer.repairs > 0
+        assert window.count("repro_replica_repairs_total", action="streamed") > 0
         assert not store.nodes[1].tainted
         owned = [k for k in range(self.N) if 1 in store.replicas_of(k)]
         for key in owned:
@@ -448,8 +454,9 @@ class TestAntiEntropy:
     def test_pump_noops_while_untainted(self):
         store, _ = self._loaded()
         repairer = AntiEntropyRepairer(store)
-        assert not repairer.pump()
-        assert repairer.pumps == 0
+        with use_registry() as registry:
+            assert not repairer.pump()
+        assert registry.snapshot() == {}
 
     def test_taint_needs_full_clean_round_to_clear(self):
         store, _ = self._loaded()
@@ -641,3 +648,39 @@ class TestReplicaStorm:
         assert storm.false_negatives == 0
         assert rep.converged
         assert rep.backlog == 0
+
+
+@pytest.mark.parametrize("crash_step,wipe", [
+    ("handoff.replay", False),
+    ("handoff.replay:applied", False),
+    ("handoff.replay:batch", False),
+    ("repair.stream", True),
+])
+def test_storm_report_counts_what_the_registry_counted(crash_step, wipe):
+    """Crash recovery rebuilds the fleet and copies no counters, so the
+    report reads every count from the registry."""
+    from repro.serve import StormPhase
+
+    phases = (
+        StormPhase("calm", 200),
+        StormPhase("storm", 200, transient_read=0.6, slowdown=4.0, spike_prob=0.05),
+        StormPhase("recovery", 200),
+    )
+    with use_registry() as registry:
+        storm, report, _store, _repairer = run_replica_storm(
+            seed=100, n_keys=800, n_nodes=3, phases=phases, kill_at=150,
+            heal_at=450, wipe=wipe, crash_at_step=crash_step, write_fraction=0.05,
+        )
+    assert storm.false_negatives == 0
+    assert report.crashes == 1 and report.converged and report.backlog == 0
+    reads = {
+        "hints_journaled": ("repro_replica_hints_total", {"action": "journaled"}),
+        "hints_replayed": ("repro_replica_hints_total", {"action": "replayed"}),
+        "hints_dropped": ("repro_replica_hints_total", {"action": "dropped"}),
+        "repairs": ("repro_replica_repairs_total", {"action": "streamed"}),
+        "repair_bytes": ("repro_replica_repair_bytes_total", {}),
+        "buckets_checked": ("repro_replica_buckets_checked_total", {}),
+        "repair_sheds": ("repro_replica_repair_sheds_total", {}),
+    }
+    for field, (name, labels) in reads.items():
+        assert getattr(report, field) == registry_count(registry, name, **labels), field

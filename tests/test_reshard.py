@@ -42,6 +42,8 @@ from repro.core.routing import (
 )
 from repro.filters.bloom import BloomFilter
 from repro.obs import use_registry
+from repro.obs.metrics import CounterWindow
+from tests.conftest import registry_count
 import repro.serve.reshard as reshard_module
 from repro.serve import (
     BreakerState,
@@ -212,19 +214,20 @@ class TestShardedStore:
         device, clock, store = _fresh_store()
         for key in range(100):
             store.put(key, f"v{key}")
+        window = CounterWindow()
         store.lookup(1)
-        assert store.double_reads == 0
+        assert window.count("repro_reshard_double_reads_total") == 0
         coordinator = ReshardCoordinator(store, clock=clock)
         coordinator.plan_split()
         coordinator.pump(force=True)  # -> DOUBLE_WRITE
         mig = store.migration
         moving = [k for k in range(100) if mig.moving(k)]
         assert moving
-        before = store.double_reads
+        before = window.count("repro_reshard_double_reads_total")
         for key in moving:
             result = store.lookup(key)
             assert result.state is not Answer.ABSENT
-        assert store.double_reads == before + len(moving)
+        assert window.count("repro_reshard_double_reads_total") == before + len(moving)
 
     def test_late_double_read_is_a_timeout(self, monkeypatch):
         # Old owner unreachable, then the new owner runs out of time: the
@@ -393,10 +396,11 @@ class TestPumpBudget:
         for key in range(self.N):
             store.put(key, f"v{key}")
         coordinator = ReshardCoordinator(store, clock=clock, batch_keys=8)
+        window = CounterWindow()
         mig = coordinator.plan_split(source=0)
         while mig.step is not step:
             coordinator.pump(budget=10.0, force=True)
-        moved = mig.keys_moved
+        moved = window.count("repro_reshard_keys_total", action="moved")
         target = store.shards[mig.target]
         on_target = {k for k, _v in target.items()}
 
@@ -412,7 +416,8 @@ class TestPumpBudget:
 
         assert unresolved and all(r.reason == "deadline" for r in unresolved)
         assert mig.step is step and mig.floor is None
-        assert mig.keys_moved == moved and mig.keys_verified == 0
+        assert window.count("repro_reshard_keys_total", action="moved") == moved
+        assert window.count("repro_reshard_keys_total", action="verified") == 0
         assert {k for k, _v in target.items()} == on_target
         _pump_to_done(coordinator, store)
         for key in range(self.N):
@@ -696,3 +701,40 @@ class TestReshardStorm:
         assert open_after_recovery == [0]
         assert reshard.completed
         assert storm.false_negatives == 0
+
+
+# The serve-sim crash matrix's storm: 200 calm, 200 storm, 200 recovery.
+SERVE_SIM_STORM = (
+    StormPhase("calm", 200),
+    StormPhase("storm", 200, transient_read=0.6, slowdown=4.0, spike_prob=0.05),
+    StormPhase("recovery", 200),
+)
+
+
+@pytest.mark.parametrize("crash_step", CRASH_STEPS)
+def test_storm_report_counts_what_the_registry_counted(crash_step):
+    """Crash recovery rebuilds state and copies no counters, so the
+    report must read every count from the registry, whichever step the
+    process died at, ``done`` included."""
+    with use_registry() as registry:
+        storm, report, _coordinator = run_reshard_storm(
+            seed=100, n_keys=800, n_shards=4, phases=SERVE_SIM_STORM,
+            reshard_at=150, crash_at_step=crash_step,
+        )
+    assert storm.false_negatives == 0
+    assert report.crashes == 1 and report.completed
+    reads = {
+        "keys_moved": ("repro_reshard_keys_total", {"action": "moved"}),
+        "keys_verified": ("repro_reshard_keys_total", {"action": "verified"}),
+        "keys_retired": ("repro_reshard_keys_total", {"action": "retired"}),
+        "repairs": ("repro_reshard_keys_total", {"action": "repaired"}),
+        "lookups": ("repro_reshard_lookups_total", {}),
+        "owner_reads": ("repro_reshard_owner_reads_total", {}),
+        "double_reads": ("repro_reshard_double_reads_total", {}),
+        "pump_sheds": ("repro_reshard_pump_sheds_total", {}),
+    }
+    for field, (name, labels) in reads.items():
+        assert getattr(report, field) == registry_count(registry, name, **labels), field
+    # Every moving key was copied and then verified.  A backfill batch
+    # re-done after recovery is copied, and counted, twice.
+    assert report.keys_moved >= report.keys_verified > 0
