@@ -74,13 +74,13 @@ def _fleet_config() -> TenantConfig:
 
 def _build_fleet(n_tenants: int) -> tuple[TenantRouter, dict[int, int]]:
     router = TenantRouter(_fleet_config())
-    truth = {}  # one spot-check key per tenant -> owner
-    for tenant in range(n_tenants):
-        router.add_tenant(tenant)
-        base = tenant * KEYS_PER_TENANT
-        router.insert_many(tenant, range(base, base + KEYS_PER_TENANT))
-        truth[base] = tenant
-    return router, truth
+    bases = range(0, n_tenants * KEYS_PER_TENANT, KEYS_PER_TENANT)
+    router.add_tenants(
+        (tenant, range(base, base + KEYS_PER_TENANT))
+        for tenant, base in enumerate(bases)
+    )
+    # One spot-check key per tenant -> owner.
+    return router, {base: tenant for tenant, base in enumerate(bases)}
 
 
 def _measure(n_tenants: int) -> dict:

@@ -7,7 +7,7 @@ fixed at construction, 1.44·log₂(1/ε) bits/key at the optimal hash count.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -142,6 +142,42 @@ class BloomFilter(DynamicFilter):
         bloom = cls(max(1, len(key_list)), epsilon, seed=seed)
         bloom.insert_many(key_list)
         return bloom
+
+
+def insert_each(filters: Sequence[BloomFilter], batches: Sequence[Sequence[Key]]) -> None:
+    """``filters[i].insert_many(batches[i])`` for every i, bit for bit,
+    with one hash pass over all the keys.
+
+    The filters must share one geometry ``(m, k, seed)``, as a Bloofi
+    fleet's leaves do, so one ``_positions_many`` call serves every
+    batch.  The positions scatter into one (filter, word) matrix at word
+    level, and each row is ORed into its filter.
+    """
+    if len(filters) < 2:
+        # Nothing to share: the matrix's fixed cost (about 10 µs) would
+        # only slow a single provisioning, such as a tenant churned in.
+        for filt, batch in zip(filters, batches):
+            filt.insert_many(batch)
+        return
+    first = filters[0]
+    geometry = (first._m, first._k, first.seed)
+    if any((f._m, f._k, f.seed) != geometry for f in filters):
+        raise ValueError("insert_each needs filters of one geometry (m, k, seed)")
+    sizes = [len(batch) for batch in batches]
+    keys = [key for batch in batches for key in batch]
+    if not keys:
+        return
+    pos = first._positions_many(keys)
+    n_words = len(first._bits.words)
+    owner = np.repeat(np.arange(len(filters), dtype=np.uint64), sizes)
+    flat = owner * np.uint64(n_words) + (pos >> np.uint64(6))
+    matrix = np.zeros((len(filters), n_words), dtype=np.uint64)
+    np.bitwise_or.at(matrix.reshape(-1), flat.reshape(-1).astype(np.intp),
+                     (np.uint64(1) << (pos & np.uint64(63))).reshape(-1))
+    for filt, row, n in zip(filters, matrix, sizes):
+        if n:
+            filt._bits.words |= row
+            filt._n += n
 
 
 class BlockedBloomFilter(DynamicFilter):

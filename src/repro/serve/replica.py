@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -455,6 +456,38 @@ class ReplicatedStore(NamespacedStore):
     def put(self, key: Any, value: Any) -> None:
         self._write(key, {"s": self._next_seq(), "v": value})
 
+    def put_many(self, items) -> None:
+        """Bulk-load every ``(key, value)``: sequences are issued key by
+        key, as :meth:`put` issues them, and a dead or suspected replica's
+        writes are hinted in key order, as :meth:`_write` hints them.
+        Each other replica then takes its share in one ``LSMTree.put_many``
+        followed by one heartbeat per write.
+
+        The fault rule (docs/robustness.md, "Bulk load"): a replica whose
+        ``put_many`` raises records one failure and has every write of
+        its batch hinted, which is safe because :meth:`apply_record`
+        skips a record that already landed.  A floor bump that cannot be
+        persisted fails the batch before any write.
+        """
+        writes = [(key, {"s": self._next_seq(), "v": value}) for key, value in items]
+        by_node: dict[int, list] = {}
+        for key, record in writes:
+            for node_id in self.replicas_of(key):
+                if self._reachable(node_id):
+                    by_node.setdefault(node_id, []).append((key, record))
+                else:
+                    self.handoff.add(node_id, key, record)
+        for node_id, batch in by_node.items():
+            try:
+                self.nodes[node_id].tree.put_many(batch)
+            except (TransientIOError, CircuitOpenError):
+                self.detector.record_failure(node_id)
+                for key, record in batch:
+                    self.handoff.add(node_id, key, record)
+            else:
+                for _write in batch:
+                    self.detector.heartbeat(node_id)
+
     def delete(self, key: Any) -> None:
         # A tombstone *record*, not an LSM delete: anti-entropy needs the
         # delete to exist as data so max-seq-wins can converge it.
@@ -482,18 +515,21 @@ class ReplicatedStore(NamespacedStore):
         self.write_seq += 1
         return self.write_seq
 
+    def _reachable(self, node_id: int) -> bool:
+        """Whether a write goes to the replica now, not to a hint: not
+        if it is dead (a failure the detector counts) or suspected."""
+        if not self.nodes[node_id].alive:
+            self.detector.record_failure(node_id)
+            return False
+        return not self.detector.suspected(node_id)
+
     def _write(self, key: Any, record: dict) -> None:
         for node_id in self.replicas_of(key):
-            node = self.nodes[node_id]
-            if not node.alive:
-                self.detector.record_failure(node_id)
-                self.handoff.add(node_id, key, record)
-                continue
-            if self.detector.suspected(node_id):
+            if not self._reachable(node_id):
                 self.handoff.add(node_id, key, record)
                 continue
             try:
-                node.tree.put(key, record)
+                self.nodes[node_id].tree.put(key, record)
             except (TransientIOError, CircuitOpenError):
                 self.detector.record_failure(node_id)
                 self.handoff.add(node_id, key, record)
@@ -637,20 +673,20 @@ class HintedHandoff:
         self.injector = injector
         self._journal = NamespacedDevice(store.device, _HANDOFF_NS)
         self._retry = RetryPolicy(max_attempts=4, clock=store.clock)
+        # Every hint address on the journal, sorted (seq, then node):
+        # scanned once here, since recovery builds a new handoff, then
+        # kept in step by add() and the replay trim.
+        self._addresses: list[tuple] = sorted(
+            a for a in self._journal.addresses()
+            if isinstance(a, tuple) and a[0] == "hint"
+        )
         self._pending: dict[int, int] | None = None  # node_id -> hint count
         self._obs: _ReplicaMetrics | None = None
 
     # -- journaling --------------------------------------------------------------
 
-    def _hint_addresses(self) -> list[tuple]:
-        return sorted(
-            a for a in self._journal.addresses()
-            if isinstance(a, tuple) and a[0] == "hint"
-        )
-
     def max_hint_seq(self) -> int:
-        addresses = self._hint_addresses()
-        return max((a[1] for a in addresses), default=0)
+        return self._addresses[-1][1] if self._addresses else 0
 
     def add(self, node_id: int, key: Any, record: dict) -> None:
         doc = {"node": node_id, "key": key, "record": record}
@@ -664,16 +700,21 @@ class HintedHandoff:
             # write in disguise and must taint the target.
             unframe(self._retry.call(self._journal.read, address))
         except (TransientIOError, ChecksumError, KeyError):
+            # A torn or flipped frame stays on the journal, where replay
+            # skips it, so the list keeps whatever landed.
+            if self._journal.exists(address):
+                insort(self._addresses, address)
             self.store.set_tainted(node_id, True)
             self._count("dropped")
             return
+        insort(self._addresses, address)
         if self._pending is not None:
             self._pending[node_id] = self._pending.get(node_id, 0) + 1
         self._count("journaled")
 
     def _scan_pending(self) -> dict[int, int]:
         pending: dict[int, int] = {}
-        for address in self._hint_addresses():
+        for address in self._addresses:
             pending[address[2]] = pending.get(address[2], 0) + 1
         return pending
 
@@ -700,7 +741,7 @@ class HintedHandoff:
         """
         crash_point(self.injector, "handoff.replay")
         applied: list[tuple] = []
-        for address in self._hint_addresses():
+        for address in self._addresses:
             if len(applied) >= batch:
                 break
             node_id = address[2]
@@ -723,6 +764,7 @@ class HintedHandoff:
         crash_point(self.injector, "handoff.replay:applied")
         for address, node_id in applied:
             self._journal.delete(address)
+            del self._addresses[bisect_left(self._addresses, address)]
             if self._pending is not None and self._pending.get(node_id):
                 self._pending[node_id] -= 1
                 if not self._pending[node_id]:
@@ -790,7 +832,9 @@ class AntiEntropyRepairer:
         self._scan_queue: list[int] = []
         self._cells: list[tuple[int, int]] = []
         self._building: dict[int, dict[Any, Any]] = {}
-        self._snapshot: dict[int, dict[Any, Any]] | None = None
+        # The round's snapshot, split by bucket: node -> one {key: record}
+        # per bucket, in scan order.
+        self._snapshot: dict[int, list[dict[Any, Any]]] | None = None
         self._clean_streak: dict[int, int] = {}
         self._obs: _ReplicaMetrics | None = None
 
@@ -841,8 +885,15 @@ class AntiEntropyRepairer:
                 winners[key] = record
         return winners
 
-    def _bucket_records(self, records: dict, bucket: int) -> dict:
-        return {key: r for key, r in records.items() if self.bucket_of(key) == bucket}
+    def _split(self, snapshot: dict[int, dict[Any, Any]]) -> dict[int, list[dict[Any, Any]]]:
+        """Each replica's scanned records, split by bucket in scan order."""
+        split = {}
+        for node_id, records in snapshot.items():
+            buckets: list[dict[Any, Any]] = [{} for _ in range(self.n_buckets)]
+            for key, record in records.items():
+                buckets[self.bucket_of(key)][key] = record
+            split[node_id] = buckets
+        return split
 
     def converged(self) -> bool:
         """Every alive replica's live digests equal its expected digests."""
@@ -906,7 +957,7 @@ class AntiEntropyRepairer:
                     return True
                 self._scan_queue.pop(0)
             if not self._scan_queue:
-                self._snapshot = self._building
+                self._snapshot = self._split(self._building)
                 self._cells = [
                     (n, b) for n in self._snapshot for b in range(self.n_buckets)
                 ]
@@ -940,10 +991,9 @@ class AntiEntropyRepairer:
         if node_id not in snapshot:
             return True
         winners = self._winners(node_id, (
-            pair for records in snapshot.values() for pair in records.items()
-            if self.bucket_of(pair[0]) == bucket
+            pair for buckets in snapshot.values() for pair in buckets[bucket].items()
         ))
-        actual = self._bucket_records(snapshot[node_id], bucket)
+        actual = snapshot[node_id][bucket]
         if self._chain(winners.items()) == self._chain(actual.items()):
             self._mark_clean(node_id)
             return True
@@ -957,7 +1007,7 @@ class AntiEntropyRepairer:
             if deadline is not None and deadline.expired():
                 exhausted = False  # resume this cell next pump
                 break
-            snapshot[node_id][key] = record
+            actual[key] = record
             # The snapshot can predate a newer write to this replica, so
             # the record lands only if it beats what the replica holds now.
             if not self.store.apply_record(node_id, key, record):
@@ -975,8 +1025,7 @@ class AntiEntropyRepairer:
         # Streaming only adds newer records; a replica holding spurious
         # extras still mismatches, resets the streak, and gets re-checked
         # next round.
-        refreshed = self._bucket_records(snapshot[node_id], bucket)
-        if self._chain(winners.items()) == self._chain(refreshed.items()):
+        if self._chain(winners.items()) == self._chain(actual.items()):
             self._mark_clean(node_id)
         else:
             self._clean_streak[node_id] = 0

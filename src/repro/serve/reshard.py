@@ -324,6 +324,17 @@ class ShardedStore(NamespacedStore):
         for sid in self._owners(key):
             self.shards[sid].put(key, value)
 
+    def put_many(self, items) -> None:
+        """Put every ``(key, value)`` with one ``LSMTree.put_many`` per
+        shard; a key in a migration's double-write window goes to both
+        owners, as :meth:`put` sends it."""
+        by_shard: dict[int, list] = {}
+        for key, value in items:
+            for sid in self._owners(key):
+                by_shard.setdefault(sid, []).append((key, value))
+        for sid, batch in by_shard.items():
+            self.shards[sid].put_many(batch)
+
     def delete(self, key: Any) -> None:
         for sid in self._owners(key):
             self.shards[sid].delete(key)

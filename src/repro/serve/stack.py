@@ -97,8 +97,13 @@ class NamespacedStore:
 
     The base of :class:`~repro.serve.reshard.ShardedStore` (one tree per
     shard) and :class:`~repro.serve.replica.ReplicatedStore` (one per
-    replica).  Each subclass defines ``put`` and ``lookup`` itself and
-    names the salt of its trees' retry seeds in ``RETRY_SALT``.
+    replica).  Each subclass defines ``put``, ``put_many`` and ``lookup``
+    itself and names the salt of its trees' retry seeds in
+    ``RETRY_SALT``.  ``put_many`` is the bulk load: it groups the items
+    by tree and hands each tree its share in one ``LSMTree.put_many``,
+    so every tree sees its own writes in their order and only the
+    interleaving across trees changes (docs/performance.md, "Bulk load
+    for every topology").
     """
 
     RETRY_SALT: ClassVar[int]
@@ -120,12 +125,6 @@ class NamespacedStore:
             self.config.retry_attempts, self.seed ^ (self.RETRY_SALT + index), self.clock
         )
         return tree
-
-    def put_many(self, items) -> None:
-        """``put`` each ``(key, value)`` in order: the trees share one
-        device, so their writes interleave exactly as single puts'."""
-        for key, value in items:
-            self.put(key, value)
 
     def get(self, key: Any, default: Any = None) -> Any:
         result = self.lookup(key)

@@ -13,7 +13,11 @@ per lookup.  This module answers it in O(log N):
   tree plus an *authoritative* per-tenant filter (any registry family —
   the differential suite runs them all); a lookup descends the trees'
   interior ORs, touches only MAYBE subtrees, and confirms each surviving
-  candidate against its authoritative filter.
+  candidate against its authoritative filter.  Provisioning is one path,
+  :meth:`TenantRouter.add_tenants`: every leaf shares one geometry, so
+  a whole batch of tenants' keys hashes in one pass and each pre-loaded
+  leaf ORs into its ancestors as it attaches (``add_tenant`` is a batch
+  of one; docs/performance.md, "Bulk load for every topology").
 * :class:`TenantStore` is the deadline-aware backend
   (``lookup(key, deadline=..., degrade_on_error=...)`` →
   :class:`~repro.common.clock.LookupResult`) that charges simulated
@@ -46,7 +50,7 @@ from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock, c
 from repro.common.faults import FaultInjector, LatencyInjector
 from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.routing import ConsistentHashRouter
-from repro.filters.bloom import BloomFilter
+from repro.filters.bloom import BloomFilter, insert_each
 from repro.obs.metrics import CounterWindow, MetricsRegistry, bind_handles, default_registry
 from repro.serve.admission import AdmissionConfig, Priority, TenantQuota
 from repro.serve.sim import StormPhase, StormReport, storm_arrivals
@@ -156,17 +160,49 @@ class TenantRouter:
             seed=self.config.seed ^ 0xA07,
         )
 
-    def add_tenant(self, tenant, *, authoritative: Any = None) -> None:
-        if tenant in self._auth:
-            raise ValueError(f"tenant {tenant!r} is already provisioned")
-        home = self._placement.owner(tenant)
-        self.trees[home].add_tenant(tenant)
-        self._home[tenant] = home
-        self._auth[tenant] = (
-            authoritative if authoritative is not None
-            else self._make_auth(tenant)
-        )
-        self.mutations += 1
+    def add_tenant(self, tenant) -> None:
+        self.add_tenants([(tenant, ())])
+
+    def add_tenants(self, batch) -> None:
+        """Provision every ``(tenant, keys)`` of *batch*, in order.
+
+        The result is what ``add_tenant(tenant)`` then
+        ``insert_many(tenant, keys)`` per tenant leaves: the same tree
+        shapes, node words, filter words and lengths, and ``mutations``
+        (one step per tenant, plus one if it has keys).  Every summary
+        leaf shares one geometry, so all their keys hash in one pass, and
+        so do the default Bloom authoritative filters' (the Bloofi
+        premise, docs/performance.md).  A *filter_factory* filter takes
+        one ``insert_many``.  Each pre-loaded leaf then attaches through
+        :meth:`BloofiTree.add_tenant`, which ORs it into its ancestors.
+
+        A batch that repeats a tenant or names a provisioned one raises
+        :class:`ValueError` before anything changes.  An authoritative
+        insert that raises (``FilterFullError``) leaves the router as it
+        was too: every filter is filled before the first tenant attaches.
+        """
+        batch = [(tenant, list(keys)) for tenant, keys in batch]
+        seen: set = set()
+        for tenant, _keys in batch:
+            if tenant in self._auth or tenant in seen:
+                raise ValueError(f"tenant {tenant!r} is already provisioned or repeats")
+            seen.add(tenant)
+        homes = [self._placement.owner(tenant) for tenant, _keys in batch]
+        key_lists = [keys for _tenant, keys in batch]
+        leaves = [self.trees[home].make_leaf_filter() for home in homes]
+        insert_each(leaves, key_lists)
+        auths = [self._make_auth(tenant) for tenant, _keys in batch]
+        if self._filter_factory is None:
+            insert_each(auths, key_lists)
+        else:
+            for auth, keys in zip(auths, key_lists):
+                if keys:
+                    auth.insert_many(keys)
+        for (tenant, keys), home, leaf, auth in zip(batch, homes, leaves, auths):
+            self.trees[home].add_tenant(tenant, leaf)
+            self._home[tenant] = home
+            self._auth[tenant] = auth
+            self.mutations += 2 if keys else 1
 
     def remove_tenant(self, tenant) -> None:
         home = self._home.pop(tenant)
@@ -391,11 +427,16 @@ class TenantStore:
         return self.router.mutations
 
     def add_tenant(self, tenant, keys=()) -> None:
-        self.router.add_tenant(tenant)
-        self.truth[tenant] = set()
-        keys = list(keys)
-        if keys:
-            self.put_many(tenant, keys)
+        self.add_tenants([(tenant, keys)])
+
+    def add_tenants(self, batch) -> None:
+        """Provision every ``(tenant, keys)`` through
+        :meth:`TenantRouter.add_tenants`; each tenant's ground truth is
+        its keys."""
+        batch = [(tenant, list(keys)) for tenant, keys in batch]
+        self.router.add_tenants(batch)
+        for tenant, keys in batch:
+            self.truth[tenant] = set(keys)
 
     def remove_tenant(self, tenant) -> None:
         self.router.remove_tenant(tenant)
@@ -404,11 +445,6 @@ class TenantStore:
     def put(self, tenant, key) -> None:
         self.router.insert(tenant, key)
         self.truth[tenant].add(key)
-
-    def put_many(self, tenant, keys) -> None:
-        keys = list(keys)
-        self.router.insert_many(tenant, keys)
-        self.truth[tenant].update(keys)
 
     @property
     def n_tenants(self) -> int:
@@ -579,9 +615,10 @@ def build_tenant_stack(
         router, parts.clock, injector=parts.injector, latency=parts.latency,
         mode=mode,
     )
-    for tenant in range(n_tenants):
-        base = tenant * keys_per_tenant
-        store.add_tenant(tenant, range(base, base + keys_per_tenant))
+    store.add_tenants(
+        (tenant, range(tenant * keys_per_tenant, (tenant + 1) * keys_per_tenant))
+        for tenant in range(n_tenants)
+    )
     if admission_config is None:
         admission_config = AdmissionConfig(tenant_quota=quota)
     elif quota is not None and admission_config.tenant_quota is None:
