@@ -26,7 +26,6 @@ serve-sim [--seed S] [--n-requests N] [--fault-rate R] [--budget-ms B]
           [--heal-at REQ] [--wipe-replica]
           [--tenants N] [--tenant-zipf S] [--tenant-churn EVERY]
           [--tenant-quota RATE] [--tenant-mode router|flat]
-          [--tenant-trees T]
     Run a calm → storm → recovery chaos schedule through the deadline-
     aware serving layer (docs/robustness.md).  Every topology prints the
     per-phase outcome table, goodput and false negatives, then its
@@ -47,11 +46,12 @@ serve-sim [--seed S] [--n-requests N] [--fault-rate R] [--budget-ms B]
     ``--crash-at-step`` also accepts ``handoff.replay``,
     ``handoff.replay:applied``, ``handoff.replay:batch`` and
     ``repair.stream``.  ``--tenants`` serves a multi-tenant fleet behind
-    the Bloofi filter-of-filters router instead (O(log N) probes per
-    lookup): ``--tenant-zipf`` sets the traffic skew, ``--tenant-churn``
-    deprovisions/provisions one tenant every that many requests,
-    ``--tenant-quota`` enables per-tenant token-bucket admission at that
-    rate, and ``--tenant-mode flat`` runs the O(N) fan-out control.
+    the Flat-Bloofi filter-of-filters index instead (one probe per 512
+    tenants per lookup): ``--tenant-zipf`` sets the traffic skew,
+    ``--tenant-churn`` deprovisions/provisions one tenant every that
+    many requests, ``--tenant-quota`` enables per-tenant token-bucket
+    admission at that rate, and ``--tenant-mode flat`` runs the O(N)
+    fan-out control.
 
 (For end-to-end demonstrations, run the scripts in ``examples/``.)
 """
@@ -289,7 +289,7 @@ def _cmd_serve_sim(args) -> int:
             quota = serve.TenantQuota(rate=args.tenant_quota,
                                       burst=max(1.0, args.tenant_quota / 10))
         run, kwargs = serve.run_tenant_storm, dict(
-            n_tenants=args.tenants, n_trees=args.tenant_trees, mode=args.tenant_mode,
+            n_tenants=args.tenants, mode=args.tenant_mode,
             zipf_skew=args.tenant_zipf, churn_every=args.tenant_churn, quota=quota)
     else:
         run, kwargs = _tree_storm, dict(
@@ -409,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="heal the killed replica at this request "
                               "number (0 = never during the storm)")
     p_serve.add_argument("--tenants", type=int, default=0,
-                         help="serve a multi-tenant fleet behind the Bloofi "
+                         help="serve a multi-tenant fleet behind the Flat-Bloofi "
                               "router (0 = the classic single-tree stack; "
                               "mutually exclusive with --shards/--replicas)")
     p_serve.add_argument("--tenant-zipf", type=float, default=1.1,
@@ -424,11 +424,9 @@ def main(argv: list[str] | None = None) -> int:
                               "requests/s (0 disables; requires --tenants)")
     p_serve.add_argument("--tenant-mode", choices=["router", "flat"],
                          default="router",
-                         help="Bloofi router (O(log N) probes) or the flat "
-                              "fan-out control (O(N) probes)")
-    p_serve.add_argument("--tenant-trees", type=int, default=4,
-                         help="number of Bloofi trees the fleet is "
-                              "consistent-hashed over")
+                         help="Flat-Bloofi index (one probe per 512 "
+                              "tenants) or the flat fan-out control "
+                              "(one probe per tenant)")
     p_serve.add_argument("--wipe-replica", action="store_true",
                          help="destroy the killed replica's data, forcing "
                               "anti-entropy to rebuild it")
@@ -453,8 +451,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--fault-rate must be in [0, 1]")
         if args.budget_ms <= 0:
             parser.error("--budget-ms must be positive")
-        if args.tenant_trees < 1:
-            parser.error("--tenant-trees must be positive")
         for flag in ("cache_mb", "negative_cache", "shards", "replicas", "tenants"):
             if getattr(args, flag) < 0:
                 parser.error(f"--{flag.replace('_', '-')} must be non-negative")

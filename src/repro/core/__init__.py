@@ -32,12 +32,11 @@ from repro.core.interfaces import (
     RangeFilter,
     StaticFilter,
 )
-from repro.core.bloofi import BloofiConfig, BloofiLookup, BloofiTree
+from repro.core.bloofi import BloofiLookup, BloofiTree
 from repro.core.registry import FEATURE_MATRIX, available_filters, make_filter
 
 __all__ = [
     "AdaptiveFilter",
-    "BloofiConfig",
     "BloofiLookup",
     "BloofiTree",
     "ChecksumError",

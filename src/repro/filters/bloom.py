@@ -85,9 +85,10 @@ class BloomFilter(DynamicFilter):
         """The k probe positions for *key* as an int64 array.
 
         Public so aggregating structures that share this filter's
-        geometry — the Bloofi tree ORs same-shape leaves and must test
-        the *identical* bits (:mod:`repro.core.bloofi`) — can compute a
-        key's probe set once and reuse it at every level.
+        geometry — the Flat-Bloofi index stores same-shape summaries as
+        rows and must test the *identical* bits
+        (:mod:`repro.core.bloofi`) — can compute a key's probe set once
+        and reuse it for every summary.
         """
         return np.asarray(self._positions(key), dtype=np.int64)
 
@@ -148,10 +149,11 @@ def insert_each(filters: Sequence[BloomFilter], batches: Sequence[Sequence[Key]]
     """``filters[i].insert_many(batches[i])`` for every i, bit for bit,
     with one hash pass over all the keys.
 
-    The filters must share one geometry ``(m, k, seed)``, as a Bloofi
-    fleet's leaves do, so one ``_positions_many`` call serves every
-    batch.  The positions scatter into one (filter, word) matrix at word
-    level, and each row is ORed into its filter.
+    The filters must share one geometry ``(m, k, seed)``, as a tenant
+    fleet's default authoritative filters do, so one
+    ``_positions_many`` call serves every batch.  The positions scatter
+    into one (filter, word) matrix at word level, and each row is ORed
+    into its filter.
     """
     if len(filters) < 2:
         # Nothing to share: the matrix's fixed cost (about 10 µs) would

@@ -467,26 +467,33 @@ class ReplicatedStore(NamespacedStore):
         ``put_many`` raises records one failure and has every write of
         its batch hinted, which is safe because :meth:`apply_record`
         skips a record that already landed.  A floor bump that cannot be
-        persisted fails the batch before any write.
+        persisted fails the batch before any write.  After the whole
+        batch, a write that reached no replica and no verified hint
+        raises :class:`TransientIOError`, naming its keys, as
+        :meth:`_write` does.
         """
         writes = [(key, {"s": self._next_seq(), "v": value}) for key, value in items]
-        by_node: dict[int, list] = {}
-        for key, record in writes:
+        landed: set[int] = set()  # writes held by a replica or a verified hint
+        by_node: dict[int, list[int]] = {}
+        for i, (key, record) in enumerate(writes):
             for node_id in self.replicas_of(key):
                 if self._reachable(node_id):
-                    by_node.setdefault(node_id, []).append((key, record))
-                else:
-                    self.handoff.add(node_id, key, record)
+                    by_node.setdefault(node_id, []).append(i)
+                elif self.handoff.add(node_id, key, record):
+                    landed.add(i)
         for node_id, batch in by_node.items():
             try:
-                self.nodes[node_id].tree.put_many(batch)
+                self.nodes[node_id].tree.put_many([writes[i] for i in batch])
             except (TransientIOError, CircuitOpenError):
                 self.detector.record_failure(node_id)
-                for key, record in batch:
-                    self.handoff.add(node_id, key, record)
+                landed.update(i for i in batch if self.handoff.add(node_id, *writes[i]))
             else:
+                landed.update(batch)
                 for _write in batch:
                     self.detector.heartbeat(node_id)
+        lost = [key for i, (key, _record) in enumerate(writes) if i not in landed]
+        if lost:
+            raise TransientIOError(f"writes of {lost!r} reached no replica and no durable hint")
 
     def delete(self, key: Any) -> None:
         # A tombstone *record*, not an LSM delete: anti-entropy needs the
@@ -524,17 +531,26 @@ class ReplicatedStore(NamespacedStore):
         return not self.detector.suspected(node_id)
 
     def _write(self, key: Any, record: dict) -> None:
+        """Write *record* to every replica of *key*, hinting the ones it
+        cannot reach.  A write that reached no replica and no verified
+        hint raises :class:`TransientIOError` once every replica was
+        tried: acknowledged, anti-entropy would converge on a union
+        state without it, and the key would read ABSENT."""
+        landed = False
         for node_id in self.replicas_of(key):
             if not self._reachable(node_id):
-                self.handoff.add(node_id, key, record)
+                landed |= self.handoff.add(node_id, key, record)
                 continue
             try:
                 self.nodes[node_id].tree.put(key, record)
             except (TransientIOError, CircuitOpenError):
                 self.detector.record_failure(node_id)
-                self.handoff.add(node_id, key, record)
+                landed |= self.handoff.add(node_id, key, record)
             else:
                 self.detector.heartbeat(node_id)
+                landed = True
+        if not landed:
+            raise TransientIOError(f"write of {key!r} reached no replica and no durable hint")
 
     def apply_record(self, node_id: int, key: Any, record: dict) -> bool:
         """Idempotently land *record* on a replica (hint replay, repair):
@@ -688,7 +704,8 @@ class HintedHandoff:
     def max_hint_seq(self) -> int:
         return self._addresses[-1][1] if self._addresses else 0
 
-    def add(self, node_id: int, key: Any, record: dict) -> None:
+    def add(self, node_id: int, key: Any, record: dict) -> bool:
+        """Journal one missed write; returns whether its frame verified."""
         doc = {"node": node_id, "key": key, "record": record}
         payload = frame(json.dumps(doc, sort_keys=True).encode())
         address = ("hint", record["s"], node_id)
@@ -706,11 +723,12 @@ class HintedHandoff:
                 insort(self._addresses, address)
             self.store.set_tainted(node_id, True)
             self._count("dropped")
-            return
+            return False
         insort(self._addresses, address)
         if self._pending is not None:
             self._pending[node_id] = self._pending.get(node_id, 0) + 1
         self._count("journaled")
+        return True
 
     def _scan_pending(self) -> dict[int, int]:
         pending: dict[int, int] = {}

@@ -1,23 +1,21 @@
-"""Multi-tenant serving: a Bloofi filter-of-filters router for the fleet.
+"""Multi-tenant serving: a Flat-Bloofi filter-of-filters router for the fleet.
 
 The fleet problem: thousands-to-millions of tenants, each with its own
 filter, and a global question — *which tenant may hold this key?*
 ``ShardedFilter`` answers it by probing every shard, O(N) filter reads
-per lookup.  This module answers it in O(log N):
+per lookup.  This module answers it from one bit-sliced index:
 
-* :class:`TenantRouter` places every tenant onto one of a few
-  :class:`~repro.core.bloofi.BloofiTree` s via the existing
-  :class:`~repro.core.routing.ConsistentHashRouter` (so tenant
-  arrival/departure moves ~1/T of the fleet, same placement math as the
-  replica tier).  Each tenant has a *summary* Bloom leaf inside its
-  tree plus an *authoritative* per-tenant filter (any registry family —
-  the differential suite runs them all); a lookup descends the trees'
-  interior ORs, touches only MAYBE subtrees, and confirms each surviving
-  candidate against its authoritative filter.  Provisioning is one path,
-  :meth:`TenantRouter.add_tenants`: every leaf shares one geometry, so
-  a whole batch of tenants' keys hashes in one pass and each pre-loaded
-  leaf ORs into its ancestors as it attaches (``add_tenant`` is a batch
-  of one; docs/performance.md, "Bulk load for every topology").
+* :class:`TenantRouter` keeps three things: the index
+  (:class:`~repro.core.bloofi.BloofiTree`, where each tenant's summary
+  Bloom filter is one column of the rows), each tenant's
+  *authoritative* filter (any registry family — the differential suite
+  runs them all), and the O(N) flat control.  A lookup ANDs the key's k
+  rows, ``ceil(S / 512)`` probes over *S* slots, and confirms each
+  surviving candidate against its authoritative filter.  Provisioning
+  is one path, :meth:`TenantRouter.add_tenants`: the index hashes a
+  whole batch of tenants' keys in one pass and scatters the bits in one
+  step (``add_tenant`` is a batch of one; docs/performance.md, "Bulk
+  load for every topology").  Removing a tenant clears its column.
 * :class:`TenantStore` is the deadline-aware backend
   (``lookup(key, deadline=..., degrade_on_error=...)`` →
   :class:`~repro.common.clock.LookupResult`) that charges simulated
@@ -26,9 +24,10 @@ per lookup.  This module answers it in O(log N):
   against ground truth.  Tri-state contract as everywhere else:
   PRESENT on a ground-truth hit, ABSENT only when every tenant was
   ruled out cleanly, MAYBE whenever chaos or the deadline got in the
-  way.  A degraded interior node *widens* the descent (all children
-  visited); a degraded leaf or store read *forces* its tenant into the
-  candidate set — degradation can cost probes, never a false ABSENT.
+  way.  An unreadable index line reads as all ones, so its tenants stay
+  candidates; a degraded authoritative filter or store read *forces*
+  its tenant into the candidate set — degradation can cost probes,
+  never a false ABSENT.
 * :func:`run_tenant_storm` drives Zipf-distributed multi-tenant traffic
   (per-tenant quota buckets at admission, tenant churn mid-storm) and
   audits the invariants after the drain.
@@ -48,8 +47,7 @@ import numpy as np
 
 from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock, combine
 from repro.common.faults import FaultInjector, LatencyInjector
-from repro.core.bloofi import BloofiConfig, BloofiTree
-from repro.core.routing import ConsistentHashRouter
+from repro.core.bloofi import BloofiTree
 from repro.filters.bloom import BloomFilter, insert_each
 from repro.obs.metrics import CounterWindow, MetricsRegistry, bind_handles, default_registry
 from repro.serve.admission import AdmissionConfig, Priority, TenantQuota
@@ -60,28 +58,12 @@ from repro.workloads.synthetic import zipf_queries
 
 @dataclass(frozen=True)
 class TenantConfig:
-    """Fleet shape: how many Bloofi trees, and each tree's geometry."""
+    """Fleet geometry: every tenant's summary filter is
+    ``BloomFilter(leaf_capacity, epsilon, seed=seed)``."""
 
-    n_trees: int = 4
     leaf_capacity: int = 64
     epsilon: float = 0.01
     seed: int = 0
-    max_fanout: int = 8
-    reor_interval: int = 64
-    vnodes: int = 16
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be positive")
-
-    def bloofi_config(self) -> BloofiConfig:
-        return BloofiConfig(
-            leaf_capacity=self.leaf_capacity,
-            epsilon=self.epsilon,
-            seed=self.seed,
-            max_fanout=self.max_fanout,
-            reor_interval=self.reor_interval,
-        )
 
 
 @dataclass
@@ -90,27 +72,29 @@ class TenantLookup:
 
     ``tenants`` is the final candidate set (summary said MAYBE *and* the
     authoritative filter could not rule the tenant out).  ``probes`` is
-    every filter actually read — tree nodes, summary leaves, and
-    authoritative confirmations — the number the router-vs-flat
-    benchmark compares.  Degradation only ever adds names to
-    ``tenants``/``forced``; it never removes them.
+    every filter test charged: the index's, one per 512-slot line (the
+    flat control's, one per tenant), and the authoritative
+    confirmations — the number the router-vs-flat benchmark compares.
+    ``unreadable`` counts the index reads that faulted and ``forced``
+    the tenants whose authoritative filter did; degradation only ever
+    adds names to ``tenants``, it never removes them.
     """
 
     tenants: list = field(default_factory=list)
     probes: int = 0
-    probes_by_level: dict[int, int] = field(default_factory=dict)
     auth_probes: int = 0
-    degraded_descents: int = 0
+    unreadable: int = 0
     forced: list = field(default_factory=list)
 
 
 class TenantRouter:
-    """Consistent-hash placement of tenants over Bloofi trees.
+    """A Flat-Bloofi index over the fleet's summaries, plus each
+    tenant's authoritative filter.
 
     *filter_factory*, if given, builds each tenant's authoritative
     filter (``factory(tenant) -> Filter``); the default is a Bloom
-    filter sized like the summary leaves.  The differential suite
-    injects every registry family through this hook.
+    filter sized like the summaries.  The differential suite injects
+    every registry family through this hook.
     """
 
     def __init__(
@@ -120,20 +104,13 @@ class TenantRouter:
         filter_factory: Callable[[Any], Any] | None = None,
     ):
         self.config = config if config is not None else TenantConfig()
-        self._placement = ConsistentHashRouter(
-            range(self.config.n_trees),
-            seed=self.config.seed,
-            vnodes=self.config.vnodes,
+        self.index = BloofiTree(
+            self.config.leaf_capacity, self.config.epsilon, seed=self.config.seed
         )
-        self.trees: dict[int, BloofiTree] = {
-            tid: BloofiTree(self.config.bloofi_config())
-            for tid in self._placement.shard_ids()
-        }
         self._filter_factory = filter_factory
         self._auth: dict[Any, Any] = {}
-        self._home: dict[Any, int] = {}
-        # Bumped on every mutation; versions the stacked flat-probe
-        # matrix and any caller-side caches (negative cache epoch).
+        # Bumped on every mutation; versions the flat control's words
+        # and any caller-side caches (negative cache epoch).
         self.mutations = 0
         self._flat_cache: tuple[int, list, np.ndarray] | None = None
 
@@ -167,30 +144,19 @@ class TenantRouter:
         """Provision every ``(tenant, keys)`` of *batch*, in order.
 
         The result is what ``add_tenant(tenant)`` then
-        ``insert_many(tenant, keys)`` per tenant leaves: the same tree
-        shapes, node words, filter words and lengths, and ``mutations``
-        (one step per tenant, plus one if it has keys).  Every summary
-        leaf shares one geometry, so all their keys hash in one pass, and
-        so do the default Bloom authoritative filters' (the Bloofi
-        premise, docs/performance.md).  A *filter_factory* filter takes
-        one ``insert_many``.  Each pre-loaded leaf then attaches through
-        :meth:`BloofiTree.add_tenant`, which ORs it into its ancestors.
+        ``insert_many(tenant, keys)`` per tenant leaves: the same rows,
+        slots, filter words and lengths, and ``mutations`` (one step per
+        tenant, plus one if it has keys).  The index hashes the whole
+        batch in one pass, and so do the default Bloom authoritative
+        filters; a *filter_factory* filter takes one ``insert_many``.
 
-        A batch that repeats a tenant or names a provisioned one raises
-        :class:`ValueError` before anything changes.  An authoritative
-        insert that raises (``FilterFullError``) leaves the router as it
-        was too: every filter is filled before the first tenant attaches.
+        Nothing changes when the batch fails: every authoritative filter
+        is filled (an insert may raise ``FilterFullError``) before the
+        index takes the batch, and the index raises :class:`ValueError`
+        for a repeated or provisioned tenant before it changes.
         """
         batch = [(tenant, list(keys)) for tenant, keys in batch]
-        seen: set = set()
-        for tenant, _keys in batch:
-            if tenant in self._auth or tenant in seen:
-                raise ValueError(f"tenant {tenant!r} is already provisioned or repeats")
-            seen.add(tenant)
-        homes = [self._placement.owner(tenant) for tenant, _keys in batch]
         key_lists = [keys for _tenant, keys in batch]
-        leaves = [self.trees[home].make_leaf_filter() for home in homes]
-        insert_each(leaves, key_lists)
         auths = [self._make_auth(tenant) for tenant, _keys in batch]
         if self._filter_factory is None:
             insert_each(auths, key_lists)
@@ -198,27 +164,25 @@ class TenantRouter:
             for auth, keys in zip(auths, key_lists):
                 if keys:
                     auth.insert_many(keys)
-        for (tenant, keys), home, leaf, auth in zip(batch, homes, leaves, auths):
-            self.trees[home].add_tenant(tenant, leaf)
-            self._home[tenant] = home
+        self.index.add_tenants(batch)
+        for (tenant, keys), auth in zip(batch, auths):
             self._auth[tenant] = auth
             self.mutations += 2 if keys else 1
 
     def remove_tenant(self, tenant) -> None:
-        home = self._home.pop(tenant)
-        self.trees[home].remove_tenant(tenant)
+        self.index.remove_tenant(tenant)
         del self._auth[tenant]
         self.mutations += 1
 
     def insert(self, tenant, key) -> None:
-        """Insert into both the summary leaf and the authoritative filter.
+        """Insert into both the summary column and the authoritative filter.
 
         The mutation counter bumps even if the authoritative insert
-        throws (e.g. FilterFullError): the summary leaf's bits changed
-        in place either way, and a stale flat-probe matrix would make
-        the flat oracle disagree with the tree.
+        throws (e.g. FilterFullError): the summary's bits changed in
+        place either way, and stale flat-control words would make the
+        flat oracle disagree with the index.
         """
-        self.trees[self._home[tenant]].insert(tenant, key)
+        self.index.insert(tenant, key)
         try:
             self._auth[tenant].insert(key)
         finally:
@@ -228,7 +192,7 @@ class TenantRouter:
         keys = list(keys)
         if not keys:
             return
-        self.trees[self._home[tenant]].insert_many(tenant, keys)
+        self.index.insert_many(tenant, keys)
         try:
             self._auth[tenant].insert_many(keys)
         finally:
@@ -249,30 +213,15 @@ class TenantRouter:
 
     @property
     def size_in_bits(self) -> int:
-        return (
-            sum(t.size_in_bits for t in self.trees.values())
-            + sum(f.size_in_bits for f in self._auth.values())
-        )
+        return self.index.size_in_bits + sum(f.size_in_bits for f in self._auth.values())
 
     def check_invariants(self) -> list[str]:
-        """Every tree's structural audit, plus placement consistency."""
-        failures = []
-        for tid, tree in self.trees.items():
-            failures.extend(f"tree {tid}: {msg}" for msg in tree.check_invariants())
-        for tenant, home in self._home.items():
-            if tenant not in self.trees[home]:
-                failures.append(f"tenant {tenant!r} missing from tree {home}")
-        if sorted(self._home, key=repr) != sorted(self._auth, key=repr):
-            failures.append("placement map and authoritative registry disagree")
+        """The index's slot audit, plus its agreement with the
+        authoritative registry."""
+        failures = self.index.check_invariants()
+        if sorted(self.index.tenant_ids(), key=repr) != sorted(self._auth, key=repr):
+            failures.append("index and authoritative registry disagree")
         return failures
-
-    def reor_all(self) -> int:
-        """Full re-OR of every tree; returns total stale bits cleared."""
-        return sum(tree.reor() for tree in self.trees.values())
-
-    def stale_fraction(self) -> float:
-        fractions = [t.stale_fraction() for t in self.trees.values() if len(t)]
-        return max(fractions) if fractions else 0.0
 
     # -- lookups -----------------------------------------------------------------
 
@@ -282,78 +231,47 @@ class TenantRouter:
         *,
         fault: Callable[[str, Any], bool] | None = None,
     ) -> TenantLookup:
-        """Which tenants may hold *key*?  O(log N) descent per tree.
+        """Which tenants may hold *key*?  ``ceil(S / 512)`` index probes
+        over *S* slots, then one authoritative probe per candidate.
 
         *fault*, if given, is called as ``fault(kind, detail)`` with
-        ``kind`` in ``{"node", "leaf", "auth"}``; a True return degrades
-        that read.  Degraded node → descend everything below it;
-        degraded leaf or authoritative filter → the tenant stays a
-        candidate (listed in ``forced``).  The candidate set under
-        faults is always a superset of the fault-free one.
+        ``kind`` in ``{"row", "auth"}``; a True return degrades that
+        read.  An unreadable index line reads as all ones (its tenants
+        stay candidates); a degraded authoritative filter keeps its
+        tenant a candidate (listed in ``forced``).  The candidate set
+        under faults is always a superset of the fault-free one.
         """
-        result = TenantLookup()
-        for tree in self.trees.values():
-            if not len(tree):
+        look = self.index.candidates(key, fault=fault)
+        result = TenantLookup(probes=look.probes, unreadable=look.unreadable)
+        for tenant in look.tenants:
+            if fault is not None and fault("auth", tenant):
+                result.tenants.append(tenant)
+                result.forced.append(tenant)
                 continue
-            look = tree.candidates(key, fault=fault)
-            result.probes += look.probes
-            for level, n in look.probes_by_level.items():
-                result.probes_by_level[level] = (
-                    result.probes_by_level.get(level, 0) + n
-                )
-            result.degraded_descents += look.degraded_descents
-            result.forced.extend(look.degraded_leaves)
-            forced = set(look.degraded_leaves)
-            for tenant in look.tenants:
-                if tenant in forced:
-                    result.tenants.append(tenant)
-                    continue
-                if fault is not None and fault("auth", tenant):
-                    result.tenants.append(tenant)
-                    result.forced.append(tenant)
-                    continue
-                result.probes += 1
-                result.auth_probes += 1
-                if self._auth[tenant].may_contain(key):
-                    result.tenants.append(tenant)
+            result.probes += 1
+            result.auth_probes += 1
+            if self._auth[tenant].may_contain(key):
+                result.tenants.append(tenant)
         return result
 
-    def _flat_matrix(self) -> tuple[list, np.ndarray]:
-        """(tenant order, stacked summary-leaf words) — rebuilt whenever
-        the fleet mutates, so the flat oracle never reads stale bits."""
-        cache = self._flat_cache
-        if cache is not None and cache[0] == self.mutations:
-            return cache[1], cache[2]
-        order = sorted(self._auth, key=repr)
-        if order:
-            rows = [
-                self.trees[self._home[t]].tenant_filter(t)._bits.words
-                for t in order
-            ]
-            matrix = np.stack(rows)
-        else:
-            matrix = np.zeros((0, 0), dtype=np.uint64)
-        self._flat_cache = (self.mutations, order, matrix)
-        return order, matrix
-
     def query_flat(self, key) -> TenantLookup:
-        """The O(N) control: probe every tenant's summary leaf, confirm
-        positives against their authoritative filters.  Same geometry,
-        same bits, no tree — the oracle the differential suite and the
-        R5 benchmark compare :meth:`query` against.
+        """The O(N) control: test every tenant's summary on its own,
+        confirm positives against their authoritative filters.  Same
+        bits, read tenant by tenant instead of row by row — the oracle
+        the differential suite and the R5 benchmark compare
+        :meth:`query` against.
         """
         result = TenantLookup()
-        order, matrix = self._flat_matrix()
+        cache = self._flat_cache
+        if cache is None or cache[0] != self.mutations:
+            cache = self._flat_cache = (self.mutations, *self.index.tenant_words())
+        _mutations, order, words = cache
         if not order:
             return result
         result.probes = len(order)
-        result.probes_by_level[0] = len(order)
-        # One gather across the stacked leaf words: every leaf shares
-        # the template geometry, so one position set serves all rows.
-        tree = next(iter(self.trees.values()))
-        pos = tree._template.bit_positions(key)
-        widx, masks = pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64)
-        hits = ((matrix[:, widx] & masks) == masks).all(axis=1)
+        pos = self.index.positions(key)
+        masks = np.uint64(1) << (pos & 63).astype(np.uint64)
+        hits = ((words[:, pos >> 6] & masks) == masks).all(axis=1)
         for i in np.flatnonzero(hits):
             tenant = order[int(i)]
             result.probes += 1
@@ -367,7 +285,7 @@ class _TenantMetrics:
     """Default-registry handles for one lookup mode, rebound when the
     registry is swapped."""
 
-    __slots__ = ("registry", "lookups", "probes", "probes_by_level")
+    __slots__ = ("registry", "lookups", "probes")
 
     def __init__(self, registry: MetricsRegistry, mode: str):
         self.registry = registry
@@ -381,17 +299,12 @@ class _TenantMetrics:
             "filter probes spent answering fleet lookups, by mode",
             labels=("mode",),
         ).labels(mode=mode)
-        self.probes_by_level = registry.counter(
-            "repro_tenant_probes_by_level_total",
-            "tree-node probes by depth (root=0; flat mode books all at 0)",
-            labels=("level",),
-        )
 
 
 class TenantStore:
     """Deadline-aware ground-truth store behind a :class:`TenantRouter`.
 
-    ``mode`` picks the lookup path — ``"router"`` (Bloofi descent) or
+    ``mode`` picks the lookup path — ``"router"`` (the bit-sliced index) or
     ``"flat"`` (full fan-out control); both resolve candidates against
     the same per-tenant ground-truth sets, so both answer PRESENT/ABSENT
     identically when nothing degrades — flat just pays O(N) probe
@@ -472,9 +385,9 @@ class TenantStore:
         degrade_on_error: bool = True,
     ) -> LookupResult:
         """Resolve *key* across the fleet under a deadline, through
-        :func:`~repro.common.clock.combine`.  The evidence is the Bloofi
-        descent (incomplete when degraded) followed by each candidate's
-        ground truth, and ABSENT needs all of it: a ground-truth hit is
+        :func:`~repro.common.clock.combine`.  The evidence is the index
+        lookup (incomplete when a read degraded) followed by each
+        candidate's ground truth, and ABSENT needs all of it: a ground-truth hit is
         PRESENT even if other candidates degraded.  ``runs_probed``
         counts filter probes charged, ``runs_skipped`` counts candidates
         left unresolved.
@@ -491,14 +404,12 @@ class TenantStore:
             else self.router.query_flat(key)
         )
         m.probes.inc(look.probes)
-        for level, n in look.probes_by_level.items():
-            m.probes_by_level.labels(level=str(level)).inc(n)
         evidence = ((result, True) for result in self._sources(key, look, deadline))
         return combine(evidence, 1 + len(look.tenants))
 
     def _sources(self, key, look: TenantLookup, deadline: Deadline | None):
         """One :class:`LookupResult` per source of :meth:`lookup`: the
-        descent, then each candidate, charging each probe's latency only
+        index lookup, then each candidate, charging each probe's latency only
         when the combine rule asks for that source."""
         # Charge simulated time probe by probe; the deadline can expire
         # mid-scan, which in flat mode at fleet scale it routinely does.
@@ -509,7 +420,7 @@ class TenantStore:
                     runs_probed=charged + 1, runs_skipped=len(look.tenants),
                 )
                 return
-        degraded = look.degraded_descents > 0 or bool(look.forced)
+        degraded = look.unreadable > 0 or bool(look.forced)
         yield LookupResult(
             Answer.MAYBE if degraded else Answer.ABSENT, complete=not degraded,
             reason="unavailable" if degraded else None, runs_probed=look.probes,
@@ -556,10 +467,6 @@ class TenantReport(StormSummary):
     quota_sheds: int = 0
     lookups: int = 0
     probes: int = 0
-    max_height: int = 0
-    reor_runs: int = 0
-    stale_fraction: float = 0.0
-    stale_bits_cleared: int = 0
     invariant_failures: int = 0
     audit_false_negatives: int = 0
     audited_keys: int = 0
@@ -574,7 +481,7 @@ class TenantReport(StormSummary):
         if self.audit_false_negatives:
             failed.append(f"{self.audit_false_negatives} audited keys were lost")
         if self.invariant_failures:
-            failed.append(f"{self.invariant_failures} tree invariant failures")
+            failed.append(f"{self.invariant_failures} index invariant failures")
         return failed
 
 
@@ -590,7 +497,6 @@ def build_tenant_stack(
     *,
     n_tenants: int = 64,
     keys_per_tenant: int = 8,
-    n_trees: int = 4,
     mode: str = "router",
     quota: TenantQuota | None = None,
     budget: float = 0.050,
@@ -604,13 +510,11 @@ def build_tenant_stack(
     the storm's false-negative audit can recompute.  *probe_latency* is
     the per-filter-probe base cost: small (a memory read, not an I/O),
     but at fleet scale it is exactly what makes O(N) flat fan-out blow
-    its deadline while the O(log N) router cruises.
+    its deadline while the router cruises.
     Returns ``(served, store, injector, latency, clock)``.
     """
     parts = StackParts(seed, probe_latency, with_device=False)
-    router = TenantRouter(TenantConfig(
-        n_trees=n_trees, leaf_capacity=max(64, keys_per_tenant), seed=seed,
-    ))
+    router = TenantRouter(TenantConfig(leaf_capacity=max(64, keys_per_tenant), seed=seed))
     store = TenantStore(
         router, parts.clock, injector=parts.injector, latency=parts.latency,
         mode=mode,
@@ -632,7 +536,6 @@ def run_tenant_storm(
     *,
     n_tenants: int = 64,
     keys_per_tenant: int = 8,
-    n_trees: int = 4,
     mode: str = "router",
     phases=TENANT_STORM,
     zipf_skew: float = 1.1,
@@ -653,8 +556,8 @@ def run_tenant_storm(
     tenant is deprovisioned (its quota bucket dropped) and a fresh one
     provisioned with new keys — mid-storm, under fire.
 
-    The audit after the (optional) *drain*: zero invariant failures on
-    every tree, and — with chaos switched off — every surviving
+    The audit after the (optional) *drain*: zero invariant failures in
+    the index, and — with chaos switched off — every surviving
     ground-truth key still answered PRESENT (sampled at fleet scale).
     A present key answered ABSENT mid-storm counts as a false negative
     in the :class:`~repro.serve.sim.StormReport`, exactly like every
@@ -664,7 +567,7 @@ def run_tenant_storm(
     served, store, injector, latency, clock = build_tenant_stack(
         seed,
         n_tenants=n_tenants, keys_per_tenant=keys_per_tenant,
-        n_trees=n_trees, mode=mode, quota=quota, budget=budget,
+        mode=mode, quota=quota, budget=budget,
         probe_latency=probe_latency,
     )
     rng = random.Random(seed ^ 0x7E4A47)
@@ -710,7 +613,7 @@ def run_tenant_storm(
 
     arrivals = storm_arrivals(
         phases, rng, report, injector, latency,
-        ("tenant_node", "tenant_leaf", "tenant_store"), clock.now(),
+        ("tenant_row", "tenant_store"), clock.now(),
     )
     for request_index, (phase_report, arrival) in enumerate(arrivals):
         if churn_every and request_index and request_index % churn_every == 0:
@@ -734,9 +637,6 @@ def run_tenant_storm(
     )
     tenant_report.n_tenants_final = store.n_tenants
     tenant_report.read_counts(window)
-    tenant_report.max_height = max(
-        (t.height for t in store.router.trees.values()), default=0
-    )
 
     if drain:
         # Chaos off for the audit: what must hold is a property of the
@@ -744,10 +644,7 @@ def run_tenant_storm(
         injector.transient_read = 0.0
         latency.slowdown = 0.0
         latency.spike_prob = 0.0
-        tenant_report.stale_fraction = store.router.stale_fraction()
         tenant_report.invariant_failures = len(store.router.check_invariants())
-        tenant_report.stale_bits_cleared = store.router.reor_all()
-        tenant_report.invariant_failures += len(store.router.check_invariants())
         all_keys = [(t, k) for t in live for k in keys_of[t]]
         sample = (
             all_keys if len(all_keys) <= 2_000
@@ -760,20 +657,10 @@ def run_tenant_storm(
                 result.state is Answer.PRESENT and result.value != tenant
             ):
                 tenant_report.audit_false_negatives += 1
-    tenant_report.reor_runs = sum(
-        t.reor_runs for t in store.router.trees.values()
-    )
 
     registry = default_registry()
     registry.gauge(
         "repro_tenant_fleet_size", "live tenants in the fleet"
     ).set(store.n_tenants)
-    registry.gauge(
-        "repro_tenant_stale_fraction",
-        "max stale interior-OR bit fraction across trees (pre-re-OR)",
-    ).set(tenant_report.stale_fraction)
-    registry.gauge(
-        "repro_tenant_tree_height", "max Bloofi tree height in the fleet"
-    ).set(tenant_report.max_height)
     served.publish_gauges()
     return report, tenant_report, store

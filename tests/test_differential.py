@@ -222,8 +222,7 @@ class TestTenantRouterDifferential:
     @settings(max_examples=4, deadline=None)
     def test_router_matches_flat_fanout(self, name, ops):
         router = TenantRouter(
-            TenantConfig(n_trees=3, leaf_capacity=64, epsilon=0.05, seed=7,
-                         max_fanout=4, reor_interval=5),
+            TenantConfig(leaf_capacity=64, epsilon=0.05, seed=7),
             filter_factory=lambda tenant: _make(name),
         )
         oracle: dict[int, set[int]] = {}

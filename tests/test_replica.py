@@ -23,7 +23,12 @@ from hypothesis.stateful import (
 )
 
 from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock
-from repro.common.faults import FaultInjector, FaultyBlockDevice, SimulatedCrash
+from repro.common.faults import (
+    FaultInjector,
+    FaultyBlockDevice,
+    SimulatedCrash,
+    TransientIOError,
+)
 from repro.common.storage import BlockDevice
 from repro.core.routing import (
     ConsistentHashRouter,
@@ -36,6 +41,7 @@ from repro.serve.replica import (
     AntiEntropyRepairer,
     FailureDetector,
     ReplicatedStore,
+    build_replicated_stack,
     run_replica_storm,
 )
 
@@ -316,6 +322,42 @@ class TestHintedHandoff:
         store.put("k", "v1")
         assert window.count("repro_replica_hints_total", action="dropped") == 1
         assert store.nodes[victim].tainted
+
+    def test_a_write_that_reached_nothing_durable_fails(self):
+        _served, store, _repairer, _device, injector, _latency, _clock = (
+            build_replicated_stack(seed=0, n_keys=50))
+        for node_id in store.nodes:
+            store.kill(node_id)
+        injector.lost_write = {"hint": 1.0}
+        with pytest.raises(TransientIOError, match="'k'"):
+            store.put("k", "v")
+        with pytest.raises(TransientIOError, match=r"\['a', 'b'\]"):
+            store.put_many([("a", 1), ("b", 2)])
+        # Some writes keep at least one verified hint; those that return
+        # must survive heal and repair.
+        injector.lost_write = {"hint": 0.6}
+        acknowledged = []
+        for key in range(60):
+            try:
+                store.put(key, f"v{key}")
+            except TransientIOError:
+                continue
+            acknowledged.append(key)
+        assert 0 < len(acknowledged) < 60
+        injector.lost_write = 0.0
+        for node_id in store.nodes:
+            store.heal(node_id)
+        while store.handoff.replay(batch=16, force=True):
+            pass
+        repairer = AntiEntropyRepairer(store)
+        for _ in range(4_000):
+            repairer.pump(force=True)
+            if repairer.idle and repairer.converged():
+                break
+        assert repairer.converged()
+        assert not any(node.tainted for node in store.nodes.values())
+        for key in acknowledged:
+            assert store.lookup(key).state is Answer.PRESENT, key
 
     def test_tombstones_travel_through_hints(self):
         store, _ = _fresh_store()

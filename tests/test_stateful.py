@@ -18,7 +18,8 @@ from hypothesis.stateful import (
 )
 
 from repro.apps.lsm import LSMConfig, LSMTree
-from repro.core.bloofi import BloofiConfig, BloofiTree
+from repro.core.bloofi import BloofiTree
+from repro.filters.bloom import BloomFilter
 from repro.filters.cuckoo import CuckooFilter
 from repro.filters.quotient import QuotientFilter
 
@@ -156,42 +157,45 @@ class LSMMachine(RuleBasedStateMachine):
 
 
 class BloofiMachine(RuleBasedStateMachine):
-    """Bloofi tree maintenance vs an exact tenant->keys model.
+    """The Flat-Bloofi index vs an exact tenant->keys model.
 
-    Random interleavings of add-tenant / remove-tenant / insert / query
-    / full re-OR, with the two fleet-safety invariants audited after
-    *every* step: a key the model holds is never answered falsely ABSENT
-    (its tenant is always in the candidate set), and every interior OR
-    stays a bitwise superset of its descendant leaves — the property
-    that makes pruning safe.  Splits, merges, root growth/collapse, and
-    lazy-removal staleness all happen along the way; none may bend
-    either invariant.
+    Random interleavings of add-tenant(s) / remove-tenant / insert /
+    insert-many / query, audited after *every* step: a key the model
+    holds is never answered falsely ABSENT (its tenant is always a
+    candidate), the candidates equal those of per-tenant reference Bloom
+    filters built from the model's keys, and the slot audit is clean
+    (every free slot's column is all zeros).  Slot reuse and row growth
+    past a 64-slot word happen along the way.
     """
+
+    LEAF = (32, 0.05, 5)  # leaf_capacity, epsilon, seed
 
     def __init__(self):
         super().__init__()
-        # Tight fanout so splits/merges fire within hypothesis-sized
-        # runs; short reor_interval so automatic re-ORs interleave too.
-        self.tree = BloofiTree(BloofiConfig(
-            leaf_capacity=32, epsilon=0.05, seed=5, max_fanout=4,
-            reor_interval=6,
-        ))
+        capacity, epsilon, seed = self.LEAF
+        self.index = BloofiTree(capacity, epsilon, seed=seed)
         self.model: dict[int, set[int]] = {}
         self.next_tenant = 0
 
-    @rule()
-    def add_tenant(self):
-        tenant = self.next_tenant
+    @rule(keys=st.lists(KEYS, max_size=4))
+    def add_tenant(self, keys):
+        self.index.add_tenant(self.next_tenant, keys)
+        self.model[self.next_tenant] = set(keys)
         self.next_tenant += 1
-        self.tree.add_tenant(tenant)
-        self.model[tenant] = set()
+
+    @rule(n=st.sampled_from([2, 70]), keys=st.lists(KEYS, max_size=6))
+    def add_tenants(self, n, keys):
+        batch = [(self.next_tenant + i, keys[i % 3::3]) for i in range(n)]
+        self.index.add_tenants(batch)
+        self.model.update((tenant, set(ks)) for tenant, ks in batch)
+        self.next_tenant += n
 
     @rule(data=st.data())
     def remove_tenant(self, data):
         if not self.model:
             return
         tenant = data.draw(st.sampled_from(sorted(self.model)))
-        self.tree.remove_tenant(tenant)
+        self.index.remove_tenant(tenant)
         del self.model[tenant]
 
     @rule(key=KEYS, data=st.data())
@@ -199,17 +203,20 @@ class BloofiMachine(RuleBasedStateMachine):
         if not self.model:
             return
         tenant = data.draw(st.sampled_from(sorted(self.model)))
-        self.tree.insert(tenant, key)
+        self.index.insert(tenant, key)
         self.model[tenant].add(key)
 
-    @rule()
-    def reor(self):
-        self.tree.reor()
-        assert self.tree.stale_fraction() == 0.0
+    @rule(keys=st.lists(KEYS, max_size=5), data=st.data())
+    def insert_many(self, keys, data):
+        if not self.model:
+            return
+        tenant = data.draw(st.sampled_from(sorted(self.model)))
+        self.index.insert_many(tenant, keys)
+        self.model[tenant].update(keys)
 
     @rule(key=KEYS)
     def query_includes_every_holder(self, key):
-        candidates = set(self.tree.candidates(key).tenants)
+        candidates = set(self.index.candidates(key).tenants)
         for tenant, keys in self.model.items():
             if key in keys:
                 assert tenant in candidates, (
@@ -217,16 +224,23 @@ class BloofiMachine(RuleBasedStateMachine):
                 )
 
     @invariant()
-    def interior_ors_superset_of_leaves(self):
-        # check_invariants() includes the superset audit at every node,
-        # leaf-depth uniformity, fanout bounds, and leaf-count caching.
-        assert self.tree.check_invariants() == []
+    def slot_audit_is_clean(self):
+        assert self.index.check_invariants() == []
 
     @invariant()
-    def no_false_absent_for_any_model_key(self):
+    def candidates_equal_reference_filters(self):
+        capacity, epsilon, seed = self.LEAF
+        probes = sorted(set().union(*self.model.values())) + [1_000, 1_001]
+        refs = {}
         for tenant, keys in self.model.items():
-            for key in keys:
-                assert tenant in self.tree.candidates(key).tenants
+            refs[tenant] = BloomFilter(capacity, epsilon, seed=seed)
+            refs[tenant].insert_many(sorted(keys))
+        hits = {tenant: ref.may_contain_many(probes) for tenant, ref in refs.items()}
+        for i, key in enumerate(probes):
+            candidates = sorted(self.index.candidates(key).tenants)
+            assert candidates == sorted(t for t, h in hits.items() if h[i]), key
+            for tenant, keys in self.model.items():
+                assert key not in keys or tenant in candidates  # no false ABSENT
 
 
 TestQuotientFilterMachine = QuotientFilterMachine.TestCase

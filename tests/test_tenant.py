@@ -1,15 +1,17 @@
-"""Multi-tenant Bloofi fleet: tree maintenance, router, quota, storms.
+"""Multi-tenant Flat-Bloofi fleet: the bit-sliced index, router, quota, storms.
 
 The contract under test (docs/robustness.md):
 
-* the Bloofi tree never produces a false ABSENT — a key inserted for a
-  live tenant is always in that tenant's candidate set, through splits,
-  merges, lazy removals, re-ORs, and injected degradation;
-* interior ORs stay supersets of their descendant leaves at all times
-  (equality right after a full re-OR);
-* cached aggregate properties (tree size/height, the router's
-  ``supports_deletes``) are recomputed on child membership change —
-  the ``ShardedFilter.supports_deletes`` lesson applied to the tree;
+* fault-free, the index's candidates are exactly the tenants whose
+  summary Bloom filter, built from their current keys, answers MAYBE —
+  through slot reuse, row growth, removals and duplicate keys;
+* removing a tenant clears its column, so every free or unused slot is
+  all zeros (``check_invariants``);
+* an unreadable (row, line) read reads as all ones over the occupied
+  slots: faults only widen the candidate set, and the lookup is marked
+  degraded;
+* the router's ``supports_deletes`` is recomputed from the live fleet —
+  the ``ShardedFilter.supports_deletes`` lesson;
 * per-tenant quota buckets shed only the noisy tenant, with reason
   ``"tenant_quota"``;
 * the storm harness (serve-sim ``--tenants``) holds zero false
@@ -22,10 +24,14 @@ import os
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.clock import Answer, Deadline, SimulatedClock
-from repro.core.bloofi import BloofiConfig, BloofiTree
+from repro.common.faults import FaultInjector
+from repro.core.bloofi import LINE_SLOTS, BloofiTree
 from repro.core.interfaces import DynamicFilter
+from repro.filters.bloom import BloomFilter
 from repro.obs import use_registry
 from repro.serve import (
     AdmissionConfig,
@@ -41,166 +47,234 @@ from repro.serve import (
 
 CHAOS_SEEDS = [int(os.environ.get("REPRO_CHAOS_SEED", "0")) + i for i in range(3)]
 
-SMALL_TREE = BloofiConfig(
-    leaf_capacity=32, epsilon=0.05, seed=5, max_fanout=4, reor_interval=1000,
-)
+LEAF = dict(leaf_capacity=32, epsilon=0.05, seed=5)
 
 
-def _loaded_tree(n_tenants: int, keys_per_tenant: int = 6, *, config=SMALL_TREE):
-    tree = BloofiTree(config)
-    truth = {}
-    for t in range(n_tenants):
-        tree.add_tenant(t)
-        keys = [t * 1000 + i for i in range(keys_per_tenant)]
-        tree.insert_many(t, keys)
-        truth[t] = keys
-    return tree, truth
+def _loaded_index(n_tenants: int, keys_per_tenant: int = 6):
+    index = BloofiTree(**LEAF)
+    truth = {t: [t * 1000 + i for i in range(keys_per_tenant)] for t in range(n_tenants)}
+    index.add_tenants(truth.items())
+    return index, truth
+
+
+def _reference(keys) -> BloomFilter:
+    """The summary a tenant with *keys* must have: a leaf-geometry Bloom filter."""
+    ref = BloomFilter(LEAF["leaf_capacity"], LEAF["epsilon"], seed=LEAF["seed"])
+    ref.insert_many(list(keys))
+    return ref
 
 
 class TestBloofiTree:
     def test_no_false_negatives_and_invariants(self):
-        tree, truth = _loaded_tree(120)
-        assert tree.check_invariants() == []
+        index, truth = _loaded_index(120)
+        assert index.check_invariants() == []
         for tenant, keys in truth.items():
             for key in keys:
-                assert tenant in tree.candidates(key).tenants
+                assert tenant in index.candidates(key).tenants
 
     def test_probe_count_is_logarithmic_not_linear(self):
-        tree, truth = _loaded_tree(256)
+        index, truth = _loaded_index(256)
         rng = random.Random(1)
         probes = []
         for _ in range(50):
             t = rng.randrange(256)
             key = truth[t][0]
-            probes.append(tree.candidates(key).probes)
-        # A flat scan costs 256 probes; the descent should cost a small
-        # multiple of fanout * height, far below the fleet size.
+            probes.append(index.candidates(key).probes)
+        # A flat scan costs 256 probes; the index ANDs k rows over one
+        # 512-slot line per probe.
         assert max(probes) < 256 * 0.4
-        assert tree.height >= 2
 
-    def test_split_grows_and_collapse_shrinks_height(self):
-        tree = BloofiTree(SMALL_TREE)
-        for t in range(30):
-            tree.add_tenant(t)
-        assert tree.height >= 1
-        grown = tree.height
-        for t in range(28):
-            tree.remove_tenant(t)
-        assert tree.height <= grown
-        assert tree.check_invariants() == []
+    def test_rows_grow_one_word_only_when_no_slot_is_free(self):
+        index = BloofiTree(**LEAF)
+        index.add_tenants((t, ()) for t in range(10))
+        assert (index.n_slots, index.size_in_bits) == (64, 64 * index.m)
+        index.add_tenant("late")
+        index.remove_tenant("late")
+        index.add_tenants((t, ()) for t in range(10, 64))
+        assert index.n_slots == 64
+        index.add_tenant(64)
+        assert (index.n_slots, index.size_in_bits) == (128, 128 * index.m)
+        assert index.candidates(1).probes == 1
+        index.add_tenants((t, ()) for t in range(65, LINE_SLOTS + 1))
+        assert index.candidates(1).probes == 2
+        assert index.check_invariants() == []
 
-    def test_lazy_removal_is_superset_until_reor(self):
-        tree, truth = _loaded_tree(64)
+    def test_removal_clears_the_column(self):
+        index, truth = _loaded_index(64)
         for t in range(48):
-            tree.remove_tenant(t)
+            index.remove_tenant(t)
             del truth[t]
-        # Lazy removal leaves dead tenants' bits in the interior ORs —
-        # a safe superset, measurable as staleness, never an invariant
-        # failure and never a lost key.
-        assert tree.stale_fraction() > 0.0
-        assert tree.check_invariants() == []
-        for tenant, keys in truth.items():
-            for key in keys:
-                assert tenant in tree.candidates(key).tenants
-        cleared = tree.reor()
-        assert cleared > 0
-        assert tree.stale_fraction() == 0.0
-        assert tree.check_invariants() == []
-        for tenant, keys in truth.items():
-            for key in keys:
-                assert tenant in tree.candidates(key).tenants
+        # Nothing of a removed tenant is left: the index equals one
+        # built from the survivors alone, bit for bit.
+        assert index.check_invariants() == []
+        survivors = BloofiTree(**LEAF)
+        survivors.add_tenants((t, ()) for t in range(48))
+        survivors.add_tenants(truth.items())
+        for t in range(48):
+            survivors.remove_tenant(t)
+        assert index._rows.tobytes() == survivors._rows.tobytes()
+        # A reused slot starts empty: the newcomer inherits no bits.
+        index.add_tenant("fresh", [7])
+        assert index.check_invariants() == []
+        for key in (0, 1000, 47_000):
+            assert "fresh" not in index.candidates(key).tenants
 
-    def test_reor_runs_automatically_on_removal_pressure(self):
-        config = BloofiConfig(
-            leaf_capacity=32, epsilon=0.05, seed=5, max_fanout=4,
-            reor_interval=8,
-        )
-        tree, truth = _loaded_tree(40, config=config)
-        for t in range(30):
-            tree.remove_tenant(t)
-        assert tree.reor_runs >= 3
-        assert tree.check_invariants() == []
-
-    def test_degraded_interior_node_descends_everything(self):
-        tree, truth = _loaded_tree(64)
+    def test_unreadable_line_widens_candidates(self):
+        index, truth = _loaded_index(64)
         key = truth[17][0]
-        clean = tree.candidates(key)
-        stormy = tree.candidates(key, fault=lambda kind, depth: kind == "node")
-        # Degradation must widen, never narrow: every clean candidate
-        # survives, and the descent records it could not prune.
+        reads = []
+
+        def first_read_fails(kind, detail):
+            reads.append((kind, detail))
+            return len(reads) == 1
+
+        clean = index.candidates(key)
+        stormy = index.candidates(key, fault=first_read_fails)
         assert set(clean.tenants) <= set(stormy.tenants)
         assert 17 in stormy.tenants
-        assert stormy.degraded_descents > 0
+        assert stormy.unreadable == 1
+        assert reads[0] == ("row", (int(index.positions(key)[0]), 0))
 
-    def test_degraded_leaf_is_a_forced_candidate(self):
-        tree, truth = _loaded_tree(32)
-        look = tree.candidates(truth[3][0], fault=lambda kind, depth: True)
-        assert sorted(look.tenants) == sorted(tree.tenant_ids())
-        assert sorted(look.degraded_leaves) == sorted(tree.tenant_ids())
-
-    def test_geometry_mismatch_rejected(self):
-        from repro.filters.bloom import BloomFilter
-
-        tree = BloofiTree(SMALL_TREE)
-        with pytest.raises(ValueError, match="geometry"):
-            tree.add_tenant("odd", BloomFilter(512, 0.001, seed=99))
+    def test_unreadable_index_lists_every_tenant(self):
+        index, truth = _loaded_index(32)
+        index.remove_tenant(5)
+        look = index.candidates(truth[3][0], fault=lambda kind, detail: True)
+        # All ones, masked to the occupied slots: never a free slot.
+        assert sorted(look.tenants) == sorted(index.tenant_ids())
+        assert look.unreadable == index.k * look.probes
 
     def test_membership_errors(self):
-        tree = BloofiTree(SMALL_TREE)
-        tree.add_tenant("a")
+        index = BloofiTree(**LEAF)
+        index.add_tenant("a")
         with pytest.raises(ValueError):
-            tree.add_tenant("a")
+            index.add_tenant("a")
+        with pytest.raises(ValueError):
+            index.add_tenants([("b", []), ("b", [1])])
+        assert index.tenant_ids() == ["a"] and index.check_invariants() == []
         with pytest.raises(KeyError):
-            tree.remove_tenant("b")
+            index.remove_tenant("b")
         with pytest.raises(KeyError):
-            tree.insert("b", 1)
-        assert tree.candidates(1).tenants == []
+            index.insert("b", 1)
+        assert index.candidates(1).tenants == []
 
 
-class TestCachedAggregates:
-    """Satellite fix: cached aggregates must be recomputed on child
-    membership change — no stale answers across splits and merges."""
+# -- the index against per-tenant reference filters -------------------------------
 
-    @staticmethod
-    def _fresh(tree, name):
-        tree._agg_cache.clear()
-        return getattr(tree, name)
+# Batch sizes cross one 64-slot word and one 512-slot line.
+index_ops = st.lists(st.one_of(
+    st.tuples(st.just("add_tenants"), st.sampled_from([1, 3, 70, LINE_SLOTS + 9]),
+              st.integers(0, 2**16)),
+    st.tuples(st.just("add_tenant"), st.integers(0, 6), st.integers(0, 2**16)),
+    st.tuples(st.just("remove_tenant"), st.integers(0, 2**16), st.integers(0, 2**16)),
+    st.tuples(st.just("remove_many"), st.integers(1, 90), st.integers(0, 2**16)),
+    st.tuples(st.just("insert"), st.integers(0, 2**16), st.integers(0, 60)),
+    st.tuples(st.just("insert_many"), st.integers(0, 2**16), st.integers(0, 2**16)),
+), min_size=1, max_size=12)
 
-    def test_size_and_height_track_membership_churn(self):
-        tree = BloofiTree(SMALL_TREE)
-        rng = random.Random(9)
-        live = []
-        next_id = 0
-        for step in range(300):
-            cached_size, cached_height = tree.size_in_bits, tree.height
-            assert cached_size == self._fresh(tree, "size_in_bits")
-            assert cached_height == self._fresh(tree, "height")
-            if live and rng.random() < 0.4:
-                t = live.pop(rng.randrange(len(live)))
-                tree.remove_tenant(t)
-            else:
-                tree.add_tenant(next_id)
-                tree.insert(next_id, next_id)
-                live.append(next_id)
-                next_id += 1
-            # The mutation just above must have invalidated the cache:
-            # a membership change that kept serving the old aggregate is
-            # exactly the ShardedFilter.supports_deletes bug shape.
-            assert tree.size_in_bits == self._fresh(tree, "size_in_bits")
-            assert tree.height == self._fresh(tree, "height")
+KEY_POOL = 60  # a small pool: keys repeat inside a tenant and across tenants
 
-    def test_size_in_bits_regression_add_after_read(self):
-        """Regression shape: read the cached aggregate, then change
-        membership, then read again — the second read must see the new
-        fleet, not the memo."""
-        tree = BloofiTree(SMALL_TREE)
-        for t in range(10):
-            tree.add_tenant(t)
-        before = tree.size_in_bits
-        tree.add_tenant("late")
-        assert tree.size_in_bits > before
-        tree.remove_tenant("late")
-        assert tree.size_in_bits == before
+
+def _keys(rng: random.Random) -> list:
+    return [rng.randrange(KEY_POOL) for _ in range(rng.choice([0, 1, 3, 8]))]
+
+
+def _apply(index: BloofiTree, model: dict, ops, counter: list) -> None:
+    for op, a, b in ops:
+        rng = random.Random(b)
+        live = sorted(model)
+        if op == "add_tenants":
+            batch = [(counter[0] + i, _keys(rng)) for i in range(a)]
+            counter[0] += a
+            index.add_tenants(batch)
+            model.update((t, set(keys)) for t, keys in batch)
+        elif op == "add_tenant":
+            keys = [rng.randrange(KEY_POOL) for _ in range(a)]
+            index.add_tenant(counter[0], keys)
+            model[counter[0]] = set(keys)
+            counter[0] += 1
+        elif op == "remove_tenant" and live:
+            victim = live[a % len(live)]
+            index.remove_tenant(victim)
+            del model[victim]
+        elif op == "remove_many":
+            for victim in rng.sample(live, min(a, len(live))):
+                index.remove_tenant(victim)
+                del model[victim]
+        elif op == "insert" and live:
+            tenant = live[a % len(live)]
+            index.insert(tenant, b)
+            model[tenant].add(b)
+        elif op == "insert_many" and live:
+            tenant = live[a % len(live)]
+            keys = _keys(rng)
+            index.insert_many(tenant, keys)
+            model[tenant].update(keys)
+
+
+def _probe_keys() -> list:
+    return list(range(KEY_POOL)) + [10**9 + i for i in range(20)]
+
+
+def assert_index_exact(index: BloofiTree, model: dict) -> None:
+    """Fault-free candidates equal the reference filters' answers, each
+    tenant's words equal its reference's, every unreadable read lists
+    exactly the live tenants, and the slot audit is clean."""
+    assert index.check_invariants() == []
+    probes = _probe_keys()
+    refs = {t: _reference(keys) for t, keys in model.items()}
+    answers = {t: ref.may_contain_many(probes) for t, ref in refs.items()}
+    for i, key in enumerate(probes):
+        want = sorted(t for t, hits in answers.items() if hits[i])
+        assert sorted(index.candidates(key).tenants) == want, key
+    tenants, words = index.tenant_words()
+    assert sorted(tenants) == sorted(model)
+    for tenant, row in zip(tenants, words):
+        assert row.tobytes() == refs[tenant]._bits.words.tobytes(), tenant
+    unreadable = index.candidates(probes[0], fault=lambda kind, detail: True)
+    assert sorted(unreadable.tenants) == sorted(model)
+
+
+@given(ops=index_ops)
+def test_index_equals_reference_filters(ops):
+    index = BloofiTree(**LEAF)
+    model: dict = {}
+    _apply(index, model, ops, [0])
+    assert_index_exact(index, model)
+
+
+@given(ops=index_ops, fault_seed=st.integers(0, 2**16),
+       rate=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_faults_only_widen_candidates(ops, fault_seed, rate):
+    index = BloofiTree(**LEAF)
+    model: dict = {}
+    _apply(index, model, ops, [0])
+    rng = random.Random(fault_seed)
+    for key in _probe_keys():
+        failed = []
+
+        def fault(kind, detail):
+            failed.append(rng.random() < rate)
+            return failed[-1]
+
+        clean = index.candidates(key)
+        stormy = index.candidates(key, fault=fault)
+        assert set(clean.tenants) <= set(stormy.tenants) <= set(model)
+        assert stormy.unreadable == sum(failed)
+        assert len(failed) == index.k * stormy.probes
+
+
+def test_an_unreadable_index_read_degrades_the_lookup():
+    router = TenantRouter(TenantConfig(**LEAF))
+    injector = FaultInjector(seed=1)
+    store = TenantStore(router, SimulatedClock(), injector=injector)
+    store.add_tenants((t, [t]) for t in range(40))
+    assert store.lookup(10**9).state is Answer.ABSENT
+    injector.transient_read = {"tenant_row": 1.0, "*": 0.0}
+    result = store.lookup(10**9)
+    assert (result.state, result.complete, result.reason) == (
+        Answer.MAYBE, False, "unavailable")
+    # A stored key is still found, through every unreadable line.
+    assert (store.lookup(3).state, store.lookup(3).value) == (Answer.PRESENT, 3)
 
 
 class _ShrinkingAuth(DynamicFilter):
@@ -236,7 +310,7 @@ class _ShrinkingAuth(DynamicFilter):
 class TestRouterSupportsDeletes:
     def test_recomputed_from_live_fleet(self):
         router = TenantRouter(
-            TenantConfig(n_trees=2, leaf_capacity=32, seed=3),
+            TenantConfig(leaf_capacity=32, seed=3),
             filter_factory=lambda t: _ShrinkingAuth(capacity=3),
         )
         for t in range(4):
@@ -252,13 +326,13 @@ class TestRouterSupportsDeletes:
         assert router.supports_deletes
 
     def test_empty_fleet_has_no_delete_support(self):
-        router = TenantRouter(TenantConfig(n_trees=2, seed=3))
+        router = TenantRouter(TenantConfig(seed=3))
         assert not router.supports_deletes
 
 
 class TestTenantRouter:
     def test_router_and_flat_agree_everywhere(self):
-        router = TenantRouter(TenantConfig(n_trees=3, leaf_capacity=64, seed=11))
+        router = TenantRouter(TenantConfig(leaf_capacity=64, seed=11))
         rng = random.Random(11)
         truth = {}
         for t in range(80):
@@ -277,7 +351,7 @@ class TestTenantRouter:
         assert router.check_invariants() == []
 
     def test_router_probes_beat_flat(self):
-        router = TenantRouter(TenantConfig(n_trees=2, leaf_capacity=64, seed=1))
+        router = TenantRouter(TenantConfig(leaf_capacity=64, seed=1))
         for t in range(200):
             router.add_tenant(t)
             router.insert(t, t)
@@ -285,12 +359,6 @@ class TestTenantRouter:
         flat = router.query_flat(5)
         assert look.probes < flat.probes
         assert flat.probes >= 200
-
-    def test_placement_uses_every_tree(self):
-        router = TenantRouter(TenantConfig(n_trees=4, seed=0))
-        for t in range(64):
-            router.add_tenant(t)
-        assert all(len(tree) > 0 for tree in router.trees.values())
 
 
 class _StoreReadLatency:
@@ -302,7 +370,7 @@ class _StoreReadLatency:
 
 class TestTenantStoreLookup:
     def test_deadline_counts_the_candidates_left_unresolved(self):
-        router = TenantRouter(TenantConfig(n_trees=1, seed=2))
+        router = TenantRouter(TenantConfig(seed=2))
         clock = SimulatedClock()
         store = TenantStore(router, clock, latency=_StoreReadLatency())
         for t in range(3):
@@ -314,7 +382,7 @@ class TestTenantStoreLookup:
         assert result.runs_skipped == 2
 
     def test_registry_swap_between_lookups_meters_into_the_new_one(self):
-        router = TenantRouter(TenantConfig(n_trees=1, seed=2))
+        router = TenantRouter(TenantConfig(seed=2))
         store = TenantStore(router, SimulatedClock())
         store.add_tenant(0, [1, 2, 3])
         registries = []
@@ -326,10 +394,6 @@ class TestTenantStoreLookup:
         for registry, look in registries:
             counter = registry.get("repro_tenant_probes_total")
             assert counter.labels(mode="router").value == look.probes > 0
-            by_level = registry.get("repro_tenant_probes_by_level_total")
-            assert sum(child.value for _labels, child in by_level.series()) == sum(
-                look.probes_by_level.values()
-            )
 
 
 class TestTenantQuota:
@@ -408,8 +472,7 @@ class TestTenantStorm:
     def test_storm_with_churn(self, seed):
         storm, rep, store = self._run(seed, churn_every=8)
         self._assert_contract(storm, rep)
-        # Churn really happened mid-storm, under fire.
+        # Churn really happened mid-storm, under fire, and every
+        # removal cleared its column.
         assert rep.tenants_added > 10 and rep.tenants_removed > 10
-        # Lazy removals produced staleness and the drain re-OR shed it.
-        assert rep.stale_bits_cleared > 0
-        assert store.router.stale_fraction() == 0.0
+        assert store.router.check_invariants() == []
