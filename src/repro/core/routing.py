@@ -150,19 +150,11 @@ class HashRangeRouter(Router):
             lo = upper
         return out
 
-    def split(
-        self, source: int, target: int, histogram=None
-    ) -> "HashRangeRouter":
-        """Hand the upper part of one of *source*'s ranges to *target*.
+    def split(self, source: int, target: int) -> "HashRangeRouter":
+        """Hand the upper half of *source*'s widest range to *target*.
 
-        Without a *histogram* the widest range is cut at its geometric
-        midpoint — correct for uniformly hashed keys, but a skewed
-        (adversarial or low-entropy) key set can leave one half nearly
-        empty.  With *histogram* — an iterable of observed 64-bit key
-        hash points, e.g. from ``ShardedStore.key_histogram(source)`` —
-        the cut goes through the range holding the most observed keys,
-        at their median point, so each side inherits half the *observed*
-        population rather than half the hash space.
+        The cut is the range's geometric midpoint: half the hash space,
+        so half the keys for uniformly hashed keys.
         """
         if target in self.shard_ids() and target != source:
             raise ValueError(f"target shard {target} already owns ranges")
@@ -171,22 +163,6 @@ class HashRangeRouter(Router):
             raise ValueError(f"shard {source} owns no range")
         lo, hi = max(ranges, key=lambda r: r[1] - r[0])
         mid = (lo + hi) // 2
-        if histogram is not None:
-            points = sorted(int(p) for p in histogram)
-            per_range = {
-                (rlo, rhi): [p for p in points if rlo <= p < rhi]
-                for rlo, rhi in ranges
-            }
-            busiest, occupants = max(
-                per_range.items(), key=lambda item: (len(item[1]), item[0][1] - item[0][0])
-            )
-            if occupants:
-                lo, hi = busiest
-                # Cut *after* the lower half's last occupant so the halves
-                # carry equal observed load; clamp to keep both sides
-                # non-empty ranges.
-                median = occupants[len(occupants) // 2]
-                mid = min(max(median, lo + 1), hi - 1)
         if mid == lo:
             raise ValueError(f"shard {source}'s range is too narrow to split")
         new_bounds = []

@@ -87,13 +87,13 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.serve.admission import AdmissionConfig, AdmissionController
-from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
+from repro.serve.sim import CALM_STORM_RECOVERY, StormDriver
 from repro.serve.stack import (
+    PUMP_BUDGET,
     BackgroundGate,
     DurableManifest,
     NamespacedStore,
     StackParts,
-    StormDriver,
     StormSummary,
     crash_point,
 )
@@ -148,17 +148,16 @@ class FailureDetector:
     suspicion while write diversion waits for high.
     """
 
-    def __init__(self, clock: SimulatedClock, *, window: int = 8,
-                 min_interval: float = 0.002):
+    _WINDOW = 8  # heartbeat intervals kept per replica
+    # Floor for the learned heartbeat interval.  Bulk loading runs with
+    # zero simulated latency, so learned intervals can collapse to ~0 —
+    # and then the first real gap in traffic makes every healthy replica
+    # look silent for "millions" of intervals.  Standard phi-accrual
+    # implementations clamp the distribution for exactly this reason.
+    _MIN_INTERVAL = 0.002
+
+    def __init__(self, clock: SimulatedClock):
         self.clock = clock
-        self.window = window
-        # Floor for the learned heartbeat interval.  Bulk loading runs
-        # with zero simulated latency, so learned intervals can collapse
-        # to ~0 — and then the first real gap in traffic makes every
-        # healthy replica look silent for "millions" of intervals.
-        # Standard phi-accrual implementations clamp the distribution
-        # for exactly this reason.
-        self.min_interval = min_interval
         self._last_beat: dict[int, float] = {}
         self._intervals: dict[int, list[float]] = {}
         self._failures: dict[int, int] = {}
@@ -169,7 +168,7 @@ class FailureDetector:
         if last is not None:
             history = self._intervals.setdefault(node_id, [])
             history.append(max(now - last, 1e-9))
-            del history[: -self.window]
+            del history[: -self._WINDOW]
         self._last_beat[node_id] = now
         self._failures[node_id] = 0
 
@@ -192,7 +191,7 @@ class FailureDetector:
             elapsed = self.clock.now() - last
             # -log10 P(no heartbeat for `elapsed`) under an exponential
             # inter-arrival model: elapsed/mean * log10(e).
-            phi += (elapsed / max(mean, self.min_interval)) * 0.4343
+            phi += (elapsed / max(mean, self._MIN_INTERVAL)) * 0.4343
         return phi
 
     def suspected(self, node_id: int, threshold: float = 3.0) -> bool:
@@ -516,7 +515,7 @@ class ReplicatedStore(NamespacedStore):
             self._seq_floor = self.write_seq + self._SEQ_SLACK
             try:
                 self._write_state_manifest()
-            except TransientIOError:
+            except (TransientIOError, CircuitOpenError):
                 self._seq_floor = prev
                 raise
         self.write_seq += 1
@@ -801,7 +800,7 @@ class HintedHandoff:
 class AntiEntropyRepairer:
     """Background digest comparison and repair streaming.
 
-    The key space is carved into ``n_buckets`` hash buckets.  Each
+    The key space is carved into 16 hash buckets (``_N_BUCKETS``).  Each
     repair *round* starts with one snapshot scan of every alive
     replica's records (the round's I/O bill, charged through the normal
     device path); each :meth:`pump` then checks one ``(node, bucket)``
@@ -818,14 +817,16 @@ class AntiEntropyRepairer:
     of competing with foreground reads — and every pump does one
     *time-bounded* unit of work (scan one replica into the round's
     snapshot, or check one bucket with repair streaming cut off at
-    ``pump_io_budget`` of simulated time, resuming the same cell next
+    5 ms of simulated time (``_IO_BUDGET``), resuming the same cell next
     pump).  The device is serial: a pump that charged 100 ms of
     simulated I/O would stall every foreground request that arrived
-    meanwhile, so boundedness here *is* the availability story.  Unless
-    ``continuous=True``, pumps are no-ops while no replica is tainted —
-    steady-state repair tax is zero until something actually needs
-    repair.
+    meanwhile, so boundedness here *is* the availability story.  Pumps
+    are no-ops while no replica is tainted — steady-state repair tax is
+    zero until something actually needs repair.
     """
+
+    _N_BUCKETS = 16
+    _IO_BUDGET = 0.005  # simulated seconds of repair streaming per pump
 
     def __init__(
         self,
@@ -833,18 +834,11 @@ class AntiEntropyRepairer:
         *,
         admission: AdmissionController | None = None,
         injector: FaultInjector | None = None,
-        n_buckets: int = 16,
-        pump_budget: float = 0.001,
-        pump_io_budget: float = 0.005,
-        continuous: bool = False,
     ):
         self.store = store
         self.clock = store.clock
-        self.gate = BackgroundGate(admission, self.clock, pump_budget)
+        self.gate = BackgroundGate(admission, self.clock, PUMP_BUDGET)
         self.injector = injector
-        self.n_buckets = n_buckets
-        self.pump_io_budget = pump_io_budget
-        self.continuous = continuous
         # Round state machine: scan alive replicas one per pump, then
         # check (node, bucket) cells one per pump.
         self._scan_queue: list[int] = []
@@ -859,7 +853,7 @@ class AntiEntropyRepairer:
     # -- digests -----------------------------------------------------------------
 
     def bucket_of(self, key: Any) -> int:
-        return hash_to_range(key, self.n_buckets, self.store.seed ^ _DIGEST_SALT)
+        return hash_to_range(key, self._N_BUCKETS, self.store.seed ^ _DIGEST_SALT)
 
     @staticmethod
     def _chain(records) -> int:
@@ -876,7 +870,7 @@ class AntiEntropyRepairer:
         buckets: dict[int, list[tuple]] = {}
         for key, record in records:
             buckets.setdefault(self.bucket_of(key), []).append((key, record))
-        return {b: self._chain(buckets.get(b, [])) for b in range(self.n_buckets)}
+        return {b: self._chain(buckets.get(b, [])) for b in range(self._N_BUCKETS)}
 
     def node_digests(self, node_id: int) -> dict[int, int]:
         """Live per-bucket digests of one replica's stored records (one
@@ -907,7 +901,7 @@ class AntiEntropyRepairer:
         """Each replica's scanned records, split by bucket in scan order."""
         split = {}
         for node_id, records in snapshot.items():
-            buckets: list[dict[Any, Any]] = [{} for _ in range(self.n_buckets)]
+            buckets: list[dict[Any, Any]] = [{} for _ in range(self._N_BUCKETS)]
             for key, record in records.items():
                 buckets[self.bucket_of(key)][key] = record
             split[node_id] = buckets
@@ -924,9 +918,7 @@ class AntiEntropyRepairer:
     # -- the pump ----------------------------------------------------------------
 
     def _active(self) -> bool:
-        return self.continuous or any(
-            n.tainted for n in self.store.nodes.values()
-        )
+        return any(n.tainted for n in self.store.nodes.values())
 
     @property
     def idle(self) -> bool:
@@ -945,7 +937,7 @@ class AntiEntropyRepairer:
         Gating mirrors the reshard pump: admitted at LOW priority, with
         idle runway before the next arrival.  A unit is one replica scan
         (building the round's snapshot) or one bucket check; repair
-        streaming inside a bucket stops at ``pump_io_budget`` of
+        streaming inside a bucket stops at ``_IO_BUDGET`` of
         simulated time and the cell is retried next pump, so no single
         pump can stall the serial device for long.
         """
@@ -977,7 +969,7 @@ class AntiEntropyRepairer:
             if not self._scan_queue:
                 self._snapshot = self._split(self._building)
                 self._cells = [
-                    (n, b) for n in self._snapshot for b in range(self.n_buckets)
+                    (n, b) for n in self._snapshot for b in range(self._N_BUCKETS)
                 ]
                 bind_handles(self, _ReplicaMetrics).repair_rounds.inc()
             return True
@@ -997,7 +989,7 @@ class AntiEntropyRepairer:
     def _io_deadline(self) -> Deadline | None:
         if self.clock is None:
             return None
-        return Deadline.after(self.clock, self.pump_io_budget)
+        return Deadline.after(self.clock, self._IO_BUDGET)
 
     def _check_bucket(self, node_id: int, bucket: int) -> bool:
         """Digest-check one cell against the round snapshot, streaming
@@ -1053,7 +1045,7 @@ class AntiEntropyRepairer:
         streak = self._clean_streak.get(node_id, 0) + 1
         self._clean_streak[node_id] = streak
         node = self.store.nodes[node_id]
-        if not node.tainted or streak < self.n_buckets \
+        if not node.tainted or streak < self._N_BUCKETS \
                 or self.store.handoff.pending_for(node_id):
             return
         # A taint clear re-enables ABSENT votes, so it must not rest on a
@@ -1159,7 +1151,7 @@ def run_replica_storm(
     *,
     replication: int | None = None,
     read_quorum: int | None = None,
-    phases=None,
+    phases=CALM_STORM_RECOVERY,
     kill_at: int = 0,
     heal_at: int = 0,
     kill_node: int | None = None,
@@ -1188,32 +1180,30 @@ def run_replica_storm(
             replication=replication, read_quorum=read_quorum, **stack_kwargs,
         )
     )
-    phases = CALM_STORM_RECOVERY if phases is None else phases
     report = ReplicaReport()
     victim = kill_node if kill_node is not None else (1 % n_nodes)
-    state = {"store": store, "repairer": repairer}
 
-    def recover() -> ReplicatedStore:
-        old_store = state["store"]
+    def recover() -> tuple[ReplicatedStore, AntiEntropyRepairer]:
+        old_store = served.backend
         new_store = ReplicatedStore.recover(
             old_store.device, clock=clock,
             detector=FailureDetector(clock), injector=injector,
             config=old_store.config,
         )
-        state["store"], state["repairer"] = new_store, AntiEntropyRepairer(
+        return new_store, AntiEntropyRepairer(
             new_store, admission=served.admission, injector=injector
         )
-        return new_store
 
     def tick(n: int, arrival: float) -> None:
+        store = served.backend
         if kill_at > 0 and n == kill_at:
             if crash_at_step:
                 injector.crash_after(crash_at_step)
-            state["store"].kill(victim, wipe=wipe)
+            store.kill(victim, wipe=wipe)
             report.kills += 1
             report.events.append((clock.now(), f"kill:r{victim}"))
         elif heal_at > 0 and n == heal_at:
-            state["store"].heal(victim)
+            store.heal(victim)
             report.heals += 1
             report.events.append((clock.now(), f"heal:r{victim}"))
         elif n % 2:
@@ -1221,42 +1211,39 @@ def run_replica_storm(
             # Replay gets the repair pump's idle-runway rule: background
             # convergence I/O must not stall the serial device while
             # foreground traffic is hot.
-            if state["repairer"].gate.has_runway(arrival):
-                state["store"].handoff.replay(batch=4)
+            if driver.worker.gate.has_runway(arrival):
+                store.handoff.replay(batch=4)
         else:
-            state["repairer"].pump(arrival)
-
-    driver = StormDriver(
-        served, report, seed=seed, n_keys=n_keys,
-        write_fraction=write_fraction, tick=tick, recover=recover,
-    )
-    storm = run_storm(
-        served, phases, seed=seed, n_keys=n_keys, ticker=driver.ticker
-    )
+            driver.worker.pump(arrival)
 
     def drain_step() -> bool:
-        if state["store"].handoff.replay(batch=16, force=True):
+        if served.backend.handoff.replay(batch=16, force=True):
             return False
-        state["repairer"].pump(force=True)
+        driver.worker.pump(force=True)
         # One converged check per completed round keeps the drain's own
         # scan bill bounded.
-        return state["repairer"].idle and state["repairer"].converged()
+        return driver.worker.idle and driver.worker.converged()
 
+    driver = StormDriver(
+        served, seed=seed, n_keys=n_keys, report=report, worker=repairer,
+        write_fraction=write_fraction, tick=tick, recover=recover,
+    )
+    storm = driver.run(phases)
     if drain:
         # Full convergence is the drain's contract, and a dead replica
         # can neither take its hints nor be digest-checked (converged()
         # is alive-only) — so first bring back every node still down,
         # including any boot-tainted by a mid-storm crash recovery.
-        for node_id, node in sorted(state["store"].nodes.items()):
+        for node_id, node in sorted(served.backend.nodes.items()):
             if not node.alive:
-                state["store"].heal(node_id)
+                served.backend.heal(node_id)
                 report.heals += 1
                 report.events.append((clock.now(), f"drain-heal:r{node_id}"))
         driver.drain(drain_step, 10_000)
 
-    final_store, final_repairer = state["store"], state["repairer"]
+    store, repairer = served.backend, driver.worker
     report.read_counts(window)
-    report.converged = final_repairer.converged()
-    report.backlog = final_store.handoff.pending()
-    final_store.publish_gauges()
-    return storm, report, final_store, final_repairer
+    report.converged = repairer.converged()
+    report.backlog = store.handoff.pending()
+    store.publish_gauges()
+    return storm, report, store, repairer

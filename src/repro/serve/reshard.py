@@ -53,13 +53,7 @@ from repro.common.faults import (
 )
 from repro.common.storage import NamespacedDevice
 from repro.core.errors import ChecksumError
-from repro.core.routing import (
-    SHARD_SALT,
-    HashRangeRouter,
-    Router,
-    router_from_manifest,
-)
-from repro.common.hashing import hash64
+from repro.core.routing import HashRangeRouter, Router, router_from_manifest
 from repro.core.serialize import frame, unframe
 from repro.obs.metrics import (
     CounterWindow,
@@ -69,17 +63,20 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.serve.admission import AdmissionConfig, AdmissionController
-from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
+from repro.serve.sim import CALM_STORM_RECOVERY, StormDriver
 from repro.serve.stack import (
+    PUMP_BUDGET,
     BackgroundGate,
     DurableManifest,
     NamespacedStore,
     StackParts,
-    StormDriver,
     StormSummary,
     crash_point,
     write_verified,
 )
+
+
+_META_NS = "meta"
 
 
 class MigrationStep(enum.Enum):
@@ -164,12 +161,11 @@ class ShardedStore(NamespacedStore):
         config: LSMConfig | None = None,
         clock: SimulatedClock | None = None,
         seed: int = 0,
-        meta_namespace: str = "meta",
         write_manifest: bool = True,
     ):
         super().__init__(device, config, clock, seed)
         self.router = router
-        self._meta = NamespacedDevice(device, meta_namespace)
+        self._meta = NamespacedDevice(device, _META_NS)
         self._meta_retry = RetryPolicy(max_attempts=4, clock=clock)
         self._routing = DurableManifest(self._meta, "routing")
         self.shards: dict[int, LSMTree] = {}
@@ -226,19 +222,6 @@ class ShardedStore(NamespacedStore):
             for sid, tree in self.shards.items()
         }
 
-    def key_histogram(self, shard_id: int) -> list[int]:
-        """The 64-bit routing-hash points of *shard_id*'s live keys.
-
-        One full shard scan (charged through the device, so callers
-        should sample this at planning time, not per request).  Feed to
-        :meth:`HashRangeRouter.split` for a data-driven cut at the
-        observed median instead of the geometric midpoint.
-        """
-        salt = getattr(self.router, "seed", 0) ^ SHARD_SALT
-        return [
-            hash64(key, salt) for key, _ in self.shards[shard_id].items()
-        ]
-
     @property
     def mutation_epoch(self) -> int:
         """Version token for negative caches; never repeats across a crash.
@@ -277,7 +260,6 @@ class ShardedStore(NamespacedStore):
         clock: SimulatedClock | None = None,
         config: LSMConfig | None = None,
         seed: int = 0,
-        meta_namespace: str = "meta",
     ) -> "ShardedStore":
         """Reopen a store from its devices alone (post-crash).
 
@@ -286,7 +268,7 @@ class ShardedStore(NamespacedStore):
         persisted epoch.  Migration state, if any, is reattached by
         :meth:`ReshardCoordinator.recover` from the journal.
         """
-        routing = DurableManifest(NamespacedDevice(device, meta_namespace), "routing")
+        routing = DurableManifest(NamespacedDevice(device, _META_NS), "routing")
         manifest = routing.load()
         if manifest is None:
             raise RuntimeError("no valid routing manifest; cannot recover")
@@ -295,7 +277,7 @@ class ShardedStore(NamespacedStore):
         router = router_from_manifest(manifest["router"])
         store = cls(
             device, router, shard_ids=(), config=config, clock=clock,
-            seed=seed, meta_namespace=meta_namespace, write_manifest=False,
+            seed=seed, write_manifest=False,
         )
         store._epoch_base = manifest["epoch_base"]
         store._routing = routing
@@ -433,11 +415,10 @@ class ReshardCoordinator:
         admission: AdmissionController | None = None,
         injector: FaultInjector | None = None,
         batch_keys: int = 8,
-        pump_budget: float = 0.001,
     ):
         self.store = store
         self.clock = clock if clock is not None else store.clock
-        self.gate = BackgroundGate(admission, self.clock, pump_budget)
+        self.gate = BackgroundGate(admission, self.clock, PUMP_BUDGET)
         self.injector = injector
         self.batch_keys = batch_keys
         self._commits_since_journal = 0
@@ -451,20 +432,10 @@ class ReshardCoordinator:
     # -- planning ----------------------------------------------------------------
 
     def plan_split(
-        self,
-        source: int | None = None,
-        target: int | None = None,
-        *,
-        data_driven: bool = False,
+        self, source: int | None = None, target: int | None = None
     ) -> MigrationState:
-        """Split the hottest (or given) shard's range onto a new shard.
-
-        With ``data_driven=True`` the cut point comes from the source
-        shard's observed key-hash histogram (median of the busiest
-        range) instead of the geometric midpoint — a balanced split even
-        when the stored keys cluster in one corner of the hash space.
-        The histogram scan is charged at planning time, once.
-        """
+        """Split the hottest (or given) shard's widest range at its
+        geometric midpoint onto a new shard."""
         router = self._require_idle()
         if not isinstance(router, HashRangeRouter):
             raise TypeError("split requires a HashRangeRouter")
@@ -473,8 +444,7 @@ class ReshardCoordinator:
             source = max(sorted(sizes), key=sizes.__getitem__)
         if target is None:
             target = max(self.store.shards) + 1
-        histogram = self.store.key_histogram(source) if data_driven else None
-        new_router = router.split(source, target, histogram=histogram)
+        new_router = router.split(source, target)
         mig = MigrationState("split", source, target, router, new_router)
         self._install_plan(mig, open_target=True)
         return mig
@@ -746,7 +716,7 @@ class ReshardCoordinator:
         if verified:
             try:
                 write_verified(meta, address, payload)
-            except TransientIOError:
+            except (TransientIOError, CircuitOpenError):
                 # Recovery must not find a record the writer gave up on.
                 meta.delete(address)
                 raise
@@ -946,7 +916,7 @@ def run_reshard_storm(
     n_keys: int = 2_000,
     n_shards: int = 4,
     *,
-    phases=None,
+    phases=CALM_STORM_RECOVERY,
     reshard_at: int = 250,
     kind: str = "split",
     source: int | None = None,
@@ -957,10 +927,11 @@ def run_reshard_storm(
 ):
     """A chaos storm with a live migration (and optionally a crash) in it.
 
-    Runs :func:`repro.serve.sim.run_storm` over a sharded stack; at
-    request *reshard_at* a split/merge is planned, and every subsequent
-    request pumps one background batch.  With *crash_at_step* set, a
-    one-shot :class:`~repro.common.faults.SimulatedCrash` is armed at
+    Runs the :class:`~repro.serve.sim.StormDriver` loop over a sharded
+    stack; at request *reshard_at* a split/merge is planned, and every
+    subsequent request pumps one background batch.  With
+    *crash_at_step* set, a one-shot
+    :class:`~repro.common.faults.SimulatedCrash` is armed at
     ``reshard.<step>``; when it fires, all in-memory state is discarded
     and the stack is recovered from the devices (store + coordinator +
     scrub), after which the storm — and the migration — continue.
@@ -975,27 +946,27 @@ def run_reshard_storm(
     served, store, coordinator, device, injector, latency, clock = (
         build_sharded_stack(seed, n_keys, n_shards, **stack_kwargs)
     )
-    phases = CALM_STORM_RECOVERY if phases is None else phases
     report = ReshardReport(requested=reshard_at > 0)
-    state = {"coord": coordinator, "planned": False}
+    planned = False
 
-    def recover() -> ShardedStore:
-        old_store = state["coord"].store
+    def recover() -> tuple[ShardedStore, ReshardCoordinator]:
+        old_store = served.backend
         new_store = ShardedStore.recover(
             old_store.device, clock=clock, config=old_store.config, seed=seed
         )
-        state["coord"] = ReshardCoordinator.recover(
+        coord = ReshardCoordinator.recover(
             new_store, clock=clock,
             admission=served.admission, injector=injector,
         )
         new_store.scrub(repair=True)
-        return new_store
+        return new_store, coord
 
     def tick(n: int, arrival: float) -> None:
-        coord = state["coord"]
+        nonlocal planned
+        coord = driver.worker
         # reshard_at <= 0 disables the migration (plain sharded storm).
-        if reshard_at > 0 and not state["planned"] and n >= reshard_at:
-            state["planned"] = True
+        if reshard_at > 0 and not planned and n >= reshard_at:
+            planned = True
             if crash_at_step:
                 injector.crash_after(f"reshard.{crash_at_step}")
             try:
@@ -1008,7 +979,7 @@ def run_reshard_storm(
                     coord.plan_split(source=source)
             except (TransientIOError, CircuitOpenError):
                 # The plan never became durable: plan again next request.
-                state["planned"] = False
+                planned = False
                 report.events.append((clock.now(), "plan_failed"))
                 return
             report.events.append((clock.now(), "planned"))
@@ -1023,28 +994,25 @@ def run_reshard_storm(
         if after is not before:
             report.events.append((clock.now(), after.value))
 
-    driver = StormDriver(
-        served, report, seed=seed, n_keys=n_keys,
-        write_fraction=write_fraction, tick=tick, recover=recover,
-    )
-    storm = run_storm(
-        served, phases, seed=seed, n_keys=n_keys, ticker=driver.ticker
-    )
-
     def drain_step() -> bool:
-        if state["coord"].store.migration is None:
+        if driver.worker.store.migration is None:
             return True
-        state["coord"].pump(budget=0.050, force=True)
+        driver.worker.pump(budget=0.050, force=True)
         return False
 
+    driver = StormDriver(
+        served, seed=seed, n_keys=n_keys, report=report, worker=coordinator,
+        write_fraction=write_fraction, tick=tick, recover=recover,
+    )
+    storm = driver.run(phases)
     if drain:
         driver.drain(drain_step, 50_000)
 
-    final_coord = state["coord"]
-    final_store = final_coord.store
+    coordinator = driver.worker
+    store = coordinator.store
     report.read_counts(window)
-    report.completed = final_store.migration is None and state["planned"]
-    report.final_epoch = final_store.router.epoch
-    report.final_shards = tuple(sorted(final_store.shards))
-    final_coord.publish_gauges()
-    return storm, report, final_coord
+    report.completed = store.migration is None and planned
+    report.final_epoch = store.router.epoch
+    report.final_shards = tuple(sorted(store.shards))
+    coordinator.publish_gauges()
+    return storm, report, coordinator

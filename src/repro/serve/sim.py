@@ -1,4 +1,4 @@
-"""Seeded chaos-under-load storms against a served LSM stack.
+"""Seeded chaos-under-load storms: the one request loop of every topology.
 
 The serving layer's claims — no false negatives, breakers trip and
 recover, shedding stays bounded, tail latency respects deadlines — are
@@ -6,9 +6,13 @@ statements about behaviour *under storms*, so this module provides the
 storm: :func:`build_stack` assembles the full serving pipeline
 (simulated clock → fault + latency injectors → faulty device → circuit
 breakers → LSM-tree → admission → :class:`ServedFilter`), and
-:func:`run_storm` drives an open-loop Poisson workload through a
+:class:`StormDriver` drives an open-loop Poisson workload through a
 schedule of :class:`StormPhase` s, flipping fault rates and latency
-multipliers between phases the way a real incident does.
+multipliers between phases the way a real incident does.  The driver's
+loop is the only request loop: the single-tree storm
+(:func:`run_storm`), the sharded, the replicated and the multi-tenant
+storms all run it, each adding only its per-request schedule
+(``tick``), its crash recovery and its drain step.
 
 Everything is seeded: the same ``(seed, phases)`` pair replays the same
 faults, the same latency spikes, the same arrivals, and therefore the
@@ -21,10 +25,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.cache import BlockCache, CachedDevice, NegativeLookupCache
 from repro.common.clock import Answer
+from repro.common.faults import CircuitOpenError, SimulatedCrash, TransientIOError
 from repro.serve.admission import AdmissionConfig, Priority
 from repro.serve.breaker import BreakerState
 from repro.serve.served import ServedFilter, ServeOutcome
@@ -35,10 +41,11 @@ from repro.serve.stack import StackParts, retry_policy
 class StormPhase:
     """One segment of a storm schedule.
 
-    ``transient_read`` is the per-read fault probability applied to run
-    and filter blobs for the phase; ``slowdown`` multiplies the latency
-    injector's service times (a slow-disk plateau); ``spike_prob``
-    overrides the injector's tail-spike probability.
+    ``transient_read`` is the per-read fault probability applied to the
+    storm's data reads (:data:`STORM_FAULT_CLASSES`) for the phase;
+    ``slowdown`` multiplies the latency injector's service times (a
+    slow-disk plateau); ``spike_prob`` overrides the injector's
+    tail-spike probability.
     """
 
     name: str
@@ -120,24 +127,131 @@ class StormReport:
         return []
 
 
-def storm_arrivals(phases, rng, report, injector, latency, fault_kinds, arrival):
-    """Yield ``(phase_report, arrival)`` for every request of *phases*.
+# The address classes a phase's transient-read rate hits: the LSM's data
+# reads and the tenant fleet's index rows and stores.  Every other class
+# (manifests, journals, hints) stays healthy.
+STORM_FAULT_CLASSES = ("run", "page", "filter", "tenant_row", "tenant_store")
+PRIORITIES = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
+PRIORITY_WEIGHTS = (0.2, 0.6, 0.2)
 
-    Each phase first sets its transient-read rate on the *fault_kinds*
-    address classes (every other class stays healthy), its latency
-    slowdown and its spike probability; arrivals are Poisson with the
-    phase's mean interarrival, drawn from *rng*.
+
+class StormDriver:
+    """The request loop of every storm: single tree, shards, replicas, tenants.
+
+    :meth:`run` drives a phase schedule through *served*.  Each phase
+    sets its transient-read rate on :data:`STORM_FAULT_CLASSES`, its
+    latency slowdown and its spike probability.  Each request then draws
+    from *rng* (default ``Random(seed ^ 0x570F)``), in this order: its
+    Poisson arrival; whatever :meth:`ticker` draws; whether it targets a
+    stored key (half do); the key and the tenant billed for it, from
+    ``draw(present)`` (default: a loaded key ``0..n_keys-1`` or one of
+    ``n_keys`` absent keys, and no tenant); and its priority.  A false
+    negative is a stored key answered ABSENT — the invariant the
+    one-sided-error contract says can never happen, shed or storm or not.
+
+    :meth:`ticker` is the work before each request: an optional
+    foreground write of a loaded key (``Random(seed ^ 0x3317E)``), then
+    the topology's ``tick(n, arrival)``.  The driver holds the live
+    backend (``served.backend``) and its background ``worker`` (the
+    reshard coordinator or the anti-entropy repairer).  A
+    :class:`SimulatedCrash` in a tick or in :meth:`drain` discards all
+    in-memory state: breakers reset (process state, not durable state),
+    ``recover()`` rebuilds ``(backend, worker)`` from the devices, and
+    *report* logs ``crash:<step>`` then ``recovered:<where>``.  Without
+    *recover* the crash propagates.
     """
-    for phase in phases:
-        injector.transient_read = dict.fromkeys(fault_kinds, phase.transient_read)
-        injector.transient_read["*"] = 0.0
-        latency.slowdown = phase.slowdown
-        latency.spike_prob = phase.spike_prob
-        phase_report = PhaseReport(phase.name)
-        report.phases.append(phase_report)
-        for _ in range(phase.n_requests):
-            arrival += rng.expovariate(1.0 / phase.mean_interarrival)
-            yield phase_report, arrival
+
+    def __init__(self, served: ServedFilter, *, seed: int = 0, n_keys: int = 0,
+                 rng: random.Random | None = None,
+                 draw: Callable[[bool], tuple[Any, Any]] | None = None,
+                 report: Any = None, worker: Any = None, write_fraction: float = 0.0,
+                 tick: Callable[[int, float], None] | None = None,
+                 recover: Callable[[], tuple[Any, Any]] | None = None):
+        self.served = served
+        self.report = report
+        self.worker = worker
+        self.rng = rng if rng is not None else random.Random(seed ^ 0x570F)
+        self.requests = self.writes = 0
+        self._n_keys = n_keys
+        self._draw = draw if draw is not None else self._loaded_key
+        self._write_fraction = write_fraction
+        self._wrng = random.Random(seed ^ 0x3317E)
+        self._tick = tick
+        self._recover = recover
+
+    def run(self, phases) -> StormReport:
+        """Drive *phases* through *served*, tallying every answer."""
+        served, rng = self.served, self.rng
+        # The LSM stacks reach their injectors through the breaker bank;
+        # the tenant fleet, which has no device, through its store.
+        faults = served.breaker_device if served.breaker_device is not None else served.backend
+        report = StormReport()
+        arrival = served.clock.now()
+        for phase in phases:
+            faults.injector.transient_read = dict.fromkeys(
+                STORM_FAULT_CLASSES, phase.transient_read
+            )
+            faults.injector.transient_read["*"] = 0.0
+            faults.latency.slowdown = phase.slowdown
+            faults.latency.spike_prob = phase.spike_prob
+            phase_report = PhaseReport(phase.name)
+            report.phases.append(phase_report)
+            for _ in range(phase.n_requests):
+                arrival += rng.expovariate(1.0 / phase.mean_interarrival)
+                self.ticker(arrival)
+                present = rng.random() < 0.5
+                key, tenant = self._draw(present)
+                priority = rng.choices(PRIORITIES, weights=PRIORITY_WEIGHTS)[0]
+                response = served.serve(key, priority=priority, arrival=arrival, tenant=tenant)
+                report.record(phase_report, response, present)
+        if served.breaker_device is not None:
+            report.breaker_opens = served.breaker_device.n_transitions(BreakerState.OPEN)
+            report.breaker_closes = served.breaker_device.n_transitions(BreakerState.CLOSED)
+        served.publish_gauges()
+        return report
+
+    def _loaded_key(self, present: bool) -> tuple[int, None]:
+        n_keys = self._n_keys
+        key = self.rng.randrange(n_keys) if present else n_keys + self.rng.randrange(n_keys)
+        return key, None
+
+    def ticker(self, arrival: float) -> None:
+        """The work before each request: a foreground write, then the tick."""
+        self.requests += 1
+        if self._write_fraction and self._wrng.random() < self._write_fraction:
+            key = self._wrng.randrange(self._n_keys)
+            self.writes += 1
+            try:
+                self.served.backend.put(key, f"value-{key}-u{self.writes}")
+            except (TransientIOError, CircuitOpenError):
+                pass  # an update lost to a storm; the key stays present
+        if self._tick is None:
+            return
+        try:
+            self._tick(self.requests, arrival)
+        except SimulatedCrash as crash:
+            self._crashed(crash, crash.step)
+
+    def drain(self, step: Callable[[], bool], limit: int) -> None:
+        """Call *step* until it returns True, at most *limit* times."""
+        for _ in range(limit):
+            try:
+                if step():
+                    return
+            except SimulatedCrash as crash:
+                self._crashed(crash, f"drain:{crash.step}")
+
+    def _crashed(self, crash: SimulatedCrash, where: str) -> None:
+        if self._recover is None:
+            raise crash
+        clock, report = self.served.clock, self.report
+        report.events.append((clock.now(), f"crash:{crash.step}"))
+        report.crashes += 1
+        if self.served.breaker_device is not None:
+            self.served.breaker_device.reset()
+        self.served.backend, self.worker = self._recover()
+        report.recoveries += 1
+        report.events.append((clock.now(), f"recovered:{where}"))
 
 
 def build_stack(
@@ -201,37 +315,7 @@ def run_storm(
     *,
     seed: int = 0,
     n_keys: int = 2_000,
-    present_fraction: float = 0.5,
-    priority_weights: tuple[float, float, float] = (0.2, 0.6, 0.2),
-    ticker=None,
 ) -> StormReport:
-    """Drive a phase schedule through *served* and audit the answers.
-
-    Each request targets a loaded key with probability
-    *present_fraction*, else a key guaranteed absent.  A false negative
-    is a present key answered ABSENT — the invariant the one-sided-error
-    contract says can never happen, shed or storm or not.
-
-    *ticker*, if given, is called as ``ticker(arrival)`` before every
-    request — the hook background work (e.g. online-resharding pumps,
-    :mod:`repro.serve.reshard`) uses to interleave with live traffic.
-    It may swap ``served.backend`` (crash recovery does).
-    """
-    rng = random.Random(seed ^ 0x570F)
-    report = StormReport()
-    priorities = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
-    for phase_report, arrival in storm_arrivals(
-        phases, rng, report, served.breaker_device.injector,
-        served.breaker_device.latency, ("run", "page", "filter"), served.clock.now(),
-    ):
-        if ticker is not None:
-            ticker(arrival)
-        present = rng.random() < present_fraction
-        key = rng.randrange(n_keys) if present else n_keys + rng.randrange(n_keys)
-        priority = rng.choices(priorities, weights=priority_weights)[0]
-        response = served.serve(key, priority=priority, arrival=arrival)
-        report.record(phase_report, response, present)
-    report.breaker_opens = served.breaker_device.n_transitions(BreakerState.OPEN)
-    report.breaker_closes = served.breaker_device.n_transitions(BreakerState.CLOSED)
-    served.publish_gauges()
-    return report
+    """The single-tree storm: :class:`StormDriver`'s loop over *served*,
+    with no schedule, no foreground writes and no crash recovery."""
+    return StormDriver(served, seed=seed, n_keys=n_keys).run(phases)

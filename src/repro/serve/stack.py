@@ -6,17 +6,16 @@ bottom and top (:class:`StackParts`, :func:`retry_policy`), the trees
 the sharded and replicated stores keep in device namespaces
 (:class:`NamespacedStore`), the double-buffered
 :class:`DurableManifest`, the :class:`BackgroundGate` for
-migration/repair pumps, the crash-recovering :class:`StormDriver` that
-wraps :func:`repro.serve.sim.run_storm`, and :class:`StormSummary`, the
-one shape of the storm reports.
+migration/repair pumps, and :class:`StormSummary`, the one shape of the
+storm reports.  The one request loop every storm runs, with its crash
+recovery, is :class:`repro.serve.sim.StormDriver`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import random
-from typing import Any, Callable, ClassVar
+from typing import Any, ClassVar
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.common.clock import Answer, SimulatedClock
@@ -26,7 +25,6 @@ from repro.common.faults import (
     FaultyBlockDevice,
     LatencyInjector,
     RetryPolicy,
-    SimulatedCrash,
     TransientIOError,
 )
 from repro.core.errors import ChecksumError
@@ -151,8 +149,10 @@ class DurableManifest:
 
     :meth:`write` bumps ``version`` and writes the framed document to
     slot ``version % 2`` with read-back verification, so a failed write
-    leaves the previous version intact in the other slot; :meth:`load`
-    returns the highest-version slot that still decodes.
+    leaves the previous version intact in the other slot.  A write that
+    raises puts ``version`` back, so the next try reuses the failed slot
+    and failed writes in a row never reach the last good version.
+    :meth:`load` returns the highest-version slot that still decodes.
     """
 
     def __init__(self, meta: Any, name: str):
@@ -165,7 +165,11 @@ class DurableManifest:
 
     def write(self, doc: dict) -> None:
         self.version += 1
-        write_verified(self.meta, (self.name, self.version % 2), self.encode(doc))
+        try:
+            write_verified(self.meta, (self.name, self.version % 2), self.encode(doc))
+        except (TransientIOError, CircuitOpenError):
+            self.version -= 1
+            raise
 
     def load(self) -> dict | None:
         retry = RetryPolicy(max_attempts=_VERIFY_ATTEMPTS)
@@ -183,6 +187,10 @@ class DurableManifest:
         if best is not None:
             self.version = best["version"]
         return best
+
+
+# The budget of one background batch: a migration or a repair pump.
+PUMP_BUDGET = 0.001
 
 
 class BackgroundGate:
@@ -218,65 +226,6 @@ class BackgroundGate:
         runway = self.runway(lag_cap)
         headroom = (arrival - now) if arrival is not None else runway
         return decision.admitted and decision.queue_delay <= lag_cap and headroom >= runway
-
-
-class StormDriver:
-    """The crash-recovering ``run_storm`` ticker of the reshard and
-    replica storms.
-
-    Each request first draws an optional foreground write of a loaded
-    key, then runs the topology's ``tick(n, arrival)``.  A
-    :class:`SimulatedCrash` there or in :meth:`drain` discards all
-    in-memory state: breakers reset (process state, not durable state),
-    ``recover()`` rebuilds the backend from the devices and replaces
-    ``served.backend``, and *report* logs ``crash:<step>`` then
-    ``recovered:<where>``.
-    """
-
-    def __init__(self, served: ServedFilter, report: Any, *, seed: int, n_keys: int,
-                 write_fraction: float, tick: Callable[[int, float], None],
-                 recover: Callable[[], Any]):
-        self.served = served
-        self.report = report
-        self.requests = self.writes = 0
-        self._n_keys = n_keys
-        self._write_fraction = write_fraction
-        self._wrng = random.Random(seed ^ 0x3317E)
-        self._tick = tick
-        self._recover = recover
-
-    def ticker(self, arrival: float) -> None:
-        self.requests += 1
-        if self._write_fraction and self._wrng.random() < self._write_fraction:
-            key = self._wrng.randrange(self._n_keys)
-            self.writes += 1
-            try:
-                self.served.backend.put(key, f"value-{key}-u{self.writes}")
-            except (TransientIOError, CircuitOpenError):
-                pass  # an update lost to a storm; the key stays present
-        try:
-            self._tick(self.requests, arrival)
-        except SimulatedCrash as crash:
-            self._crashed(crash, crash.step)
-
-    def drain(self, step: Callable[[], bool], limit: int) -> None:
-        """Call *step* until it returns True, at most *limit* times."""
-        for _ in range(limit):
-            try:
-                if step():
-                    return
-            except SimulatedCrash as crash:
-                self._crashed(crash, f"drain:{crash.step}")
-
-    def _crashed(self, crash: SimulatedCrash, where: str) -> None:
-        clock, report = self.served.clock, self.report
-        report.events.append((clock.now(), f"crash:{crash.step}"))
-        report.crashes += 1
-        if self.served.breaker_device is not None:
-            self.served.breaker_device.reset()
-        self.served.backend = self._recover()
-        report.recoveries += 1
-        report.events.append((clock.now(), f"recovered:{where}"))
 
 
 class StormSummary:

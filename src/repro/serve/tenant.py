@@ -28,9 +28,11 @@ per lookup.  This module answers it from one bit-sliced index:
   candidates; a degraded authoritative filter or store read *forces*
   its tenant into the candidate set — degradation can cost probes,
   never a false ABSENT.
-* :func:`run_tenant_storm` drives Zipf-distributed multi-tenant traffic
-  (per-tenant quota buckets at admission, tenant churn mid-storm) and
-  audits the invariants after the drain.
+* :func:`run_tenant_storm` runs the shared
+  :class:`~repro.serve.sim.StormDriver` loop with Zipf-distributed
+  requesting tenants (each billed against its quota bucket at
+  admission) and tenant churn as its per-request ``tick``, and audits
+  the invariants after the drain.
 
 ``serve-sim --tenants N --tenant-zipf S`` is the CLI surface;
 ``benchmarks/bench_r5_tenant.py`` measures router-vs-flat probe counts
@@ -50,8 +52,8 @@ from repro.common.faults import FaultInjector, LatencyInjector
 from repro.core.bloofi import BloofiTree
 from repro.filters.bloom import BloomFilter, insert_each
 from repro.obs.metrics import CounterWindow, MetricsRegistry, bind_handles, default_registry
-from repro.serve.admission import AdmissionConfig, Priority, TenantQuota
-from repro.serve.sim import StormPhase, StormReport, storm_arrivals
+from repro.serve.admission import AdmissionConfig, TenantQuota
+from repro.serve.sim import StormDriver, StormPhase, StormReport
 from repro.serve.stack import StackParts, StormSummary
 from repro.workloads.synthetic import zipf_queries
 
@@ -543,18 +545,16 @@ def run_tenant_storm(
     quota: TenantQuota | None = None,
     budget: float = 0.050,
     probe_latency: float = 2e-5,
-    present_fraction: float = 0.5,
-    priority_weights: tuple[float, float, float] = (0.2, 0.6, 0.2),
     drain: bool = True,
 ) -> tuple[StormReport, TenantReport, TenantStore]:
     """Zipf multi-tenant traffic with optional churn; audit at the end.
 
     Every request is attributed to a Zipf(*zipf_skew*)-picked requesting
     tenant (billed against its quota bucket); the queried key is a live
-    tenant's key with probability *present_fraction*, else guaranteed
-    absent.  With ``churn_every > 0``, every that-many requests one
-    tenant is deprovisioned (its quota bucket dropped) and a fresh one
-    provisioned with new keys — mid-storm, under fire.
+    tenant's key for half the requests, else guaranteed absent.  With
+    ``churn_every > 0``, every that-many requests one tenant is
+    deprovisioned (its quota bucket dropped) and a fresh one provisioned
+    with new keys — mid-storm, under fire.
 
     The audit after the (optional) *drain*: zero invariant failures in
     the index, and — with chaos switched off — every surviving
@@ -571,9 +571,7 @@ def run_tenant_storm(
         probe_latency=probe_latency,
     )
     rng = random.Random(seed ^ 0x7E4A47)
-    report = StormReport()
     tenant_report = TenantReport(n_tenants_start=store.n_tenants)
-    priorities = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
 
     live = list(range(n_tenants))
     next_tenant = n_tenants
@@ -582,15 +580,20 @@ def run_tenant_storm(
     absent_base = 1 << 40  # disjoint from every key the fleet will ever own
 
     total_requests = sum(p.n_requests for p in phases)
-    # Zipf ranks over the *initial* fleet; churned-in tenants inherit a
-    # departed rank slot (live list index) so the skew profile persists.
-    rank_seq = zipf_queries(
+    # Zipf ranks over the *initial* fleet, one per request; churned-in
+    # tenants inherit a departed rank slot (live list index) so the skew
+    # profile persists.
+    ranks = iter(zipf_queries(
         list(range(max(1, n_tenants))), max(1, total_requests),
         zipf_skew, seed=seed,
-    )
+    ))
 
-    def churn(arrival: float) -> None:
+    def churn(n: int, _arrival: float) -> None:
+        """Before every ``churn_every``-th request after the first: one
+        tenant out, a fresh one in."""
         nonlocal next_tenant, next_key
+        if not churn_every or n == 1 or (n - 1) % churn_every:
+            return
         if len(live) > 1:
             victim = live.pop(rng.randrange(len(live)))
             store.remove_tenant(victim)
@@ -611,26 +614,14 @@ def run_tenant_storm(
             labels=("op",),
         ).labels(op="cycle").inc()
 
-    arrivals = storm_arrivals(
-        phases, rng, report, injector, latency,
-        ("tenant_row", "tenant_store"), clock.now(),
-    )
-    for request_index, (phase_report, arrival) in enumerate(arrivals):
-        if churn_every and request_index and request_index % churn_every == 0:
-            churn(arrival)
-        requester = live[rank_seq[request_index] % len(live)]
-        present = rng.random() < present_fraction
+    def draw(present: bool) -> tuple[int, int]:
+        requester = live[next(ranks) % len(live)]
         if present:
             owner = live[rng.randrange(len(live))]
-            key = keys_of[owner][rng.randrange(len(keys_of[owner]))]
-        else:
-            key = absent_base + rng.randrange(1 << 30)
-        priority = rng.choices(priorities, weights=priority_weights)[0]
-        response = served.serve(
-            key, priority=priority, arrival=arrival, tenant=requester,
-        )
-        report.record(phase_report, response, present)
+            return keys_of[owner][rng.randrange(len(keys_of[owner]))], requester
+        return absent_base + rng.randrange(1 << 30), requester
 
+    report = StormDriver(served, rng=rng, draw=draw, tick=churn).run(phases)
     tenant_report.quota_sheds = (
         sum(served.admission.stats.shed_by_tenant.values())
         if served.admission is not None else 0
@@ -658,9 +649,7 @@ def run_tenant_storm(
             ):
                 tenant_report.audit_false_negatives += 1
 
-    registry = default_registry()
-    registry.gauge(
+    default_registry().gauge(
         "repro_tenant_fleet_size", "live tenants in the fleet"
     ).set(store.n_tenants)
-    served.publish_gauges()
     return report, tenant_report, store

@@ -24,12 +24,13 @@ from hypothesis.stateful import (
 
 from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock
 from repro.common.faults import (
+    CircuitOpenError,
     FaultInjector,
     FaultyBlockDevice,
     SimulatedCrash,
     TransientIOError,
 )
-from repro.common.storage import BlockDevice
+from repro.common.storage import BlockDevice, NamespacedDevice
 from repro.core.routing import (
     ConsistentHashRouter,
     HashRangeRouter,
@@ -37,6 +38,8 @@ from repro.core.routing import (
 from repro.obs import use_registry
 from repro.obs.metrics import CounterWindow
 from tests.conftest import registry_count
+from repro.serve import BreakerDevice, BreakerState
+from repro.serve.stack import DurableManifest
 from repro.serve.replica import (
     AntiEntropyRepairer,
     FailureDetector,
@@ -92,34 +95,11 @@ class TestPreferenceList:
 
 
 class TestHistogramSplit:
-    def test_median_cut_balances_skewed_population(self):
-        router = HashRangeRouter.uniform([0], seed=4)
-        # All observed keys cluster in the low tenth of the hash space:
-        # a geometric midpoint split would leave the upper half empty.
-        points = [i * 137 for i in range(200)]
-        split = router.split(0, 1, histogram=points)
-        cut = split.ranges_of(1)[0][0]
-        left = sum(1 for p in points if p < cut)
-        assert abs(left - 100) <= 1  # median cut: half the observed keys
-
     def test_without_histogram_cut_is_geometric_midpoint(self):
         router = HashRangeRouter.uniform([0], seed=4)
         split = router.split(0, 1)
         (lo, hi), = split.ranges_of(1)
         assert lo == 2 ** 63  # midpoint of the full space
-
-    def test_cut_clamped_inside_range(self):
-        router = HashRangeRouter.uniform([0], seed=4)
-        # Every observed key at the very bottom: the clamp must keep both
-        # sides non-empty.
-        split = router.split(0, 1, histogram=[0] * 50)
-        (lo, hi), = split.ranges_of(1)
-        assert 0 < lo < 2 ** 64
-
-    def test_empty_histogram_falls_back_to_midpoint(self):
-        router = HashRangeRouter.uniform([0], seed=4)
-        assert router.split(0, 1, histogram=[]).bounds == \
-            router.split(0, 1).bounds
 
 
 # -- failure detection -------------------------------------------------------------
@@ -534,6 +514,34 @@ class TestFleetRecovery:
     def test_recover_without_manifest_fails_loudly(self):
         with pytest.raises(RuntimeError):
             ReplicatedStore.recover(BlockDevice())
+
+    def test_floor_bump_refused_by_an_open_breaker_keeps_the_durable_floor(self):
+        injector = FaultInjector()
+        device = BreakerDevice(FaultyBlockDevice(injector=injector), SimulatedClock())
+        store, _ = _fresh_store(device=device, injector=injector)
+
+        def durable_floor():
+            meta = NamespacedDevice(device.inner, "replmeta")
+            return DurableManifest(meta, "nodestate").load()["seq_floor"]
+
+        with use_registry():
+            for key in range(64):
+                store.put(key, f"v{key}")
+            assert (store.write_seq, store._seq_floor, durable_floor()) == (64, 64, 64)
+            # The next put bumps the floor to 128: its manifest write is
+            # lost and the read-back meets an open breaker.
+            injector.lost_write = {"nodestate": 1.0}
+            for slot in (0, 1):
+                breaker = device.breaker_for(("nodestate", "replmeta", slot))
+                while breaker.state is not BreakerState.OPEN:
+                    breaker.record_failure()
+            with pytest.raises(CircuitOpenError):
+                store.put(64, "v64")
+            assert (store.write_seq, store._seq_floor, durable_floor()) == (64, 64, 64)
+            injector.lost_write = 0.0
+            device.reset()
+            store.put(64, "v64")
+        assert (store.write_seq, store._seq_floor, durable_floor()) == (65, 128, 128)
 
 
 # -- hypothesis: never-ABSENT under arbitrary interleavings ------------------------

@@ -24,6 +24,7 @@ from hypothesis.stateful import (
 from repro.common.clock import Answer, LookupResult, SimulatedClock
 from repro.apps.lsm import LSMConfig
 from repro.common.faults import (
+    CircuitOpenError,
     FaultInjector,
     FaultyBlockDevice,
     LatencyInjector,
@@ -46,6 +47,7 @@ from repro.obs.metrics import CounterWindow
 from tests.conftest import registry_count
 import repro.serve.reshard as reshard_module
 from repro.serve import (
+    BreakerDevice,
     BreakerState,
     MigrationStep,
     ReshardCoordinator,
@@ -371,6 +373,28 @@ class TestCoordinator:
         assert sorted(store.shards) == shards
         assert not [r for r in coordinator.journal_records() if r["kind"] == "plan"]
         # Recovery from the devices sees the pre-plan world.
+        recovered = ShardedStore.recover(device, clock=clock)
+        ReshardCoordinator.recover(recovered, clock=clock)
+        assert recovered.migration is None
+        assert sorted(recovered.shards) == shards
+
+    def test_plan_read_back_refused_by_an_open_breaker_leaves_no_plan(self):
+        clock = SimulatedClock()
+        device = BreakerDevice(BlockDevice(), clock)
+        store = ShardedStore.create(device, 3, seed=0, clock=clock)
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        coordinator = ReshardCoordinator(store, clock=clock)
+        shards = sorted(store.shards)
+        breaker = device.breaker_for(("reshard", "meta", 0))
+        with use_registry():
+            while breaker.state is not BreakerState.OPEN:
+                breaker.record_failure()
+            with pytest.raises(CircuitOpenError):
+                coordinator.plan_split()
+        assert store.migration is None
+        device.reset()
+        assert not [r for r in coordinator.journal_records() if r["kind"] == "plan"]
         recovered = ShardedStore.recover(device, clock=clock)
         ReshardCoordinator.recover(recovered, clock=clock)
         assert recovered.migration is None

@@ -1,8 +1,9 @@
 """Tests for the serving plumbing every storm topology shares.
 
 ``repro.serve.stack`` holds the double-buffered manifest behind the
-routing table and the replica node state, the admission gate for
-background pumps, and the crash-recovering storm driver.
+routing table and the replica node state and the admission gate for
+background pumps; ``repro.serve.sim`` holds the storm driver, the one
+crash-recovering request loop of every storm.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.faults import (
+    CircuitOpenError,
     FaultInjector,
     FaultyBlockDevice,
     SimulatedCrash,
@@ -21,8 +23,9 @@ from repro.common.faults import (
 from repro.common.storage import BlockDevice
 from repro.core.serialize import frame
 from repro.obs import use_registry
-from repro.serve import AdmissionController, AdmissionDecision
-from repro.serve.stack import BackgroundGate, DurableManifest, StackParts, StormDriver
+from repro.serve import AdmissionController, AdmissionDecision, BreakerDevice, BreakerState
+from repro.serve.sim import StormDriver
+from repro.serve.stack import BackgroundGate, DurableManifest, StackParts
 
 
 class TestDurableManifest:
@@ -63,6 +66,33 @@ class TestDurableManifest:
             manifest.write({"epoch": 1})
         assert device.stats.writes == 4
         assert injector.stats.transient_reads == 4
+
+    def test_failed_writes_in_a_row_keep_the_last_good_version(self):
+        injector = FaultInjector()
+        device = FaultyBlockDevice(injector=injector)
+        manifest = DurableManifest(device, "routing")
+        manifest.write({"epoch": 1})
+        injector.torn_write = {"routing": 1.0}
+        for _ in range(2):
+            with pytest.raises(TransientIOError):
+                manifest.write({"epoch": 2})
+        assert manifest.version == 1
+        assert DurableManifest(device, "routing").load() == {"epoch": 1, "version": 1}
+        injector.torn_write = 0.0
+        manifest.write({"epoch": 3})
+        assert DurableManifest(device, "routing").load() == {"epoch": 3, "version": 2}
+
+    def test_read_back_refused_by_an_open_breaker_keeps_the_version(self):
+        device = BreakerDevice(BlockDevice(), SimulatedClock())
+        manifest = DurableManifest(device, "routing")
+        manifest.write({"epoch": 1})
+        breaker = device.breaker_for(("routing", 0))
+        with use_registry():
+            while breaker.state is not BreakerState.OPEN:
+                breaker.record_failure()
+            with pytest.raises(CircuitOpenError):
+                manifest.write({"epoch": 2})
+        assert manifest.version == 1
 
 
 class _FixedAdmission:
@@ -136,12 +166,12 @@ class _Report:
 
 
 class TestStormDriver:
-    def _driver(self, tick, write_fraction=0.0):
+    def _driver(self, tick, write_fraction=0.0, recover=lambda: (_Backend(), "worker")):
         served = StackParts(0, 0.0).serve(_Backend(), budget=0.05)
         report = _Report()
         driver = StormDriver(
-            served, report, seed=0, n_keys=10, write_fraction=write_fraction,
-            tick=tick, recover=_Backend,
+            served, seed=0, n_keys=10, report=report, write_fraction=write_fraction,
+            tick=tick, recover=recover,
         )
         return driver, served, report
 
@@ -159,6 +189,7 @@ class TestStormDriver:
             driver.ticker(0.0)
             driver.ticker(0.0)
         assert served.backend is not first
+        assert driver.worker == "worker"
         assert served.breaker_device.open_breakers() == []
         assert [label for _t, label in report.events] == ["crash:step", "recovered:step"]
         assert (report.crashes, report.recoveries) == (1, 1)
@@ -188,3 +219,14 @@ class TestStormDriver:
             f"value-{key}-u{n}" for n, (key, _value) in enumerate(puts, 1)
         ]
         assert len(puts) == 3
+
+    def test_without_recovery_a_crash_propagates(self):
+        def tick(_n, _arrival):
+            raise SimulatedCrash("churn")
+
+        driver, served, report = self._driver(tick, recover=None)
+        first = served.backend
+        with pytest.raises(SimulatedCrash):
+            driver.ticker(0.0)
+        assert served.backend is first
+        assert (report.events, report.crashes, report.recoveries) == ([], 0, 0)
