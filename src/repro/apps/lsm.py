@@ -26,19 +26,17 @@ filters (or the maplet) cannot rule out once per batch; ``lookup`` and
 
 Durability model (docs/robustness.md):
 
-Every persistent artifact is a checksummed blob on the device — run data
-and write-ahead-log records are CRC32-framed pickles, filter blobs are
-``BBF2`` frames (:mod:`repro.core.serialize`), and the manifest is a
-CRC32-framed JSON document double-buffered across two slots with a
-read-back verify, so a torn or lost manifest write can never orphan the
-tree.  ``put`` is acknowledged only after its WAL record is on the
-device, and ``put_many`` acknowledges each memtable-room chunk as a
-whole once all of its WAL records are; :meth:`LSMTree.recover` reopens
-a (possibly faulty) device by loading the newest valid manifest
-(falling back to a device scan), replaying the WAL, and loading every
-run's filter blob — rebuilding any filter whose blob fails its checksum
-from the run's keys, or degrading that run to "always probe" when
-rebuilding is disabled.  :meth:`scrub` walks all blobs, reports
+Every persistent artifact is a checksummed blob on the device: run data,
+pages, write-ahead-log records and the double-buffered manifest are
+durable records (:mod:`repro.common.records`), filter blobs are ``BBF2``
+frames (:mod:`repro.core.serialize`).  ``put`` is acknowledged only
+after its WAL record is on the device, and ``put_many`` acknowledges
+each memtable-room chunk as a whole once all of its WAL records are;
+:meth:`LSMTree.recover` reopens a (possibly faulty) device by loading
+the newest valid manifest (falling back to a device scan), replaying
+the WAL, and loading every run's filter blob — rebuilding any filter
+whose blob fails its checksum from the run's keys, or degrading that
+run to "always probe" when rebuilding is disabled.  :meth:`scrub` walks all blobs, reports
 corruption, and optionally repairs it — the ``bup bloom
 --check/--regenerate`` workflow as a method.
 
@@ -53,7 +51,6 @@ gauges on demand, and the read path emits ``lsm.get`` → ``filter.probe``
 
 from __future__ import annotations
 
-import json
 import pickle
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -61,12 +58,12 @@ from typing import Any, Callable
 
 from repro.common.clock import Answer, DeadlineExceeded, LookupResult
 from repro.common.faults import CircuitOpenError, RetryPolicy, TransientIOError
+from repro.common.records import JSON, PICKLE, DurableManifest, Journal, scrub_block
 from repro.common.storage import BlockDevice, IOStats
-from repro.core.errors import ChecksumError
 from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
 from repro.obs.tracing import trace
 from repro.core.serialize import dumps as filter_dumps
-from repro.core.serialize import frame, loads as filter_loads, unframe, verify as filter_verify
+from repro.core.serialize import loads as filter_loads, verify as filter_verify
 from repro.filters.bloom import BloomFilter
 from repro.maplets.qf_maplet import QuotientFilterMaplet
 
@@ -301,8 +298,10 @@ class LSMTree:
         self._next_run_id = 0
         self._next_seq = 0
         self._next_wal_seq = 0
-        self._wal_pending: list[int] = []
-        self._manifest_epoch = 0
+        # Both read through the tree's retries, as ``self.retry`` is at each read.
+        self._wal = Journal(self.device, "wal", PICKLE, read=self._read_block, size=_ENTRY_BYTES)
+        self._manifest = DurableManifest(self.device, "manifest", version_key="epoch",
+                                         read=self._read_block, attempts=self.config.retry_attempts)
         self._pending_retire: list[Any] = []
         self._maplet: QuotientFilterMaplet | None = None
         if self.config.use_maplet:
@@ -378,15 +377,11 @@ class LSMTree:
             self.flush()
 
     def _append_wal(self, records: Iterable[tuple[int, Any]]) -> None:
-        """One WAL block per ``(key, value)``, written with one device call."""
-        start = seq = self._next_wal_seq
-        blocks = []
-        for key, value in records:
-            blocks.append((("wal", seq), frame(pickle.dumps((key, value))), _ENTRY_BYTES))
-            seq += 1
-        self.device.write_many(blocks)
-        self._wal_pending.extend(range(start, seq))
-        self._next_wal_seq = seq
+        """One WAL frame per ``(key, value)``, written with one device call."""
+        items = [((seq,), (key, value))
+                 for seq, (key, value) in enumerate(records, self._next_wal_seq)]
+        self._wal.append(items)
+        self._next_wal_seq += len(items)
 
     def delete(self, key: int) -> None:
         """Delete via tombstone (the LSM way: deletes are writes)."""
@@ -452,7 +447,7 @@ class LSMTree:
     @staticmethod
     def _run_block(run: _Run) -> tuple:
         """``(address, payload, size)`` of a run's whole-run data block."""
-        data = frame(pickle.dumps((run.level, run.seq, run.keys, run.values)))
+        data = PICKLE.encode((run.level, run.seq, run.keys, run.values))
         return ("run", run.run_id), data, len(run.keys) * _ENTRY_BYTES
 
     def _page_block(self, run: _Run, page: int) -> tuple:
@@ -460,7 +455,7 @@ class LSMTree:
         lo = page * entries
         page_keys = run.keys[lo:lo + entries]
         page_values = run.values[lo:lo + entries]
-        body = frame(pickle.dumps((page_keys, page_values)))
+        body = PICKLE.encode((page_keys, page_values))
         return ("page", run.run_id, page), body, len(page_keys) * _ENTRY_BYTES
 
     @staticmethod
@@ -488,9 +483,8 @@ class LSMTree:
 
     # -- manifest / checkpoint ---------------------------------------------------
 
-    def _manifest_payload(self) -> bytes:
-        manifest = {
-            "epoch": self._manifest_epoch + 1,
+    def _manifest_doc(self) -> dict:
+        return {
             "next_run_id": self._next_run_id,
             "next_seq": self._next_seq,
             "wal_floor": self._next_wal_seq,
@@ -501,40 +495,25 @@ class LSMTree:
                 for run in level
             ],
         }
-        return frame(json.dumps(manifest, sort_keys=True).encode())
 
     def _checkpoint(self) -> None:
-        """Durably record the run set, then free superseded blocks.
-
-        The manifest is double-buffered across two slots (alternating by
-        epoch) and read back after writing: a lost, torn, or bit-flipped
-        manifest write is detected and retried, and the previous slot
-        stays valid throughout.  When no attempt verifies, the epoch, the
-        pending retirements and the WAL records all stay as they are:
-        recovery still needs them, and the next checkpoint retries.
-        """
-        body = self._manifest_payload()
-        slot = (self._manifest_epoch + 1) % 2
-        address = ("manifest", slot)
-        for _ in range(self.retry.max_attempts):
-            self.device.write(address, body, size=len(body))
-            try:
-                written = self._read_block(address)
-            except (TransientIOError, KeyError):
-                written = None
-            if written == body:
-                break
-            self.stats.integrity_faults += 1
-        else:
-            return  # unverified: free nothing, keep the epoch
-        self._manifest_epoch += 1
+        """Durably record the run set, then free superseded blocks and the
+        WAL below the new floor.  Each failed try counts in
+        ``integrity_faults``; an unverified checkpoint frees nothing and
+        does not raise (docs/robustness.md, "Durable records")."""
+        try:
+            self.stats.integrity_faults += self._manifest.write(self._manifest_doc())
+        except TransientIOError:
+            self.stats.integrity_faults += self._manifest.attempts
+            return
+        except CircuitOpenError:
+            return
         # A missing block means a lost write or a double free happened
         # earlier: count it, never mask it.
-        self.stats.integrity_faults += self.device.delete_many(
-            self._pending_retire + [("wal", seq) for seq in self._wal_pending]
+        self.stats.integrity_faults += (
+            self.device.delete_many(self._pending_retire) + self._wal.trim()
         )
         self._pending_retire = []
-        self._wal_pending = []
 
     def checkpoint(self) -> None:
         """Public alias: persist the manifest without flushing the memtable
@@ -917,14 +896,14 @@ class LSMTree:
         """
         report = RecoveryReport()
         before = device.stats.snapshot()
-        manifest = cls._load_manifest(device, report)
+        manifest = DurableManifest(device, "manifest", version_key="epoch").load()
         if config is None:
             raw = (manifest or {}).get("config")
             config = LSMConfig.from_manifest(raw) if raw else LSMConfig()
         tree = cls(config, device=device)
         tree.recovery_report = report
         if manifest is not None:
-            tree._manifest_epoch = manifest["epoch"]
+            tree._manifest.version = manifest["epoch"]
             tree._next_run_id = manifest["next_run_id"]
             tree._next_seq = manifest["next_seq"]
             run_specs = [
@@ -940,24 +919,6 @@ class LSMTree:
         report.io = device.stats - before
         return tree
 
-    @staticmethod
-    def _load_manifest(device, report: RecoveryReport) -> dict | None:
-        """Best valid manifest across both slots (highest epoch wins)."""
-        retry = RetryPolicy(max_attempts=4)
-        best = None
-        for slot in (0, 1):
-            address = ("manifest", slot)
-            if not device.exists(address):
-                continue
-            try:
-                raw = retry.call(device.read, address)
-                manifest = json.loads(unframe(raw).decode())
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-            if best is None or manifest["epoch"] > best["epoch"]:
-                best = manifest
-        return best
-
     def _scan_run_specs(self) -> list:
         """Manifest lost: enumerate run blocks straight off the device."""
         specs = []
@@ -971,9 +932,9 @@ class LSMTree:
         loaded: list[_Run] = []
         for run_id, level, seq, has_filter in run_specs:
             try:
-                data = unframe(self._read_block(("run", run_id)))
-                stored_level, stored_seq, keys, values = pickle.loads(data)
-            except (TransientIOError, KeyError, ChecksumError, pickle.PickleError):
+                stored_level, stored_seq, keys, values = PICKLE.decode(
+                    self._read_block(("run", run_id)))
+            except (TransientIOError, KeyError, ValueError, pickle.PickleError):
                 report.runs_lost += 1
                 self.stats.integrity_faults += 1
                 continue
@@ -1034,30 +995,17 @@ class LSMTree:
             report.filters_degraded += 1
 
     def _replay_wal(self, wal_floor: int, report: RecoveryReport) -> None:
-        # New appends must start at or above the checkpointed floor even
-        # when there is nothing to replay: restarting at 0 would write
-        # ("wal", seq) blocks below the floor, and the *next* recovery
-        # would discard them as already-flushed — losing acknowledged
-        # writes on the second crash.
-        self._next_wal_seq = max(self._next_wal_seq, wal_floor)
-        records = sorted(
-            address[1]
-            for address in self.device.addresses()
-            if isinstance(address, tuple) and address and address[0] == "wal"
-            and address[1] >= wal_floor
-        )
-        for seq in records:
-            try:
-                body = unframe(self._read_block(("wal", seq)))
-                key, value = pickle.loads(body)
-            except (TransientIOError, KeyError, ChecksumError, pickle.PickleError):
-                report.wal_lost += 1
-                self.stats.integrity_faults += 1
-                continue
+        # New appends start past every frame and at the floor or above:
+        # the *next* recovery would discard a ("wal", seq) block below it.
+        keys = self._wal.keys
+        self._next_wal_seq = max(wal_floor, keys[-1][0] + 1 if keys else 0)
+        scan = self._wal.scan(key for key in keys if key[0] >= wal_floor)
+        for _seq, (key, value) in scan:
             self._memtable[key] = value
             report.wal_replayed += 1
-            self._wal_pending.append(seq)
-            self._next_wal_seq = max(self._next_wal_seq, seq + 1)
+        lost = len(scan.torn) + len(scan.unreadable)
+        report.wal_lost += lost
+        self.stats.integrity_faults += lost
 
     # -- scrubbing ---------------------------------------------------------------------
 
@@ -1070,7 +1018,7 @@ class LSMTree:
         for run in self._runs_newest_first():
             self._scrub_block(
                 report, ("run", run.run_id),
-                check=lambda raw: pickle.loads(unframe(raw)) is not None,
+                check=PICKLE.decode,
                 repair_fn=(
                     (lambda run=run: self.device.write(*self._run_block(run)))
                     if repair else None
@@ -1079,7 +1027,7 @@ class LSMTree:
             for page in range(self._n_pages(run)):
                 self._scrub_block(
                     report, ("page", run.run_id, page),
-                    check=lambda raw: pickle.loads(unframe(raw)) is not None,
+                    check=PICKLE.decode,
                     repair_fn=(
                         (lambda run=run, page=page: self.device.write(
                             *self._page_block(run, page)
@@ -1098,49 +1046,24 @@ class LSMTree:
             address = ("manifest", slot)
             if self.device.exists(address):
                 self._scrub_block(
-                    report, address,
-                    check=lambda raw: unframe(raw) is not None,
+                    report, address, check=JSON.decode,
                     repair_fn=(self._checkpoint if repair else None),
                 )
-        wal_corrupt = False
-        for seq in list(self._wal_pending):
-            n_corrupt = len(report.corrupt) + len(report.unreadable)
-            self._scrub_block(
-                report, ("wal", seq),
-                check=lambda raw: pickle.loads(unframe(raw)) is not None,
-                repair_fn=None,  # individual records are repaired as a tail
-            )
-            wal_corrupt |= len(report.corrupt) + len(report.unreadable) > n_corrupt
-        if wal_corrupt and repair:
-            self._rewrite_wal_tail()
+        found = len(report.corrupt) + len(report.unreadable)
+        for seq, in list(self._wal.keys):  # repaired as a tail, not one by one
+            self._scrub_block(report, ("wal", seq), check=PICKLE.decode, repair_fn=None)
+        if repair and len(report.corrupt) + len(report.unreadable) > found:
+            # A corrupt WAL record's original content is unknowable, but
+            # the memtable still holds every acknowledged (key, value):
+            # replace the un-checkpointed tail with a fresh image of it.
+            self.stats.integrity_faults += self._wal.trim()
+            self._append_wal(self._memtable.items())
             report.repaired.append(("wal", "*"))
         return report
 
     def _scrub_block(self, report: ScrubReport, address, check, repair_fn) -> None:
-        report.blocks_checked += 1
-        try:
-            raw = self._read_block(address)
-        except TransientIOError:
-            report.unreadable.append(address)
-            return
-        except KeyError:
-            report.corrupt.append(address)
-            self.stats.integrity_faults += 1
-            if repair_fn is not None:
-                repair_fn()
-                report.repaired.append(address)
-            return
-        try:
-            ok = bool(check(raw))
-        except (ChecksumError, ValueError, pickle.PickleError):
-            ok = False
-        if ok:
-            return
-        report.corrupt.append(address)
-        self.stats.integrity_faults += 1
-        if repair_fn is not None:
-            repair_fn()
-            report.repaired.append(address)
+        self.stats.integrity_faults += scrub_block(
+            report, self._read_block, address, check, repair_fn)
 
     def _repair_filter(self, run: _Run) -> None:
         if run.filter is None:
@@ -1149,16 +1072,6 @@ class LSMTree:
             return
         run.degraded = False
         self.device.write(*self._filter_block(run))
-
-    def _rewrite_wal_tail(self) -> None:
-        # A corrupt WAL record's original content is unknowable, but the
-        # memtable still holds every acknowledged (key, value): repair
-        # replaces the whole un-checkpointed tail with a fresh image of it.
-        self.stats.integrity_faults += self.device.delete_many(
-            [("wal", seq) for seq in self._wal_pending]
-        )
-        self._wal_pending = []
-        self._append_wal(self._memtable.items())
 
     # -- full scans -----------------------------------------------------------------------
 

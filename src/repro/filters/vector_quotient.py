@@ -9,6 +9,10 @@ below capacity w.h.p. at ~94% global load without cuckoo kicking — inserts
 never displace other keys, which is what makes the VQF fast and easy to
 make concurrent.
 
+As in the cuckoo filter, the second block is ``h(fp) - b1 mod n``, so all
+keys whose fingerprint sits in a block share its pair, and a delete may
+take any copy of the fingerprint from the pair without evicting a key.
+
 This reproduction keeps the two-choice block structure and per-block
 quotienting semantics; the SIMD word layout is modelled by the metadata
 accounting (2.914 bits/key at full load, per the paper).
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from repro.common.hashing import fingerprint, hash64, hash_to_range
+from repro.common.hashing import fingerprint, hash_to_range
 from repro.core.errors import DeletionError, FilterFullError
 from repro.core.interfaces import DynamicFilter, Key
 
@@ -54,12 +58,10 @@ class VectorQuotientFilter(DynamicFilter):
     # -- hashing -----------------------------------------------------------------
 
     def _candidates(self, key: Key) -> tuple[int, int, int]:
-        h = hash64(key, self.seed ^ 0x7F)
-        b1 = hash_to_range(h, self.n_blocks, 1)
-        b2 = hash_to_range(h, self.n_blocks, 2)
-        if b2 == b1:
-            b2 = (b2 + 1) % self.n_blocks
+        b1 = hash_to_range(key, self.n_blocks, self.seed ^ 0x7F)
         fp = fingerprint(key, self.fingerprint_bits, self.seed ^ 0x7E)
+        # The pair {b1, b2} is fixed by either block and fp (b2 may equal b1).
+        b2 = (hash_to_range(fp, self.n_blocks, self.seed ^ 0x7D) - b1) % self.n_blocks
         return b1, b2, fp
 
     # -- operations ------------------------------------------------------------------

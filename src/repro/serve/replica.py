@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -75,10 +75,11 @@ from repro.common.faults import (
     TransientIOError,
 )
 from repro.common.hashing import hash_to_range
+from repro.common.records import META_ATTEMPTS, DurableManifest, Journal, RetriedDevice
 from repro.common.storage import NamespacedDevice
 from repro.core.errors import ChecksumError
 from repro.core.routing import ConsistentHashRouter, Router
-from repro.core.serialize import frame, unframe
+from repro.core.serialize import frame
 from repro.obs.metrics import (
     CounterWindow,
     LazyCounters,
@@ -91,7 +92,6 @@ from repro.serve.sim import CALM_STORM_RECOVERY, StormDriver
 from repro.serve.stack import (
     PUMP_BUDGET,
     BackgroundGate,
-    DurableManifest,
     NamespacedStore,
     StackParts,
     StormSummary,
@@ -389,7 +389,7 @@ class ReplicatedStore(NamespacedStore):
                 continue
             node.alive = node_id in alive
             node.tainted = node_id in tainted
-        max_seq = store.handoff.max_hint_seq()
+        max_seq = max((seq for seq, _node in store.handoff.journal.keys), default=0)
         for node in store.nodes.values():
             try:
                 for _key, record in node.tree.items():
@@ -680,71 +680,45 @@ class HintedHandoff:
     is durably *tainted* — the write is lost, so the replica must not
     testify to absence until anti-entropy has re-verified it.  That
     safety net is what lets the no-false-negative proof treat "hint
-    write failed" as a closed case.
+    write failed" as a closed case, and a hint found torn taints its
+    target the same way before replay deletes it.
     """
 
     def __init__(self, store: ReplicatedStore, *, injector: FaultInjector | None):
         self.store = store
         self.injector = injector
-        self._journal = NamespacedDevice(store.device, _HANDOFF_NS)
-        self._retry = RetryPolicy(max_attempts=4, clock=store.clock)
-        # Every hint address on the journal, sorted (seq, then node):
-        # scanned once here, since recovery builds a new handoff, then
-        # kept in step by add() and the replay trim.
-        self._addresses: list[tuple] = sorted(
-            a for a in self._journal.addresses()
-            if isinstance(a, tuple) and a[0] == "hint"
-        )
-        self._pending: dict[int, int] | None = None  # node_id -> hint count
+        retry = RetryPolicy(max_attempts=META_ATTEMPTS, clock=store.clock)
+        self.journal = Journal(
+            RetriedDevice(NamespacedDevice(store.device, _HANDOFF_NS), retry), "hint")
+        # node_id -> its hints in the journal's index, kept in step with it
+        self._pending = Counter(node_id for _seq, node_id in self.journal.keys)
         self._obs: _ReplicaMetrics | None = None
 
     # -- journaling --------------------------------------------------------------
 
-    def max_hint_seq(self) -> int:
-        return self._addresses[-1][1] if self._addresses else 0
-
     def add(self, node_id: int, key: Any, record: dict) -> bool:
         """Journal one missed write; returns whether its frame verified."""
-        doc = {"node": node_id, "key": key, "record": record}
-        payload = frame(json.dumps(doc, sort_keys=True).encode())
-        address = ("hint", record["s"], node_id)
         try:
-            self._retry.call(
-                self._journal.write, address, payload, size=len(payload)
-            )
-            # Verify the frame landed intact: a torn/lost hint is a lost
-            # write in disguise and must taint the target.
-            unframe(self._retry.call(self._journal.read, address))
-        except (TransientIOError, ChecksumError, KeyError):
-            # A torn or flipped frame stays on the journal, where replay
-            # skips it, so the list keeps whatever landed.
-            if self._journal.exists(address):
-                insort(self._addresses, address)
+            self.journal.append_verified(
+                (record["s"], node_id), {"node": node_id, "key": key, "record": record},
+                attempts=1)
+        except TransientIOError:
+            # A lost hint is a lost write: taint the target.
             self.store.set_tainted(node_id, True)
             self._count("dropped")
             return False
-        insort(self._addresses, address)
-        if self._pending is not None:
-            self._pending[node_id] = self._pending.get(node_id, 0) + 1
+        self._pending[node_id] += 1
         self._count("journaled")
         return True
 
-    def _scan_pending(self) -> dict[int, int]:
-        pending: dict[int, int] = {}
-        for address in self._addresses:
-            pending[address[2]] = pending.get(address[2], 0) + 1
-        return pending
-
     def pending(self) -> int:
-        return sum(self.pending_by_node().values())
+        return self._pending.total()
 
     def pending_by_node(self) -> dict[int, int]:
-        if self._pending is None:
-            self._pending = self._scan_pending()
-        return self._pending
+        return +self._pending
 
     def pending_for(self, node_id: int) -> int:
-        return self.pending_by_node().get(node_id, 0)
+        return self._pending[node_id]
 
     # -- replay ------------------------------------------------------------------
 
@@ -754,41 +728,44 @@ class HintedHandoff:
         Returns the number of hints applied-and-trimmed.  ``force``
         replays even to suspected (but alive) targets — the post-storm
         drain.  Hints for dead targets stay journaled; hints that hit
-        transient trouble are skipped this round and retried later.
+        transient trouble are skipped this round and retried later.  A
+        torn hint taints its target and is trimmed once the taint is
+        durable; while the taint write fails, it stays pending.
         """
         crash_point(self.injector, "handoff.replay")
+        nodes, detector = self.store.nodes, self.store.detector
+        scan = self.journal.scan(
+            hint for hint in list(self.journal.keys)
+            if hint[1] in nodes and nodes[hint[1]].alive
+            and (force or not detector.suspected(hint[1]))
+        )
         applied: list[tuple] = []
-        for address in self._addresses:
+        for hint, doc in scan:
+            try:
+                self.store.apply_record(hint[1], doc["key"], doc["record"])
+            except (TransientIOError, CircuitOpenError):
+                continue
+            detector.heartbeat(hint[1])
+            applied.append(hint)
             if len(applied) >= batch:
                 break
-            node_id = address[2]
-            node = self.store.nodes.get(node_id)
-            if node is None or not node.alive:
-                continue
-            if not force and self.store.detector.suspected(node_id):
-                continue
+        for hint in scan.torn:
             try:
-                raw = self._retry.call(self._journal.read, address)
-                doc = json.loads(unframe(raw).decode())
-                self.store.apply_record(node_id, doc["key"], doc["record"])
-            except (TransientIOError, CircuitOpenError, ChecksumError,
-                    ValueError, KeyError):
-                continue
-            self.store.detector.heartbeat(node_id)
-            applied.append((address, node_id))
+                self.store.set_tainted(hint[1], True)
+            except (TransientIOError, CircuitOpenError):
+                continue  # the loss is not durable yet: the frame stays pending
+            self._trim([hint])
         if not applied:
             return 0
         crash_point(self.injector, "handoff.replay:applied")
-        for address, node_id in applied:
-            self._journal.delete(address)
-            del self._addresses[bisect_left(self._addresses, address)]
-            if self._pending is not None and self._pending.get(node_id):
-                self._pending[node_id] -= 1
-                if not self._pending[node_id]:
-                    del self._pending[node_id]
+        self._trim(applied)
         self._count("replayed", len(applied))
         crash_point(self.injector, "handoff.replay:batch")
         return len(applied)
+
+    def _trim(self, hints: list[tuple]) -> None:
+        self.journal.trim(hints)
+        self._pending.subtract(node_id for _seq, node_id in hints)
 
     def _count(self, action: str, n: int = 1) -> None:
         getattr(bind_handles(self, _ReplicaMetrics), "hints_" + action).inc(n)

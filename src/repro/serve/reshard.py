@@ -10,8 +10,9 @@ state machine::
     PLANNED -> DOUBLE_WRITE -> BACKFILL -> VERIFY -> CUTOVER -> RETIRE -> DONE
 
 Every transition and every batch of progress is journaled to the meta
-namespace (``("reshard", seq)`` CRC-framed records) and the routing
-table itself is double-buffered (``("routing", slot)``), so a crash at
+namespace (a :class:`~repro.common.records.Journal` of ``("reshard",
+seq)`` records) and the routing table itself is a
+:class:`~repro.common.records.DurableManifest`, so a crash at
 *any* point recovers via :meth:`ShardedStore.recover` +
 :meth:`ReshardCoordinator.recover` and the migration resumes where the
 journal left off — every step is idempotent, so replaying a half-done
@@ -33,8 +34,8 @@ resharding amplifying the storm.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.apps.lsm import LSMConfig, LSMTree, ScrubReport
@@ -51,10 +52,9 @@ from repro.common.faults import (
     RetryPolicy,
     TransientIOError,
 )
+from repro.common.records import JSON, META_ATTEMPTS, DurableManifest, Journal, scrub_block
 from repro.common.storage import NamespacedDevice
-from repro.core.errors import ChecksumError
 from repro.core.routing import HashRangeRouter, Router, router_from_manifest
-from repro.core.serialize import frame, unframe
 from repro.obs.metrics import (
     CounterWindow,
     LazyCounters,
@@ -67,12 +67,10 @@ from repro.serve.sim import CALM_STORM_RECOVERY, StormDriver
 from repro.serve.stack import (
     PUMP_BUDGET,
     BackgroundGate,
-    DurableManifest,
     NamespacedStore,
     StackParts,
     StormSummary,
     crash_point,
-    write_verified,
 )
 
 
@@ -166,8 +164,10 @@ class ShardedStore(NamespacedStore):
         super().__init__(device, config, clock, seed)
         self.router = router
         self._meta = NamespacedDevice(device, _META_NS)
-        self._meta_retry = RetryPolicy(max_attempts=4, clock=clock)
         self._routing = DurableManifest(self._meta, "routing")
+        # The coordinator's journal, read (by scans and scrubs) with retries.
+        retry = RetryPolicy(max_attempts=META_ATTEMPTS, clock=clock)
+        self.journal = Journal(self._meta, "reshard", read=partial(retry.call, self._meta.read))
         self.shards: dict[int, LSMTree] = {}
         self.migration: MigrationState | None = None
         self._epoch_base = 0
@@ -373,26 +373,11 @@ class ShardedStore(NamespacedStore):
             if isinstance(a, tuple) and a[0] in ("routing", "reshard")
         ]
         for address in sorted(meta_addrs, key=str):
-            report.blocks_checked += 1
-            try:
-                raw = self._meta_retry.call(self._meta.read, address)
-            except TransientIOError:
-                report.unreadable.append(address)
-                continue
-            try:
-                json.loads(unframe(raw).decode())
-                continue
-            except (ChecksumError, ValueError):
-                pass
-            report.corrupt.append(address)
-            if not repair:
-                continue
-            if address[0] == "routing":
-                payload = self._routing.encode(self._routing_doc())
-                self._meta.write(address, payload, size=len(payload))
-            else:
-                self._meta.delete(address)
-            report.repaired.append(address)
+            fix = partial(self.journal.trim, [address[1:]])
+            if address[0] == "routing":  # rewritten from the live routing table
+                fix = lambda a=address: self._meta.write(
+                    a, self._routing.encode(self._routing_doc()))
+            scrub_block(report, self.journal.read, address, JSON.decode, fix if repair else None)
         return report
 
 
@@ -425,9 +410,6 @@ class ReshardCoordinator:
         self._obs: _ReshardMetrics | None = None
         self.last_migration: MigrationState | None = None
         self._moving: list[Any] | None = None  # keys left in the current scan
-        self._journal_seq = 1 + max(
-            (a[1] for a in self._journal_addresses()), default=-1
-        )
 
     # -- planning ----------------------------------------------------------------
 
@@ -466,9 +448,7 @@ class ReshardCoordinator:
 
     def _install_plan(self, mig: MigrationState, *, open_target: bool) -> None:
         # A fresh migration supersedes the previous journal wholesale.
-        for address in self._journal_addresses():
-            self.store._meta.delete(address)
-        self._journal_seq = 0
+        self.store.journal.trim()
         self._journal({
             "kind": "plan",
             "step": MigrationStep.PLANNED.value,
@@ -707,41 +687,17 @@ class ReshardCoordinator:
     # -- journal -----------------------------------------------------------------
 
     def _journal(self, record: dict, *, verified: bool = False) -> None:
-        record = dict(record)
-        record["seq"] = self._journal_seq
-        record["t"] = self.clock.now() if self.clock else 0.0
-        payload = frame(json.dumps(record, sort_keys=True).encode())
-        address = ("reshard", self._journal_seq)
-        meta = self.store._meta
+        keys = self.store.journal.keys
+        seq = keys[-1][0] + 1 if keys else 0
+        record = {**record, "seq": seq, "t": self.clock.now() if self.clock else 0.0}
         if verified:
-            try:
-                write_verified(meta, address, payload)
-            except (TransientIOError, CircuitOpenError):
-                # Recovery must not find a record the writer gave up on.
-                meta.delete(address)
-                raise
+            self.store.journal.append_verified((seq,), record)
         else:
-            meta.write(address, payload, size=len(payload))
-        self._journal_seq += 1
-
-    def _journal_addresses(self) -> list[tuple]:
-        return sorted(
-            a for a in self.store._meta.addresses()
-            if isinstance(a, tuple) and a[0] == "reshard"
-        )
+            self.store.journal.append([((seq,), record)])
 
     def journal_records(self) -> list[dict]:
-        """Every readable journal record, in sequence order (corrupt or
-        unreadable records are skipped — recovery tolerates holes)."""
-        meta = self.store._meta
-        records = []
-        for address in self._journal_addresses():
-            try:
-                raw = self.store._meta_retry.call(meta.read, address)
-                records.append(json.loads(unframe(raw).decode()))
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-        return records
+        """Every intact journal record, in order (recovery tolerates holes)."""
+        return [record for _key, record in self.store.journal.scan()]
 
     @classmethod
     def recover(

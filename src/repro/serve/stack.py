@@ -4,11 +4,11 @@ The single-tree, sharded, replicated and multi-tenant stacks differ only
 in their backend.  What surrounds it lives here once: the stack's shared
 bottom and top (:class:`StackParts`, :func:`retry_policy`), the trees
 the sharded and replicated stores keep in device namespaces
-(:class:`NamespacedStore`), the double-buffered
-:class:`DurableManifest`, the :class:`BackgroundGate` for
+(:class:`NamespacedStore`), the :class:`BackgroundGate` for
 migration/repair pumps, and :class:`StormSummary`, the one shape of the
 storm reports.  The one request loop every storm runs, with its crash
-recovery, is :class:`repro.serve.sim.StormDriver`.
+recovery, is :class:`repro.serve.sim.StormDriver`; the durable records
+behind every store are :mod:`repro.common.records`.
 """
 
 from __future__ import annotations
@@ -19,22 +19,11 @@ from typing import Any, ClassVar
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.common.clock import Answer, SimulatedClock
-from repro.common.faults import (
-    CircuitOpenError,
-    FaultInjector,
-    FaultyBlockDevice,
-    LatencyInjector,
-    RetryPolicy,
-    TransientIOError,
-)
-from repro.core.errors import ChecksumError
-from repro.core.serialize import frame, unframe
+from repro.common.faults import FaultInjector, FaultyBlockDevice, LatencyInjector, RetryPolicy
 from repro.obs.metrics import CounterWindow
 from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
 from repro.serve.breaker import BreakerDevice
 from repro.serve.served import ServedFilter
-
-_VERIFY_ATTEMPTS = 4
 
 
 def retry_policy(attempts: int, seed: int, clock: Any) -> RetryPolicy:
@@ -127,66 +116,6 @@ class NamespacedStore:
     def get(self, key: Any, default: Any = None) -> Any:
         result = self.lookup(key)
         return result.value if result.state is Answer.PRESENT else default
-
-
-def write_verified(meta: Any, address: Any, payload: bytes) -> None:
-    """Write *payload*, read it back, retry a lost/torn/unreadable write;
-    raise :class:`TransientIOError` after ``_VERIFY_ATTEMPTS`` tries."""
-    last_error: Exception | None = None
-    for _attempt in range(_VERIFY_ATTEMPTS):
-        meta.write(address, payload, size=len(payload))
-        try:
-            if meta.read(address) == payload:
-                return
-            last_error = ChecksumError("read-back differs from the write")
-        except (TransientIOError, KeyError) as e:
-            last_error = e
-    raise TransientIOError(f"write of {address!r} could not be verified: {last_error}")
-
-
-class DurableManifest:
-    """A versioned JSON document double-buffered over ``(name, 0|1)``.
-
-    :meth:`write` bumps ``version`` and writes the framed document to
-    slot ``version % 2`` with read-back verification, so a failed write
-    leaves the previous version intact in the other slot.  A write that
-    raises puts ``version`` back, so the next try reuses the failed slot
-    and failed writes in a row never reach the last good version.
-    :meth:`load` returns the highest-version slot that still decodes.
-    """
-
-    def __init__(self, meta: Any, name: str):
-        self.meta = meta
-        self.name = name
-        self.version = 0
-
-    def encode(self, doc: dict) -> bytes:
-        return frame(json.dumps({**doc, "version": self.version}, sort_keys=True).encode())
-
-    def write(self, doc: dict) -> None:
-        self.version += 1
-        try:
-            write_verified(self.meta, (self.name, self.version % 2), self.encode(doc))
-        except (TransientIOError, CircuitOpenError):
-            self.version -= 1
-            raise
-
-    def load(self) -> dict | None:
-        retry = RetryPolicy(max_attempts=_VERIFY_ATTEMPTS)
-        best = None
-        for slot in (0, 1):
-            address = (self.name, slot)
-            if not self.meta.exists(address):
-                continue
-            try:
-                doc = json.loads(unframe(retry.call(self.meta.read, address)).decode())
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-            if best is None or doc["version"] > best["version"]:
-                best = doc
-        if best is not None:
-            self.version = best["version"]
-        return best
 
 
 # The budget of one background batch: a migration or a repair pump.

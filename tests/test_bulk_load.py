@@ -275,7 +275,7 @@ def _replica_state(parts, store) -> tuple:
          for nid, node in store.nodes.items()},
         store.write_seq, store._seq_floor, store._state.version,
         detector._last_beat, detector._intervals, detector._failures,
-        store.handoff._addresses, store.handoff.pending_by_node(),
+        store.handoff.journal.keys, store.handoff.pending_by_node(),
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.common.clock import SimulatedClock
+from repro.common.storage import BlockDevice
 from repro.common.faults import (
     FaultInjector,
     FaultyBlockDevice,
@@ -22,6 +23,8 @@ from repro.common.faults import (
     SimulatedCrash,
     TransientIOError,
 )
+from repro.obs import use_registry
+from repro.serve import BreakerDevice, BreakerState
 
 
 class TestFaultInjector:
@@ -541,6 +544,48 @@ class TestRecovery:
         # The next verified checkpoint frees what the lost ones could not.
         recovered.checkpoint()
         assert not [a for a in dev.addresses() if a[0] == "wal"]
+
+    @pytest.mark.parametrize("fault", ["torn", "flipped"])
+    def test_an_unreplayable_wal_frame_leaves_with_the_next_checkpoint(self, fault):
+        # Recovery cannot replay ("wal", 3), but the floor of the next
+        # verified checkpoint passes it, so that checkpoint frees it.
+        inj = FaultInjector(seed=0)
+        dev = FaultyBlockDevice(injector=inj)
+        tree = LSMTree(LSMConfig(memtable_entries=8), device=dev)
+        for key in range(5):
+            if fault == "torn":
+                inj.torn_write = {"wal": 1.0} if key == 3 else 0.0
+            tree.put(key, key)
+        inj.torn_write = 0.0
+        if fault == "flipped":
+            dev.ruin(("wal", 3))
+        recovered = LSMTree.recover(dev)
+        assert recovered.recovery_report.wal_lost == 1
+        for key in range(100, 130):
+            recovered.put(key, key)
+        recovered.checkpoint()
+        floor = recovered.wal_position
+        assert [a for a in dev.addresses() if a[0] == "wal" and a[1] < floor] == []
+
+    def test_a_checkpoint_refused_by_an_open_breaker_does_not_raise(self):
+        device = BreakerDevice(BlockDevice(), SimulatedClock())
+        tree = LSMTree(LSMConfig(memtable_entries=4), device=device)
+        for key in range(4):
+            tree.put(key, key)  # flush: checkpoint epoch 1 into slot 1
+        breaker = device.breaker_for(("manifest", 0))
+        with use_registry():
+            while breaker.state is not BreakerState.OPEN:
+                breaker.record_failure()
+            for key in range(4, 8):
+                tree.put(key, key)  # the fourth flushes into slot 0
+        # Unverified: the epoch, the retired runs and the WAL all stay.
+        assert tree._manifest.version == 1
+        assert device.exists(("run", 0))
+        assert sorted(a for a in device.addresses() if a[0] == "wal") == [
+            ("wal", seq) for seq in range(4, 8)]
+        device.reset()
+        recovered = LSMTree.recover(device)
+        assert [k for k in range(8) if recovered.get(k) != k] == []
 
     def test_recovery_retries_transient_reads(self):
         inj = FaultInjector(seed=11, transient_read=0.3)

@@ -47,6 +47,18 @@ class TestVectorQuotient:
         with pytest.raises(DeletionError):
             vqf.delete("x")
 
+    def test_delete_never_evicts_a_key_sharing_the_fingerprint(self):
+        # 4-bit fingerprints over 8 blocks collide often; a delete must take
+        # its copy from the shared block pair, never another key's only copy.
+        vqf = VectorQuotientFilter(8, 4, seed=5)
+        keep, drop = range(100), range(1000, 1100)
+        for key in [*keep, *drop]:
+            vqf.insert(key)
+        for key in drop:
+            vqf.delete(key)
+        assert all(vqf.may_contain(k) for k in keep)
+        assert len(vqf) == len(keep)
+
     def test_two_choice_balances_blocks(self, medium_keys):
         members, _ = medium_keys
         vqf = VectorQuotientFilter.for_capacity(len(members), 0.01, seed=3)

@@ -30,6 +30,7 @@ from repro.common.faults import (
     SimulatedCrash,
     TransientIOError,
 )
+from repro.common.records import DurableManifest
 from repro.common.storage import BlockDevice, NamespacedDevice
 from repro.core.routing import (
     ConsistentHashRouter,
@@ -39,7 +40,6 @@ from repro.obs import use_registry
 from repro.obs.metrics import CounterWindow
 from tests.conftest import registry_count
 from repro.serve import BreakerDevice, BreakerState
-from repro.serve.stack import DurableManifest
 from repro.serve.replica import (
     AntiEntropyRepairer,
     FailureDetector,
@@ -302,6 +302,30 @@ class TestHintedHandoff:
         store.put("k", "v1")
         assert window.count("repro_replica_hints_total", action="dropped") == 1
         assert store.nodes[victim].tainted
+
+    @pytest.mark.parametrize("fault", ["torn-at-write", "ruined-at-rest"])
+    def test_a_torn_hint_taints_its_target_and_leaves_the_journal(self, fault):
+        injector = FaultInjector(seed=1)
+        device = FaultyBlockDevice(injector=injector)
+        store, _ = _fresh_store(device=device, injector=injector)
+        victim = store.replicas_of("k")[0]
+        store.kill(victim)
+        injector.torn_write = {"hint": 1.0} if fault == "torn-at-write" else 0.0
+        store.put("k", "v")
+        injector.torn_write = 0.0
+        if fault == "ruined-at-rest":
+            (hint,) = [a for a in device.addresses() if a[0] == "hint"]
+            device.ruin(hint)
+        store.heal(victim)
+        for _ in range(20):
+            store.handoff.replay(force=True)
+        repairer = AntiEntropyRepairer(store)
+        for _ in range(500):
+            repairer.pump(force=True)
+        assert store.handoff.pending() == 0
+        assert not any(node.tainted for node in store.nodes.values())
+        assert repairer.converged()
+        assert store.lookup("k").state is Answer.PRESENT
 
     def test_a_write_that_reached_nothing_durable_fails(self):
         _served, store, _repairer, _device, injector, _latency, _clock = (

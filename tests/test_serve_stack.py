@@ -1,98 +1,21 @@
 """Tests for the serving plumbing every storm topology shares.
 
-``repro.serve.stack`` holds the double-buffered manifest behind the
-routing table and the replica node state and the admission gate for
-background pumps; ``repro.serve.sim`` holds the storm driver, the one
-crash-recovering request loop of every storm.
+``repro.serve.stack`` holds the admission gate for background pumps;
+``repro.serve.sim`` holds the storm driver, the one crash-recovering
+request loop of every storm.  The durable manifest behind the routing
+table and the replica node state is tested in tests/test_records.py.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.common.faults import (
-    CircuitOpenError,
-    FaultInjector,
-    FaultyBlockDevice,
-    SimulatedCrash,
-    TransientIOError,
-)
-from repro.common.storage import BlockDevice
-from repro.core.serialize import frame
+from repro.common.faults import SimulatedCrash
 from repro.obs import use_registry
-from repro.serve import AdmissionController, AdmissionDecision, BreakerDevice, BreakerState
+from repro.serve import AdmissionController, AdmissionDecision
 from repro.serve.sim import StormDriver
-from repro.serve.stack import BackgroundGate, DurableManifest, StackParts
-
-
-class TestDurableManifest:
-    def test_round_trip_newest_version_wins(self):
-        device = BlockDevice()
-        manifest = DurableManifest(device, "routing")
-        manifest.write({"shards": [0, 1]})
-        manifest.write({"shards": [0, 1, 2]})
-        reopened = DurableManifest(device, "routing")
-        doc = reopened.load()
-        assert doc == {"shards": [0, 1, 2], "version": 2}
-        assert reopened.version == 2
-        assert device.exists(("routing", 0)) and device.exists(("routing", 1))
-
-    def test_slot_holds_sorted_framed_json_with_the_version(self):
-        device = BlockDevice()
-        DurableManifest(device, "nodestate").write({"b": 2, "a": 1})
-        expected = frame(json.dumps({"a": 1, "b": 2, "version": 1}, sort_keys=True).encode())
-        assert device.read(("nodestate", 1)) == expected
-
-    def test_corrupt_newest_slot_falls_back_to_the_older(self):
-        device = FaultyBlockDevice()
-        manifest = DurableManifest(device, "routing")
-        manifest.write({"epoch": 1})
-        manifest.write({"epoch": 2})
-        device.ruin(("routing", 0))  # version 2 lives in slot 2 % 2
-        doc = DurableManifest(device, "routing").load()
-        assert doc == {"epoch": 1, "version": 1}
-
-    def test_no_slot_loads_as_none(self):
-        assert DurableManifest(BlockDevice(), "routing").load() is None
-
-    def test_persistent_read_fault_raises_after_four_attempts(self):
-        injector = FaultInjector(transient_read={"routing": 1.0, "*": 0.0})
-        device = FaultyBlockDevice(injector=injector)
-        manifest = DurableManifest(device, "routing")
-        with pytest.raises(TransientIOError):
-            manifest.write({"epoch": 1})
-        assert device.stats.writes == 4
-        assert injector.stats.transient_reads == 4
-
-    def test_failed_writes_in_a_row_keep_the_last_good_version(self):
-        injector = FaultInjector()
-        device = FaultyBlockDevice(injector=injector)
-        manifest = DurableManifest(device, "routing")
-        manifest.write({"epoch": 1})
-        injector.torn_write = {"routing": 1.0}
-        for _ in range(2):
-            with pytest.raises(TransientIOError):
-                manifest.write({"epoch": 2})
-        assert manifest.version == 1
-        assert DurableManifest(device, "routing").load() == {"epoch": 1, "version": 1}
-        injector.torn_write = 0.0
-        manifest.write({"epoch": 3})
-        assert DurableManifest(device, "routing").load() == {"epoch": 3, "version": 2}
-
-    def test_read_back_refused_by_an_open_breaker_keeps_the_version(self):
-        device = BreakerDevice(BlockDevice(), SimulatedClock())
-        manifest = DurableManifest(device, "routing")
-        manifest.write({"epoch": 1})
-        breaker = device.breaker_for(("routing", 0))
-        with use_registry():
-            while breaker.state is not BreakerState.OPEN:
-                breaker.record_failure()
-            with pytest.raises(CircuitOpenError):
-                manifest.write({"epoch": 2})
-        assert manifest.version == 1
+from repro.serve.stack import BackgroundGate, StackParts
 
 
 class _FixedAdmission:
