@@ -298,6 +298,9 @@ class LSMTree:
         self._next_run_id = 0
         self._next_seq = 0
         self._next_wal_seq = 0
+        # WAL sequence of the memtable's first record: no run holds the
+        # frames from here on, so no checkpoint may free them.
+        self._wal_floor = 0
         # Both read through the tree's retries, as ``self.retry`` is at each read.
         self._wal = Journal(self.device, "wal", PICKLE, read=self._read_block, size=_ENTRY_BYTES)
         self._manifest = DurableManifest(self.device, "manifest", version_key="epoch",
@@ -394,6 +397,7 @@ class LSMTree:
         keys = sorted(self._memtable)
         values = [self._memtable[k] for k in keys]
         self._memtable = {}
+        self._wal_floor = self._next_wal_seq
         self._emit_run(0, keys, values)
         self._maybe_compact()
         self._checkpoint()
@@ -487,7 +491,7 @@ class LSMTree:
         return {
             "next_run_id": self._next_run_id,
             "next_seq": self._next_seq,
-            "wal_floor": self._next_wal_seq,
+            "wal_floor": self._wal_floor,
             "config": self.config.to_manifest(),
             "runs": [
                 [run.run_id, run.level, run.seq, len(run.keys), run.filter is not None]
@@ -511,13 +515,15 @@ class LSMTree:
         # A missing block means a lost write or a double free happened
         # earlier: count it, never mask it.
         self.stats.integrity_faults += (
-            self.device.delete_many(self._pending_retire) + self._wal.trim()
+            self.device.delete_many(self._pending_retire)
+            + self._wal.trim([key for key in self._wal.keys if key[0] < self._wal_floor])
         )
         self._pending_retire = []
 
     def checkpoint(self) -> None:
-        """Public alias: persist the manifest without flushing the memtable
-        (the memtable is already covered by the WAL)."""
+        """Public alias: persist the manifest without flushing the memtable.
+        The memtable stays covered by the WAL: the floor stops at its
+        first record, and only the frames below the floor are freed."""
         self._checkpoint()
 
     # -- filters -----------------------------------------------------------------
@@ -934,7 +940,8 @@ class LSMTree:
             try:
                 stored_level, stored_seq, keys, values = PICKLE.decode(
                     self._read_block(("run", run_id)))
-            except (TransientIOError, KeyError, ValueError, pickle.PickleError):
+            except (TransientIOError, CircuitOpenError, KeyError, ValueError,
+                    pickle.PickleError):
                 report.runs_lost += 1
                 self.stats.integrity_faults += 1
                 continue
@@ -977,7 +984,7 @@ class LSMTree:
         if self.device.exists(address):
             try:
                 blob = self._read_block(address)
-            except TransientIOError:
+            except (TransientIOError, CircuitOpenError):
                 blob = None
         if blob is not None:
             try:
@@ -999,6 +1006,7 @@ class LSMTree:
         # the *next* recovery would discard a ("wal", seq) block below it.
         keys = self._wal.keys
         self._next_wal_seq = max(wal_floor, keys[-1][0] + 1 if keys else 0)
+        self._wal_floor = wal_floor
         scan = self._wal.scan(key for key in keys if key[0] >= wal_floor)
         for _seq, (key, value) in scan:
             self._memtable[key] = value
@@ -1057,6 +1065,7 @@ class LSMTree:
             # the memtable still holds every acknowledged (key, value):
             # replace the un-checkpointed tail with a fresh image of it.
             self.stats.integrity_faults += self._wal.trim()
+            self._wal_floor = self._next_wal_seq
             self._append_wal(self._memtable.items())
             report.repaired.append(("wal", "*"))
         return report

@@ -19,14 +19,18 @@ tombstone)              each a complete scan
 anything else           —                                        MAYBE
 ======================  =======================================  ========
 
-A replica is **eligible** to vote ABSENT only while it is alive, not
-*tainted* (wiped and not yet repaired), and has no pending handoff
-hints — three gates that together make the no-false-negative argument
-inductive: every write lands on each of its R replicas either directly,
-as a durable hint (replica ineligible until the hint replays), or not
-at all because hint journaling failed (replica durably tainted until
-anti-entropy re-verifies it).  In every case a replica that might be
-missing the key is barred from testifying to its absence.
+A replica is **eligible** to vote ABSENT for a key only while it is
+alive, not *tainted* (wiped, or recovered without records it held, and
+not yet repaired), and no pending handoff hint *fences* the key — three
+gates that together make the no-false-negative argument inductive, key
+by key: every write of a key lands on each of its R replicas either
+directly, as a durable hint naming the key (the replica ineligible for
+that key until the hint replays), or not at all because hint journaling
+failed (the replica durably tainted until anti-entropy re-verifies it).
+A hint fences only its own key, except one found in the journal at open,
+after a crash: its key is unread, so it fences its whole replica until
+it replays.  In every case a replica that might be missing the key is
+barred from testifying to its absence.
 
 Convergence machinery:
 
@@ -239,6 +243,13 @@ def _record_seq(record: Any, default: int = 0) -> int:
     return int(record.get("s", default)) if isinstance(record, dict) else default
 
 
+def _lost_records(tree: LSMTree) -> bool:
+    """Whether the tree's recovery dropped records: a run it could not
+    read or a WAL frame it could not replay."""
+    report = tree.recovery_report
+    return report is not None and report.runs_lost + report.wal_lost > 0
+
+
 class ReplicatedStore(NamespacedStore):
     """R-way replicated key store behind the ServedFilter backend contract.
 
@@ -370,6 +381,7 @@ class ReplicatedStore(NamespacedStore):
         store._state = state
         alive = set(manifest["alive"])
         tainted = set(manifest["tainted"])
+        lost = []
         for node_id in list(store.nodes):
             store.nodes.pop(node_id)
             try:
@@ -389,6 +401,8 @@ class ReplicatedStore(NamespacedStore):
                 continue
             node.alive = node_id in alive
             node.tainted = node_id in tainted
+            if _lost_records(node.tree):
+                lost.append(node_id)
         max_seq = max((seq for seq, _node in store.handoff.journal.keys), default=0)
         for node in store.nodes.values():
             try:
@@ -404,6 +418,15 @@ class ReplicatedStore(NamespacedStore):
         # sequences and lose max-seq-wins resolution to stale records.
         store.write_seq = max(max_seq, manifest.get("seq_floor", 0))
         store._seq_floor = store.write_seq
+        for node_id in lost:
+            # The taint must outlive the loss: the tree's next checkpoint
+            # makes the loss permanent, and a later recovery would not see
+            # it.  Unwritten, it is a boot taint: down until heal()
+            # re-recovers the tree, which takes no write meanwhile.
+            try:
+                store.set_tainted(node_id, True)
+            except (TransientIOError, CircuitOpenError):
+                store.nodes[node_id].alive = False
         return store
 
     # -- kill / heal -------------------------------------------------------------
@@ -429,9 +452,13 @@ class ReplicatedStore(NamespacedStore):
     def heal(self, node_id: int) -> None:
         """Bring a replica back: recover its tree from its namespace (WAL
         replay restores anything durable) and rejoin the read/write path.
-        Taint, if set, stays until anti-entropy clears it."""
+        Taint, if set, stays until anti-entropy clears it; a recovery
+        that dropped records taints the replica durably before it
+        rejoins, and raises, leaving it down, if that write fails."""
         node = self.nodes[node_id]
         node.tree = self._node_tree(node_id, recover=True)
+        if _lost_records(node.tree):
+            self.set_tainted(node_id, True)
         node.alive = True
         # The heal itself is an observation that the node is back.
         self.detector.heartbeat(node_id)
@@ -573,11 +600,11 @@ class ReplicatedStore(NamespacedStore):
 
     # -- quorum reads ------------------------------------------------------------
 
-    def _eligible_absent_voter(self, node: ReplicaNode) -> bool:
+    def _eligible_absent_voter(self, node: ReplicaNode, key: Any) -> bool:
         return (
             node.alive
             and not node.tainted
-            and self.handoff.pending_for(node.node_id) == 0
+            and not self.handoff.fences(node.node_id, key)
         )
 
     def _fanout_order(self, replicas) -> list[int]:
@@ -631,7 +658,7 @@ class ReplicatedStore(NamespacedStore):
                 result.value = result.value.get("v")
             # Only absence evidence needs the (hint-journal) eligibility test.
             yield result, (result.state is Answer.ABSENT
-                           and self._eligible_absent_voter(node))
+                           and self._eligible_absent_voter(node, key))
 
     # -- maintenance -------------------------------------------------------------
 
@@ -674,7 +701,8 @@ class HintedHandoff:
     a half-completed batch after a crash safe — and only then deletes
     the journal record.  Crash points: ``handoff.replay`` (batch entry),
     ``handoff.replay:applied`` (records applied, journal not yet
-    trimmed), ``handoff.replay:batch`` (batch complete).
+    trimmed), ``handoff.replay:batch`` (batch complete).  Until it is
+    trimmed, a hint :meth:`fences` its key on its target.
 
     If journaling a hint itself fails past retries, the target replica
     is durably *tainted* — the write is lost, so the replica must not
@@ -692,22 +720,29 @@ class HintedHandoff:
             RetriedDevice(NamespacedDevice(store.device, _HANDOFF_NS), retry), "hint")
         # node_id -> its hints in the journal's index, kept in step with it
         self._pending = Counter(node_id for _seq, node_id in self.journal.keys)
+        # What the pending hints fence (see fences): hints journaled here
+        # by their key, and per node those found at open, keys unread.
+        self._key_of: dict[tuple, Any] = {}
+        self._by_key: Counter = Counter()
+        self._unread = self._pending.copy()
         self._obs: _ReplicaMetrics | None = None
 
     # -- journaling --------------------------------------------------------------
 
     def add(self, node_id: int, key: Any, record: dict) -> bool:
         """Journal one missed write; returns whether its frame verified."""
+        hint = (record["s"], node_id)
         try:
             self.journal.append_verified(
-                (record["s"], node_id), {"node": node_id, "key": key, "record": record},
-                attempts=1)
+                hint, {"node": node_id, "key": key, "record": record}, attempts=1)
         except TransientIOError:
             # A lost hint is a lost write: taint the target.
             self.store.set_tainted(node_id, True)
             self._count("dropped")
             return False
         self._pending[node_id] += 1
+        self._key_of[hint] = key
+        self._by_key[node_id, key] += 1
         self._count("journaled")
         return True
 
@@ -719,6 +754,12 @@ class HintedHandoff:
 
     def pending_for(self, node_id: int) -> int:
         return self._pending[node_id]
+
+    def fences(self, node_id: int, key: Any) -> bool:
+        """Whether a pending hint may hold a write of *key* that the
+        replica lacks: one journaled here for this key, or any found in
+        the journal at open, whose keys were never read."""
+        return self._unread[node_id] > 0 or (node_id, key) in self._by_key
 
     # -- replay ------------------------------------------------------------------
 
@@ -765,7 +806,16 @@ class HintedHandoff:
 
     def _trim(self, hints: list[tuple]) -> None:
         self.journal.trim(hints)
-        self._pending.subtract(node_id for _seq, node_id in hints)
+        for hint in hints:
+            node_id = hint[1]
+            self._pending[node_id] -= 1
+            if hint not in self._key_of:
+                self._unread[node_id] -= 1
+                continue
+            fence = (node_id, self._key_of.pop(hint))
+            self._by_key[fence] -= 1
+            if not self._by_key[fence]:
+                del self._by_key[fence]
 
     def _count(self, action: str, n: int = 1) -> None:
         getattr(bind_handles(self, _ReplicaMetrics), "hints_" + action).inc(n)

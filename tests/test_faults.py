@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.common.clock import SimulatedClock
+from repro.common.records import DurableManifest
 from repro.common.storage import BlockDevice
 from repro.common.faults import (
     FaultInjector,
@@ -541,14 +542,30 @@ class TestRecovery:
         assert report.runs_lost == 0 and report.wal_lost == 0
         assert report.wal_replayed == 32
         assert [k for k in range(40) if recovered.get(k) != k] == []
-        # The next verified checkpoint frees what the lost ones could not.
+        # The next verified checkpoint keeps the WAL of the memtable, the
+        # only copy of the 32 replayed writes; the flush after it frees it.
         recovered.checkpoint()
+        assert sorted(a for a in dev.addresses() if a[0] == "wal") == [
+            ("wal", seq) for seq in range(8, 40)]
+        recovered.flush()
         assert not [a for a in dev.addresses() if a[0] == "wal"]
+
+    def test_a_checkpoint_keeps_the_wal_of_the_memtable(self):
+        dev = BlockDevice()
+        tree = LSMTree(LSMConfig(memtable_entries=100), device=dev)
+        for key in range(10):
+            tree.put(key, key)
+        tree.checkpoint()
+        recovered = LSMTree.recover(dev)
+        assert recovered.recovery_report.wal_replayed == 10
+        assert [k for k in range(10) if recovered.get(k) != k] == []
 
     @pytest.mark.parametrize("fault", ["torn", "flipped"])
     def test_an_unreplayable_wal_frame_leaves_with_the_next_checkpoint(self, fault):
         # Recovery cannot replay ("wal", 3), but the floor of the next
-        # verified checkpoint passes it, so that checkpoint frees it.
+        # verified checkpoint passes it, so that checkpoint frees it.  A
+        # checkpoint's floor stops at the memtable's first frame, so it is
+        # the flush of the replayed frames around it that passes it.
         inj = FaultInjector(seed=0)
         dev = FaultyBlockDevice(injector=inj)
         tree = LSMTree(LSMConfig(memtable_entries=8), device=dev)
@@ -563,8 +580,9 @@ class TestRecovery:
         assert recovered.recovery_report.wal_lost == 1
         for key in range(100, 130):
             recovered.put(key, key)
-        recovered.checkpoint()
-        floor = recovered.wal_position
+        recovered.flush()
+        floor = DurableManifest(dev, "manifest", version_key="epoch").load()["wal_floor"]
+        assert floor > 3
         assert [a for a in dev.addresses() if a[0] == "wal" and a[1] < floor] == []
 
     def test_a_checkpoint_refused_by_an_open_breaker_does_not_raise(self):
@@ -586,6 +604,23 @@ class TestRecovery:
         device.reset()
         recovered = LSMTree.recover(device)
         assert [k for k in range(8) if recovered.get(k) != k] == []
+
+    def test_blocks_behind_an_open_breaker_are_lost_not_raised(self):
+        # Run 0's data block and run 1's filter block sit behind open
+        # breakers: the run is lost, the filter is rebuilt.
+        device = BreakerDevice(BlockDevice(), SimulatedClock())
+        tree = LSMTree(LSMConfig(memtable_entries=4, compaction="tiering"), device=device)
+        for key in range(8):
+            tree.put(key, key)
+        with use_registry():
+            for address in (("run", 0), ("filter", 1)):
+                breaker = device.breaker_for(address)
+                while breaker.state is not BreakerState.OPEN:
+                    breaker.record_failure()
+            recovered = LSMTree.recover(device)
+        report = recovered.recovery_report
+        assert (report.runs_lost, report.runs_recovered, report.filters_rebuilt) == (1, 1, 1)
+        assert [k for k in range(8) if recovered.get(k) != k] == [0, 1, 2, 3]
 
     def test_recovery_retries_transient_reads(self):
         inj = FaultInjector(seed=11, transient_read=0.3)

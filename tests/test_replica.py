@@ -190,29 +190,32 @@ class TestQuorumCombine:
 
     def test_pending_hints_block_absent_votes(self):
         store, _ = self._loaded()
-        victim = store.replicas_of("missing")[0]
-        store.kill(victim)
-        # Writes to other keys on the victim journal hints; until they
-        # replay, the healed victim may be missing those writes and must
-        # not testify to absence.
+        # Two replicas miss writes while down; the third takes them.
+        victims = store.replicas_of("missing")[:2]
+        keeper = store.replicas_of("missing")[2]
+        for node_id in victims:
+            store.kill(node_id)
         hinted = [k for k in range(self.N, self.N + 50)
-                  if victim in store.replicas_of(k)]
+                  if set(store.replicas_of(k)) >= set(victims)]
         for key in hinted:
             store.put(key, "late")
-        store.heal(victim)
-        assert store.handoff.pending_for(victim) > 0
-        other = next(n for n in store.nodes if n != victim)
-        store.kill(other)
-        # victim + one dead replica: no quorum for keys owned by both.
-        probe = next(
-            k for k in range(self.N + 50, self.N + 400)
-            if set(store.replicas_of(k)) >= {victim, other}
-        )
-        assert store.lookup(probe).state is Answer.MAYBE
-        store.handoff.replay(batch=10_000, force=True)
-        assert store.handoff.pending_for(victim) == 0
-        assert store.lookup(probe).state is Answer.ABSENT
+        for node_id in victims:
+            store.heal(node_id)
+            assert store.handoff.pending_for(node_id) == len(hinted)
+        store.kill(keeper)
+        # A hinted key: the healed victims may lack its write, so they
+        # must not testify to its absence until the hints replay.
         for key in hinted:
+            assert store.lookup(key).state is Answer.MAYBE, key
+        # An unhinted key: no hint names it, so the victims vote ABSENT.
+        unhinted = [k for k in range(self.N + 50, self.N + 400)
+                    if set(store.replicas_of(k)) >= set(victims)]
+        for key in unhinted:
+            assert store.lookup(key).state is Answer.ABSENT, key
+        store.handoff.replay(batch=10_000, force=True)
+        assert store.handoff.pending() == 0
+        for key in hinted:
+            assert store.lookup(key).state is Answer.PRESENT, key
             assert store.get(key) == "late"
 
     def test_tombstone_counts_as_absence_evidence(self):
@@ -257,6 +260,47 @@ class TestQuorumCombine:
         assert store.mutation_epoch == before + 1
         store.heal(0)  # heal bumps the epoch base conservatively
         assert store.mutation_epoch > before + 1
+
+
+# -- per-key hint fences -----------------------------------------------------------
+
+
+class TestPerKeyFence:
+    """A pending hint bars its replica from ABSENT votes for its own key
+    until it replays, and for no other key; the hints found in the
+    journal at open, whose keys are unread, bar their whole replica."""
+
+    def _hinted_on_two(self, read_quorum=None):
+        # r0 and r1 are down for the write of "k", which lands on r2.
+        device = BlockDevice()
+        store = ReplicatedStore(device, n_nodes=3, seed=2, read_quorum=read_quorum)
+        store.kill(0)
+        store.kill(1)
+        store.put("k", "v")
+        assert store.handoff.pending_by_node() == {0: 1, 1: 1}
+        store.heal(0)
+        store.heal(1)
+        store.kill(2)
+        return store, device
+
+    @pytest.mark.parametrize("read_quorum", [1, 2])
+    def test_a_hint_fences_its_key_and_no_other(self, read_quorum):
+        store, _ = self._hinted_on_two(read_quorum)
+        assert store.lookup("k").state is Answer.MAYBE
+        assert store.lookup("never-written").state is Answer.ABSENT
+        assert store.handoff.replay(force=True) == 2
+        assert store.lookup("k").state is Answer.PRESENT
+
+    def test_hints_found_at_open_fence_their_whole_replica(self):
+        _, device = self._hinted_on_two()
+        store = ReplicatedStore.recover(device, clock=SimulatedClock())
+        assert not store.nodes[2].alive
+        assert store.handoff.pending_by_node() == {0: 1, 1: 1}
+        assert store.lookup("k").state is Answer.MAYBE
+        assert store.lookup("never-written").state is Answer.MAYBE
+        assert store.handoff.replay(force=True) == 2
+        assert store.lookup("k").state is Answer.PRESENT
+        assert store.lookup("never-written").state is Answer.ABSENT
 
 
 # -- hinted handoff ----------------------------------------------------------------
@@ -568,6 +612,95 @@ class TestFleetRecovery:
         assert (store.write_seq, store._seq_floor, durable_floor()) == (65, 128, 128)
 
 
+class TestRecoveryThatLosesRecords:
+    """A tree recovery that drops records (``runs_lost`` or ``wal_lost``)
+    brings its replica back durably tainted, in heal and in recover."""
+
+    N = 200
+
+    def _loaded(self):
+        injector = FaultInjector(seed=3)
+        device = FaultyBlockDevice(injector=injector)
+        store, _ = _fresh_store(device=device, injector=injector)
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        return store, device, injector
+
+    def _absent(self, store):
+        return [k for k in range(self.N) if store.lookup(k).state is Answer.ABSENT]
+
+    def test_a_heal_that_loses_a_run_taints_the_replica(self):
+        store, device, injector = self._loaded()
+        store.kill(1)
+        store.kill(2)
+        for node_id in (1, 2):
+            # The replica's own run blocks fail every read while it heals.
+            injector.transient_read = {f"run@r{node_id}": 1.0}
+            store.heal(node_id)
+            assert store.nodes[node_id].tree.recovery_report.runs_lost == 1
+            assert store.nodes[node_id].tainted
+        injector.transient_read = 0.0
+        store.kill(0)
+        assert self._absent(store) == []
+        revived = ReplicatedStore.recover(device, clock=SimulatedClock())
+        assert revived.nodes[1].tainted and revived.nodes[2].tainted
+        # Anti-entropy rebuilds both from r0 and they vote again.
+        store.heal(0)
+        repairer = AntiEntropyRepairer(store)
+        for _ in range(4_000):
+            repairer.pump(force=True)
+            if repairer.idle and repairer.converged():
+                break
+        assert not any(node.tainted for node in store.nodes.values())
+        assert [k for k in range(self.N) if store.get(k) != f"v{k}"] == []
+        assert store.lookup("never-written").state is Answer.ABSENT
+
+    def test_a_recovery_that_loses_a_run_taints_the_replica(self):
+        store, device, injector = self._loaded()
+        injector.transient_read = {"run@r1": 1.0, "run@r2": 1.0}
+        revived = ReplicatedStore.recover(device, clock=SimulatedClock())
+        injector.transient_read = 0.0
+        for node_id in (1, 2):
+            assert revived.nodes[node_id].tree.recovery_report.runs_lost == 1
+            assert revived.nodes[node_id].tainted
+        revived.kill(0)
+        assert self._absent(revived) == []
+        again = ReplicatedStore.recover(device, clock=SimulatedClock())
+        assert again.nodes[1].tainted and again.nodes[2].tainted
+
+    def test_a_loss_whose_taint_cannot_be_written_keeps_the_replica_down(self):
+        store, device, injector = self._loaded()
+        store.kill(2)
+        injector.transient_read = {"run@r1": 1.0, "run@r2": 1.0}
+        injector.lost_write = {"nodestate": 1.0}
+        with pytest.raises(TransientIOError):
+            store.heal(2)
+        assert not store.nodes[2].alive and store.nodes[2].tainted
+        # r1 is alive in the node-state manifest, but comes back down.
+        revived = ReplicatedStore.recover(device, clock=SimulatedClock())
+        assert not revived.nodes[1].alive and revived.nodes[1].tainted
+        injector.transient_read = injector.lost_write = 0.0
+        revived.heal(1)
+        assert revived.nodes[1].alive and revived.nodes[1].tainted
+
+    def test_a_heal_behind_an_open_run_breaker_taints_and_returns(self):
+        clock = SimulatedClock()
+        device = BreakerDevice(BlockDevice(), clock)
+        store, _ = _fresh_store(device=device)
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        store.kill(1)
+        runs = [a for a in device.addresses() if a[:2] == ("run", "r1")]
+        with use_registry():
+            for run in runs:
+                breaker = device.breaker_for(run)
+                while breaker.state is not BreakerState.OPEN:
+                    breaker.record_failure()
+            store.heal(1)
+        assert store.nodes[1].tree.recovery_report.runs_lost == len(runs) > 0
+        assert store.nodes[1].alive and store.nodes[1].tainted
+
+
 # -- hypothesis: never-ABSENT under arbitrary interleavings ------------------------
 
 
@@ -577,13 +710,14 @@ class ReplicaMachine(RuleBasedStateMachine):
     read ABSENT, and a full drain must converge every digest."""
 
     KEYS = st.integers(min_value=0, max_value=24)
+    READ_QUORUM: int | None = None  # the default, 2 of 3
 
     def __init__(self):
         super().__init__()
         self.device = BlockDevice()
         clock = SimulatedClock()
         self.store = ReplicatedStore(
-            self.device, n_nodes=3, clock=clock,
+            self.device, n_nodes=3, read_quorum=self.READ_QUORUM, clock=clock,
             detector=FailureDetector(clock), seed=2,
         )
         self.repairer = AntiEntropyRepairer(self.store)
@@ -662,10 +796,23 @@ class ReplicaMachine(RuleBasedStateMachine):
             assert result.value == value
 
 
-TestReplicaMachine = ReplicaMachine.TestCase
-TestReplicaMachine.settings = settings(
-    max_examples=15, stateful_step_count=30, deadline=None
+class QuorumOneMachine(ReplicaMachine):
+    """The same interleavings at ``read_quorum=1``, where one eligible
+    replica's ABSENT decides: a missing fence shows at once."""
+
+    READ_QUORUM = 1
+
+
+# 15 examples of 30 steps; the thorough profile (500 examples) runs 150 of 50.
+THOROUGH = settings.default.max_examples >= 500
+MACHINE_SETTINGS = settings(
+    max_examples=150 if THOROUGH else 15,
+    stateful_step_count=50 if THOROUGH else 30, deadline=None,
 )
+TestReplicaMachine = ReplicaMachine.TestCase
+TestReplicaMachine.settings = MACHINE_SETTINGS
+TestQuorumOneMachine = QuorumOneMachine.TestCase
+TestQuorumOneMachine.settings = MACHINE_SETTINGS
 
 
 # -- acceptance: the replicated chaos storm ----------------------------------------
