@@ -93,6 +93,14 @@ def _restore_tombstone() -> "_Tombstone":
     return TOMBSTONE
 
 
+def _late(results: list[LookupResult], indexes: Iterable[int]) -> list[LookupResult]:
+    """Answer the keys at *indexes* MAYBE (``"deadline"``); returns *results*."""
+    for i in indexes:
+        result = results[i]
+        result.state, result.complete, result.reason = (Answer.MAYBE, False, "deadline")
+    return results
+
+
 @dataclass
 class LSMConfig:
     """Tuning knobs for the simulated LSM-tree."""
@@ -328,10 +336,12 @@ class LSMTree:
 
     # -- device helpers ---------------------------------------------------------
 
-    def _read_block(self, address):
-        """Device read with bounded retry on transient faults."""
+    def _read_block(self, address, deadline: Any = None):
+        """Device read with bounded retry on transient faults; with a
+        *deadline*, raises :class:`~repro.common.clock.DeadlineExceeded`
+        instead of backing off into it."""
         with trace("device.read", address=address):
-            return self.retry.call(self.device.read, address)
+            return self.retry.call(self.device.read, address, deadline=deadline)
 
     # -- write path ------------------------------------------------------------
 
@@ -616,18 +626,20 @@ class LSMTree:
         runs.sort(key=lambda r: r.seq, reverse=True)
         return runs
 
-    def _charge_filter_read(self, run: _Run) -> bool:
+    def _charge_filter_read(self, run: _Run, deadline: Any) -> bool:
         """Charge the device read consulting this run's filter block costs
         (``charge_filter_reads``) — the RocksDB reality that filter and
         index blocks live in the same block cache as data.  Returns False
         when the block is unreadable: the caller must then probe the run
         directly, because an unavailable verdict is not a negative one.
+        A retry that would reach *deadline* raises
+        :class:`~repro.common.clock.DeadlineExceeded`.
         """
         if not self.config.charge_filter_reads:
             return True
         self.stats.filter_ios += 1
         try:
-            self._read_block(("filter", run.run_id))
+            self._read_block(("filter", run.run_id), deadline)
         except (TransientIOError, CircuitOpenError, KeyError):
             return False
         return True
@@ -680,12 +692,14 @@ class LSMTree:
         survivors share one read of each run or page block they need.
 
         *deadline* is checked before each run unresolved keys still
-        need: on expiry they answer MAYBE (``"deadline"``), and resolved
-        keys keep their answers.  With ``degrade_on_error=True`` an
-        unreadable block (retries exhausted, or its breaker open) is
-        skipped by the keys that needed it, and a key that hits below a
-        skipped run, or ends its scan with one, answers MAYBE
-        (``"unavailable"``); otherwise the read error propagates.
+        need, and bounds the retries of every read: on expiry, or when
+        a retry's backoff would reach it, they answer MAYBE
+        (``"deadline"``), and resolved keys keep their answers.  With
+        ``degrade_on_error=True`` an unreadable block (retries
+        exhausted, or its breaker open) is skipped by the keys that
+        needed it, and a key that hits below a skipped run, or ends its
+        scan with one, answers MAYBE (``"unavailable"``); otherwise the
+        read error propagates.
         ``stats.lookup_ios`` counts each block read attempted,
         ``io_hit``/``io_wasted`` each run read, and lookups, probes and
         false positives each key, so a batch of one is a scalar scan.
@@ -715,11 +729,7 @@ class LSMTree:
             if not need:
                 continue
             if deadline is not None and deadline.expired():
-                for i in pending:
-                    result = results[i]
-                    result.state, result.complete, result.reason = (
-                        Answer.MAYBE, False, "deadline")
-                return results
+                return _late(results, pending)
             filtered = False
             if maplet is None and run.degraded:
                 # Lost filter: this run must always be read — exactly one
@@ -738,7 +748,11 @@ class LSMTree:
                         need = unknown
                         if not need:
                             continue
-                if self._charge_filter_read(run):
+                try:
+                    charged = self._charge_filter_read(run, deadline)
+                except DeadlineExceeded:
+                    return _late(results, pending)
+                if charged:
                     need = self._probe_filter(run, keys, need, m)
                     if not need:
                         continue
@@ -755,11 +769,11 @@ class LSMTree:
                           for page in sorted(by_page)]
             else:
                 blocks = [(("run", run.run_id), need)]
-            read, hits, missed = False, set(), 0
+            read, hits, missed, out_of_time = False, set(), 0, False
             for address, block_keys in blocks:
                 stats.lookup_ios += 1
                 try:
-                    self._read_block(address)
+                    self._read_block(address, deadline)
                 except (TransientIOError, CircuitOpenError):
                     if not degrade_on_error:
                         raise
@@ -768,6 +782,9 @@ class LSMTree:
                     for i in block_keys:
                         results[i].runs_skipped += 1
                     continue
+                except DeadlineExceeded:
+                    out_of_time = True
+                    break
                 read = True
                 for i in block_keys:
                     result = results[i]
@@ -796,6 +813,8 @@ class LSMTree:
                 # The filter passed keys its run did not hold: realised
                 # false positives at this level.
                 m.fp(run.level).inc(missed)
+            if out_of_time:
+                return _late(results, pending)
             if not pending:
                 break
         for i in pending:

@@ -21,7 +21,9 @@ LSM recovery, scrubbing) can be driven through seeded fault schedules.
   backoff *accounting* (simulated seconds; nothing sleeps), so callers
   can express "retry transient faults N times, then degrade".  Optional
   seeded *decorrelated jitter* desynchronises concurrent retriers so
-  they cannot thundering-herd a recovering device.
+  they cannot thundering-herd a recovering device.  Each call's backoff
+  sequence starts afresh at the base delay, and a call given a deadline
+  stops retrying rather than back off into it.
 * :class:`LatencyInjector` — a seeded service-time model (baseline
   latency, random spikes, slow-disk plateaus, a mutable phase slowdown)
   that advances a :class:`~repro.common.clock.SimulatedClock` on every
@@ -36,6 +38,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.common.clock import DeadlineExceeded
 from repro.common.storage import BatchOps, BlockDevice, IOStats, _default_size
 from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
 from repro.obs.tracing import trace
@@ -466,7 +469,7 @@ class _RetryMetrics:
 class RetryStats:
     attempts: int = 0
     retries: int = 0
-    giveups: int = 0
+    giveups: int = 0  # out of attempts, or out of deadline
     backoff_seconds: float = 0.0
 
 
@@ -483,16 +486,28 @@ class RetryPolicy:
     After the last attempt the error propagates — the caller decides how
     to degrade.
 
-    ``jitter`` selects the schedule:
+    ``jitter`` selects the schedule of one call's backoffs:
 
     * ``"none"`` — pure exponential ``base_backoff * multiplier**i``.
       Deterministic, but every concurrent retrier computes the *same*
       schedule, so a shared fault synchronises them into a thundering
       herd that re-arrives in lockstep.
     * ``"decorrelated"`` — seeded decorrelated jitter (AWS-style):
+      ``sleep_0 = min(max_backoff, uniform(base, 3 * base))`` and
       ``sleep_i = min(max_backoff, uniform(base, 3 * sleep_{i-1}))``.
       Retriers with different seeds spread out; the same seed replays
       the same schedule exactly, so chaos tests stay reproducible.
+
+    Either way a backoff sequence belongs to one call: the first retry
+    of every call draws from the base delay, whatever earlier calls
+    escalated to.  Only the seeded random stream runs on across calls.
+
+    ``call(fn, *args, deadline=d)`` also bounds the retries by a
+    :class:`~repro.common.clock.Deadline`: when the backoff just drawn
+    would reach *d*, the call gives up at once without advancing the
+    clock, counts the attempt with outcome ``"deadline"`` and raises
+    :class:`~repro.common.clock.DeadlineExceeded` — a retry that lands
+    after the deadline could only serve a late answer.
     """
 
     max_attempts: int = 3
@@ -514,16 +529,17 @@ class RetryPolicy:
         self._obs: _RetryMetrics | None = None
 
     def next_backoff(self, attempt: int) -> float:
-        """The delay charged after failed attempt *attempt* (0-based)."""
+        """The delay charged after failed attempt *attempt* (0-based) of
+        one call; attempt 0 starts the call's sequence afresh."""
         if self.jitter == "none":
             return self.base_backoff * self.multiplier**attempt
+        prev = self.base_backoff if attempt == 0 else self._prev_backoff
         self._prev_backoff = min(
-            self.max_backoff,
-            self._rng.uniform(self.base_backoff, 3.0 * self._prev_backoff),
+            self.max_backoff, self._rng.uniform(self.base_backoff, 3.0 * prev)
         )
         return self._prev_backoff
 
-    def call(self, fn: Callable, *args, **kwargs):
+    def call(self, fn: Callable, *args, deadline: Any = None, **kwargs):
         attempts = bind_handles(self, _RetryMetrics).attempts
         for attempt in range(self.max_attempts):
             self.stats.attempts += 1
@@ -537,9 +553,13 @@ class RetryPolicy:
                     self.stats.giveups += 1
                     attempts.labels(outcome="giveup").inc()
                     raise
+                backoff = self.next_backoff(attempt)
+                if deadline is not None and backoff >= deadline.remaining():
+                    self.stats.giveups += 1
+                    attempts.labels(outcome="deadline").inc()
+                    raise DeadlineExceeded("retry backoff would reach the deadline")
                 self.stats.retries += 1
                 attempts.labels(outcome="retry").inc()
-                backoff = self.next_backoff(attempt)
                 self.stats.backoff_seconds += backoff
                 if self.clock is not None:
                     self.clock.advance(backoff)

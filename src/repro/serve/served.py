@@ -6,8 +6,11 @@ or :class:`~repro.adaptive.dictionary.FilteredDictionary`, anything with
 ``lookup(key, deadline=..., degrade_on_error=...)``):
 
 1. **admission** — overloaded queues shed the request (`SHED`);
-2. **deadline** — a request whose budget is already gone, or whose scan
-   cannot finish in time, times out (`TIMED_OUT`);
+2. **deadline** — a request times out (`TIMED_OUT`) when its budget is
+   gone before the scan starts, when the scan reaches a run or lands
+   its answer after expiry, or when a read's retry backoff would reach
+   the deadline — an LSM backend's
+   :class:`~repro.common.faults.RetryPolicy` then gives up at once;
 3. **degradation** — runs behind an open circuit breaker or exhausted
    retries are skipped (`DEGRADED`);
 4. otherwise the authoritative answer is returned (`SERVED`).

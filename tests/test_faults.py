@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps.lsm import LSMConfig, LSMTree
-from repro.common.clock import SimulatedClock
+from repro.common.clock import Deadline, DeadlineExceeded, SimulatedClock
 from repro.common.records import DurableManifest
 from repro.common.storage import BlockDevice
 from repro.common.faults import (
@@ -342,6 +344,105 @@ class TestRetryPolicy:
         # Two backoffs (attempts 1 and 2) were accounted on the clock.
         assert clock.now() == pytest.approx(policy.stats.backoff_seconds)
         assert clock.now() >= 2 * 0.01
+
+    def test_each_call_restarts_decorrelated_jitter(self):
+        # One policy serves every read of a tree, so a call's first retry
+        # must not inherit the delay earlier calls escalated to.
+        base = 0.0005
+        clock = _StepClock()
+        policy = RetryPolicy(max_attempts=3, jitter="decorrelated", base_backoff=base,
+                             max_backoff=0.01, seed=1, clock=clock)
+        for _ in range(50):
+            outcome, backoffs = _one_call(policy, clock, failures=2)
+            assert outcome == "ok" and len(backoffs) == 2
+            assert base <= backoffs[0] <= 3 * base
+
+    def test_backoff_that_would_reach_the_deadline_gives_up(self):
+        clock = SimulatedClock()
+        policy = RetryPolicy(max_attempts=4, jitter="decorrelated", base_backoff=0.0005,
+                             max_backoff=0.01, clock=clock)
+        deadline = Deadline.after(clock, 0.001)
+
+        def always_fail():
+            raise TransientIOError("down")
+
+        with use_registry() as registry:
+            with pytest.raises(DeadlineExceeded):
+                policy.call(always_fail, deadline=deadline)
+            attempts = registry.get("repro_retry_attempts_total")
+            assert attempts.labels(outcome="deadline").value == 1
+            assert attempts.labels(outcome="giveup").value == 0
+        assert clock.now() < deadline.expires_at
+        assert policy.stats.giveups == 1
+
+
+class _StepClock(SimulatedClock):
+    """A simulated clock that keeps every step it is advanced by."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps: list[float] = []
+
+    def advance(self, dt: float) -> float:
+        self.steps.append(dt)
+        return super().advance(dt)
+
+
+def _one_call(policy: RetryPolicy, clock: _StepClock, failures: int,
+              deadline: Deadline | None = None) -> tuple[str, list[float]]:
+    """One ``policy.call`` of a read that fails *failures* times, then
+    succeeds: how the call ended, and the backoffs it charged the clock."""
+    failed = 0
+
+    def read():
+        nonlocal failed
+        if failed < failures:
+            failed += 1
+            raise TransientIOError("down")
+        return "ok"
+
+    first = len(clock.steps)
+    try:
+        outcome = policy.call(read) if deadline is None else policy.call(read, deadline=deadline)
+    except TransientIOError:
+        outcome = "giveup"
+    except DeadlineExceeded:
+        outcome = "deadline"
+    return outcome, clock.steps[first:]
+
+
+_ATTEMPTS = 4
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(
+        st.tuples(st.integers(0, _ATTEMPTS),
+                  st.none() | st.floats(0.0, 0.03, allow_nan=False)),
+        max_size=40,
+    ),
+)
+def test_retry_schedule_per_call_and_within_deadline(seed, calls):
+    """Any seed, any calls: each fails 0 to ``max_attempts`` times and
+    has a deadline budget or none."""
+    base, cap = 0.0005, 0.01
+    runs = []
+    for _ in range(2):
+        clock = _StepClock()
+        policy = RetryPolicy(max_attempts=_ATTEMPTS, jitter="decorrelated",
+                             base_backoff=base, max_backoff=cap, seed=seed, clock=clock)
+        run = []
+        for failures, budget in calls:
+            deadline = None if budget is None else Deadline.after(clock, budget)
+            outcome, backoffs = _one_call(policy, clock, failures, deadline)
+            assert all(base <= b <= cap for b in backoffs)
+            assert not backoffs or backoffs[0] <= 3 * base
+            if deadline is not None and backoffs:
+                assert clock.now() < deadline.expires_at
+            run.append((outcome, backoffs))
+        runs.append(run)
+    # Same seed, same calls: the same backoffs and the same outcomes.
+    assert runs[0] == runs[1]
 
 
 class TestLatencyInjector:

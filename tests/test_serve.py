@@ -407,6 +407,44 @@ class TestLSMDeadlines:
             assert not result.complete and result.reason == "deadline"
         assert [r.value for r in tree.lookup_many(keys)] == [k * 10 for k in keys[:3]] + [None, None]
 
+    def _retry_into_deadline(self):
+        # Every run read fails, and the first backoff (>= 10 ms) alone
+        # outlasts a 5 ms budget.
+        tree, clock, injector, _lat = _latency_tree(fault_rate=1.0)
+        tree.retry = RetryPolicy(max_attempts=4, jitter="decorrelated",
+                                 base_backoff=0.01, max_backoff=0.05, clock=clock)
+        return tree, clock, injector
+
+    def test_retry_that_would_reach_the_deadline_answers_maybe(self):
+        tree, clock, _inj = self._retry_into_deadline()
+        target = next(k for k in range(5, 50) if k not in tree._memtable)
+        deadline = Deadline.after(clock, 0.005)
+        result = tree.lookup(target, deadline=deadline)
+        assert result.state is Answer.MAYBE
+        assert not result.complete and result.reason == "deadline"
+        assert clock.now() < deadline.expires_at
+
+    def test_retry_deadline_on_a_filter_block_read(self):
+        tree, clock, injector = self._retry_into_deadline()
+        tree.config.charge_filter_reads = True
+        injector.transient_read = {"filter": 1.0, "*": 0.0}
+        target = next(k for k in range(5, 50) if k not in tree._memtable)
+        deadline = Deadline.after(clock, 0.005)
+        result = tree.lookup(target, deadline=deadline)
+        assert result.state is Answer.MAYBE and result.reason == "deadline"
+        assert clock.now() < deadline.expires_at
+
+    def test_retry_deadline_keeps_resolved_answers_in_a_batch(self):
+        tree, clock, _inj = self._retry_into_deadline()
+        in_memtable = sorted(tree._memtable)[0]
+        on_disk = [k for k in range(5, 50) if k not in tree._memtable][:2]
+        deadline = Deadline.after(clock, 0.005)
+        results = tree.lookup_many([in_memtable, *on_disk], deadline=deadline)
+        assert results[0].state is Answer.PRESENT and results[0].complete
+        for result in results[1:]:
+            assert result.state is Answer.MAYBE and result.reason == "deadline"
+        assert clock.now() < deadline.expires_at
+
 
 class TestDictionaryDeadlines:
     def _dictionary(self, seed=0):
@@ -677,6 +715,20 @@ class TestChaosStorms:
             p.outcomes for p in report2.phases
         ]
         assert report1.breaker_opens == report2.breaker_opens
+
+
+class TestStormRetryBackoff:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_retries_back_off_from_the_base_delay(self, seed):
+        # Each read's retries start from the 0.5 ms base delay, so the
+        # storm's mean backoff stays near it rather than escalating
+        # towards the 10 ms cap across unrelated reads.
+        with use_registry():
+            served, tree, *_rest = build_stack(seed=seed, n_keys=2_000)
+            run_storm(served, CALM_STORM_RECOVERY, seed=seed, n_keys=2_000)
+        stats = tree.retry.stats
+        assert stats.retries > 0
+        assert stats.backoff_seconds / stats.retries <= 4 * tree.retry.base_backoff
 
 
 class TestStormPhaseValidation:
