@@ -127,7 +127,7 @@ def _build_workload_tree(args, registry):
     from repro.workloads.ycsb import run_workload
 
     injector = FaultInjector(
-        seed=args.seed, transient_read={"run": args.fault_rate}
+        seed=args.seed, transient_read={"page": args.fault_rate}
     )
     device = FaultyBlockDevice(injector=injector)
     tree = LSMTree(
@@ -162,7 +162,7 @@ def _add_workload_args(parser) -> None:
     parser.add_argument("--compaction", default="leveling",
                         choices=["leveling", "tiering", "lazy-leveling"])
     parser.add_argument("--fault-rate", type=float, default=0.02,
-                        help="transient-read probability on run blocks")
+                        help="transient-read probability on run pages")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -19,22 +19,28 @@ Reproduced design space:
   each key to its run (SlimDB / Chucky / SplinterDB, §3.1): a lookup
   probes only the runs the maplet names.
 
+Storage: a run is stored once, as its pages (``page_entries`` entries
+each, or one page per run at 0), and every read, recovery and scrub
+works in pages.
+
 Read path: :meth:`LSMTree.lookup_many` is the one scan.  It answers
-each key PRESENT, ABSENT or MAYBE, reading each run or page block its
-filters (or the maplet) cannot rule out once per batch; ``lookup`` and
-``get`` are batches of one.
+each key PRESENT, ABSENT or MAYBE, reading each page its filters (or
+the maplet) cannot rule out once per batch; ``lookup`` and ``get`` are
+batches of one.
 
 Durability model (docs/robustness.md):
 
-Every persistent artifact is a checksummed blob on the device: run data,
+Every persistent artifact is a checksummed blob on the device: run
 pages, write-ahead-log records and the double-buffered manifest are
 durable records (:mod:`repro.common.records`), filter blobs are ``BBF2``
 frames (:mod:`repro.core.serialize`).  ``put`` is acknowledged only
 after its WAL record is on the device, and ``put_many`` acknowledges
 each memtable-room chunk as a whole once all of its WAL records are;
 :meth:`LSMTree.recover` reopens a (possibly faulty) device by loading
-the newest valid manifest (falling back to a device scan), replaying
-the WAL, and loading every run's filter blob — rebuilding any filter
+the newest valid manifest (falling back to a device scan), rebuilding
+every run from its pages, replaying the WAL (a frame missing between
+the floor and the last one found counts as lost), and loading every
+run's filter blob — rebuilding any filter
 whose blob fails its checksum from the run's keys, or degrading that
 run to "always probe" when rebuilding is disabled.  :meth:`scrub` walks all blobs, reports
 corruption, and optionally repairs it — the ``bup bloom
@@ -52,6 +58,7 @@ gauges on demand, and the read path emits ``lsm.get`` → ``filter.probe``
 from __future__ import annotations
 
 import pickle
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -120,9 +127,8 @@ class LSMConfig:
     wal_enabled: bool = True
     retry_attempts: int = 4
     rebuild_filters_on_recovery: bool = True
-    # Cache-tier knobs (docs/performance.md).  All default off, which
-    # preserves the historical whole-run-block I/O model exactly.
-    page_entries: int = 0  # >0: read runs at page granularity
+    # Cache-tier knobs (docs/performance.md).  All default off.
+    page_entries: int = 0  # entries per page of a new run; 0: one page per run
     charge_filter_reads: bool = False  # probe cost includes the filter block
     filter_memo_entries: int = 0  # >0: memoize per-run negative verdicts
 
@@ -154,14 +160,20 @@ class LSMConfig:
         return cls(**{k: v for k, v in raw.items() if k in cls._PERSISTED})
 
 
+def _page_count(length: int, page_entries: int) -> int:
+    """Pages of a run of *length* entries; ``page_entries=0`` is one page,
+    and an empty run keeps one empty page."""
+    return -(-length // page_entries) if page_entries and length else 1
+
+
 class _Run:
-    """One immutable sorted run on the device."""
+    """One immutable sorted run, stored on the device as its pages."""
 
     __slots__ = ("run_id", "level", "keys", "values", "filter", "range_filter",
-                 "seq", "degraded")
+                 "seq", "degraded", "page_entries", "n_pages")
 
     def __init__(self, run_id, level, keys, values, filt, range_filter, seq,
-                 degraded=False):
+                 page_entries, degraded=False):
         self.run_id = run_id
         self.level = level
         self.keys = keys  # sorted list[int]
@@ -170,17 +182,25 @@ class _Run:
         self.range_filter = range_filter
         self.seq = seq  # recency: larger = newer data
         self.degraded = degraded  # filter unrecoverable: always probe
+        # The layout the run was written with, kept across a change of
+        # the tree's ``page_entries``: 0 is one page for the whole run.
+        self.page_entries = page_entries
+        self.n_pages = _page_count(len(keys), page_entries)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def get(self, key: int):
-        from bisect import bisect_left
-
         i = bisect_left(self.keys, key)
         if i < len(self.keys) and self.keys[i] == key:
             return True, self.values[i]
         return False, None
+
+    def page_at(self, i: int) -> int:
+        """The page holding entry *i*, or the last page past the end."""
+        if self.n_pages == 1:
+            return 0
+        return min(i, len(self.keys) - 1) // self.page_entries
 
 
 @dataclass
@@ -421,14 +441,14 @@ class LSMTree:
             self._build_filter(level, keys),
             self._build_range_filter(keys),
             self._next_seq,
+            self.config.page_entries,
         )
         self._next_run_id += 1
         self._next_seq += 1
         while len(self._levels) <= level:
             self._levels.append([])
         self._levels[level].append(run)
-        blocks = [self._run_block(run)]
-        blocks += [self._page_block(run, page) for page in range(self._n_pages(run))]
+        blocks = [self._page_block(run, page) for page in range(run.n_pages)]
         if run.filter is not None:
             blocks.append(self._filter_block(run))
         self.device.write_many(blocks)
@@ -440,36 +460,22 @@ class LSMTree:
 
     # -- paging (docs/performance.md) --------------------------------------------
     #
-    # With ``page_entries > 0`` a run's data is *read* at page granularity
-    # — ``("page", run_id, p)`` blocks of up to page_entries entries, the
-    # sstable-data-block model — so a block cache sized well below the
-    # run can hold the hot pages.  The whole-run block stays the durable
-    # recovery artifact; pages are its read-granularity image.
-
-    def _n_pages(self, run: _Run) -> int:
-        entries = self.config.page_entries
-        if entries <= 0 or not run.keys:
-            return 0
-        return (len(run.keys) + entries - 1) // entries
-
-    def _page_of(self, run: _Run, key: int) -> int:
-        from bisect import bisect_left
-
-        i = min(bisect_left(run.keys, key), len(run.keys) - 1)
-        return i // self.config.page_entries
+    # A run is its pages: ``("page", run_id, p)`` blocks of up to
+    # ``page_entries`` entries (the sstable-data-block model), or one page
+    # for the whole run when ``page_entries`` is 0.  Every read, recovery
+    # and scrub goes through them; small pages let a block cache sized
+    # well below a run hold its hot pages.  Each page frame carries the
+    # run's level, sequence, length and page size, so the pages alone
+    # rebuild the run after a manifest loss or a change of page_entries.
 
     @staticmethod
-    def _run_block(run: _Run) -> tuple:
-        """``(address, payload, size)`` of a run's whole-run data block."""
-        data = PICKLE.encode((run.level, run.seq, run.keys, run.values))
-        return ("run", run.run_id), data, len(run.keys) * _ENTRY_BYTES
-
-    def _page_block(self, run: _Run, page: int) -> tuple:
-        entries = self.config.page_entries
+    def _page_block(run: _Run, page: int) -> tuple:
+        """``(address, payload, size)`` of one of *run*'s pages."""
+        entries = run.page_entries or len(run.keys)
         lo = page * entries
         page_keys = run.keys[lo:lo + entries]
-        page_values = run.values[lo:lo + entries]
-        body = PICKLE.encode((page_keys, page_values))
+        body = PICKLE.encode((run.level, run.seq, len(run.keys), run.page_entries,
+                              page_keys, run.values[lo:lo + entries]))
         return ("page", run.run_id, page), body, len(page_keys) * _ENTRY_BYTES
 
     @staticmethod
@@ -481,9 +487,7 @@ class LSMTree:
         # Deletion is deferred to the next manifest checkpoint so that a
         # crash between compaction and checkpoint cannot orphan the tree:
         # the old manifest still describes blocks that still exist.
-        self._pending_retire.append(("run", run.run_id))
-        for page in range(self._n_pages(run)):
-            self._pending_retire.append(("page", run.run_id, page))
+        self._pending_retire += [("page", run.run_id, page) for page in range(run.n_pages)]
         if self.device.exists(("filter", run.run_id)):
             self._pending_retire.append(("filter", run.run_id))
         if self.filter_memo is not None:
@@ -761,14 +765,15 @@ class LSMTree:
                     # Filter block unreadable right now: its verdict is
                     # unavailable, not negative — read the run.
                     stats.degraded_lookups += len(need)
-            if self.config.page_entries > 0 and run.keys:
+            if run.n_pages == 1:
+                blocks = [(("page", run.run_id, 0), need)]
+            else:
                 by_page: dict[int, list[int]] = {}
                 for i in need:
-                    by_page.setdefault(self._page_of(run, keys[i]), []).append(i)
+                    page = run.page_at(bisect_left(run.keys, keys[i]))
+                    by_page.setdefault(page, []).append(i)
                 blocks = [(("page", run.run_id, page), by_page[page])
                           for page in sorted(by_page)]
-            else:
-                blocks = [(("run", run.run_id), need)]
             read, hits, missed, out_of_time = False, set(), 0, False
             for address, block_keys in blocks:
                 stats.lookup_ios += 1
@@ -884,19 +889,12 @@ class LSMTree:
             ):
                 continue
             self.stats.range_ios += 1
-            from bisect import bisect_left, bisect_right
-
             i, j = bisect_left(run.keys, lo), bisect_right(run.keys, hi)
-            if self.config.page_entries > 0 and run.keys:
-                # Only the pages overlapping [lo, hi]; an empty overlap
-                # still probes the one page a seek would have landed on.
-                entries = self.config.page_entries
-                first = min(i, len(run.keys) - 1) // entries
-                last = (j - 1) // entries if j > i else first
-                for page in range(first, last + 1):
-                    self._read_block(("page", run.run_id, page))
-            else:
-                self._read_block(("run", run.run_id))
+            # Only the pages overlapping [lo, hi]; an empty overlap still
+            # probes the one page a seek would have landed on.
+            first = run.page_at(i)
+            for page in range(first, run.page_at(j - 1) + 1 if j > i else first + 1):
+                self._read_block(("page", run.run_id, page))
             if i == j:
                 self.stats.wasted_range_ios += 1
             for k in range(i, j):
@@ -914,10 +912,12 @@ class LSMTree:
         """Reopen an :class:`LSMTree` from a (possibly faulty) device.
 
         Loads the newest valid manifest (falling back to scanning the
-        device when both slots are corrupt or missing), reloads every run,
-        loads or rebuilds its filter blob, and replays the write-ahead
-        log into the memtable.  The outcome is summarized on the returned
-        tree's ``recovery_report``.
+        device for pages when both slots are corrupt or missing),
+        rebuilds every run from its pages, in the layout they were
+        written with, loads or rebuilds its filter blob, and replays the
+        write-ahead log into the memtable.  A run with a page it cannot
+        read is lost.  The outcome is summarized on the returned tree's
+        ``recovery_report``.
         """
         report = RecoveryReport()
         before = device.stats.snapshot()
@@ -931,46 +931,52 @@ class LSMTree:
             tree._manifest.version = manifest["epoch"]
             tree._next_run_id = manifest["next_run_id"]
             tree._next_seq = manifest["next_seq"]
-            run_specs = [
-                (run_id, level, seq, bool(has_filter))
-                for run_id, level, seq, _n_keys, has_filter in manifest["runs"]
-            ]
+            run_ids = [run[0] for run in manifest["runs"]]
             wal_floor = manifest["wal_floor"]
         else:
+            # No floor survives: replay from the oldest frame on the device.
             report.manifest_fallback = True
-            run_specs, wal_floor = tree._scan_run_specs(), 0
-        tree._load_runs(run_specs, report)
+            run_ids = tree._scan_run_ids()
+            wal_floor = tree._wal.keys[0][0] if tree._wal.keys else 0
+        tree._load_runs(run_ids, report)
         tree._replay_wal(wal_floor, report)
         report.io = device.stats - before
         return tree
 
-    def _scan_run_specs(self) -> list:
-        """Manifest lost: enumerate run blocks straight off the device."""
-        specs = []
-        for address in self.device.addresses():
-            if isinstance(address, tuple) and address and address[0] == "run":
-                has_filter = self.device.exists(("filter", address[1]))
-                specs.append((address[1], None, None, has_filter))
-        return specs
+    def _scan_run_ids(self) -> list:
+        """Manifest lost: the id of every run with a page on the device."""
+        return list(dict.fromkeys(
+            address[1] for address in self.device.addresses()
+            if isinstance(address, tuple) and address and address[0] == "page"))
 
-    def _load_runs(self, run_specs, report: RecoveryReport) -> None:
+    def _read_run(self, run_id: int) -> _Run:
+        """Rebuild a run from its pages; raises when one cannot be read or
+        belongs to another run."""
+        level, seq, length, page_entries, keys, values = PICKLE.decode(
+            self._read_block(("page", run_id, 0)))
+        for page in range(1, _page_count(length, page_entries)):
+            *header, page_keys, page_values = PICKLE.decode(
+                self._read_block(("page", run_id, page)))
+            if header != [level, seq, length, page_entries]:
+                raise ValueError(f"page {page} of run {run_id} belongs to another run")
+            keys += page_keys
+            values += page_values
+        if len(keys) != length:
+            raise ValueError(f"run {run_id} holds {len(keys)} of its {length} entries")
+        return _Run(run_id, level, keys, values, None, self._build_range_filter(keys),
+                    seq, page_entries)
+
+    def _load_runs(self, run_ids, report: RecoveryReport) -> None:
         loaded: list[_Run] = []
-        for run_id, level, seq, has_filter in run_specs:
+        for run_id in run_ids:
             try:
-                stored_level, stored_seq, keys, values = PICKLE.decode(
-                    self._read_block(("run", run_id)))
+                loaded.append(self._read_run(run_id))
             except (TransientIOError, CircuitOpenError, KeyError, ValueError,
                     pickle.PickleError):
                 report.runs_lost += 1
                 self.stats.integrity_faults += 1
-                continue
-            level = stored_level if level is None else level
-            seq = stored_seq if seq is None else seq
-            run = _Run(run_id, level, list(keys), list(values), None,
-                       self._build_range_filter(list(keys)), seq)
-            loaded.append((run, has_filter))
-            report.runs_recovered += 1
-        for run, _ in loaded:
+        report.runs_recovered += len(loaded)
+        for run in loaded:
             while len(self._levels) <= run.level:
                 self._levels.append([])
             self._levels[run.level].append(run)
@@ -980,19 +986,11 @@ class LSMTree:
             level.sort(key=lambda r: r.seq)
         # Filters second, once the level structure exists (Monkey's ε
         # depends on tree depth).
-        for run, _has_filter in loaded:
+        for run in loaded:
             self._restore_filter(run, report)
             if self._maplet is not None:
                 for key in run.keys:
                     self._maplet.insert(key, run.run_id)
-            # Rematerialize any missing page blocks (first recovery after
-            # enabling paging, or pages lost to faults): the run block is
-            # the durable source of truth, pages are its read image.
-            self.device.write_many([
-                self._page_block(run, page)
-                for page in range(self._n_pages(run))
-                if not self.device.exists(("page", run.run_id, page))
-            ])
         self._global_dirty = True
 
     def _restore_filter(self, run: _Run, report: RecoveryReport) -> None:
@@ -1026,11 +1024,16 @@ class LSMTree:
         keys = self._wal.keys
         self._next_wal_seq = max(wal_floor, keys[-1][0] + 1 if keys else 0)
         self._wal_floor = wal_floor
-        scan = self._wal.scan(key for key in keys if key[0] >= wal_floor)
+        live = [key for key in keys if key[0] >= wal_floor]
+        scan = self._wal.scan(live)
         for _seq, (key, value) in scan:
             self._memtable[key] = value
             report.wal_replayed += 1
-        lost = len(scan.torn) + len(scan.unreadable)
+        # Sequences run on without a gap from the floor, so each one
+        # missing below the last frame found is a write the device
+        # dropped.  A dropped last frame leaves no trace.
+        missing = live[-1][0] + 1 - wal_floor - len(live) if live else 0
+        lost = len(scan.torn) + len(scan.unreadable) + missing
         report.wal_lost += lost
         self.stats.integrity_faults += lost
 
@@ -1039,19 +1042,11 @@ class LSMTree:
     def scrub(self, repair: bool = True) -> ScrubReport:
         """Walk every persistent blob, verify its checksum, and (optionally)
         repair what fails — the ``bup bloom --check`` / ``--regenerate``
-        workflow.  Run data and filters are repaired from the in-memory
+        workflow.  Pages and filters are repaired from the in-memory
         image; the manifest is repaired by re-checkpointing."""
         report = ScrubReport()
         for run in self._runs_newest_first():
-            self._scrub_block(
-                report, ("run", run.run_id),
-                check=PICKLE.decode,
-                repair_fn=(
-                    (lambda run=run: self.device.write(*self._run_block(run)))
-                    if repair else None
-                ),
-            )
-            for page in range(self._n_pages(run)):
+            for page in range(run.n_pages):
                 self._scrub_block(
                     report, ("page", run.run_id, page),
                     check=PICKLE.decode,
@@ -1082,10 +1077,13 @@ class LSMTree:
         if repair and len(report.corrupt) + len(report.unreadable) > found:
             # A corrupt WAL record's original content is unknowable, but
             # the memtable still holds every acknowledged (key, value):
-            # replace the un-checkpointed tail with a fresh image of it.
-            self.stats.integrity_faults += self._wal.trim()
+            # replace the un-checkpointed tail with a fresh image of it,
+            # and persist the image's floor, so recovery neither replays
+            # the old tail nor counts it as a gap.  The checkpoint frees
+            # the old tail; until one verifies, recovery replays both.
             self._wal_floor = self._next_wal_seq
             self._append_wal(self._memtable.items())
+            self._checkpoint()
             report.repaired.append(("wal", "*"))
         return report
 
@@ -1108,10 +1106,10 @@ class LSMTree:
 
         Merges runs oldest-first and the memtable last (newest wins),
         dropping tombstoned keys — the enumeration online resharding
-        uses to backfill a new shard.  Each run block is charged one
-        device read (retry-wrapped, so a transiently faulty device can
-        raise :class:`~repro.common.faults.TransientIOError` after
-        retries and the caller defers the scan).
+        uses to backfill a new shard.  Each page is charged one device
+        read (retry-wrapped, so a transiently faulty device can raise
+        :class:`~repro.common.faults.TransientIOError` after retries and
+        the caller defers the scan).
         """
         merged: dict[int, Any] = {}
         runs = sorted(
@@ -1119,7 +1117,8 @@ class LSMTree:
             key=lambda run: run.seq,
         )
         for run in runs:
-            self._read_block(("run", run.run_id))
+            for page in range(run.n_pages):
+                self._read_block(("page", run.run_id, page))
             merged.update(zip(run.keys, run.values))
         merged.update(self._memtable)
         return sorted(

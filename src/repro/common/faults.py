@@ -443,10 +443,12 @@ class _RetryMetrics:
     """Default-registry handles, rebound when the registry is swapped.
 
     The backoff histogram is registered at the first retry, so a
-    registry only lists it once something has backed off.
+    registry only lists it once something has backed off.  The
+    ``attempts{outcome}`` children are bound on first use by
+    :meth:`attempt`, whose caller counts at once.
     """
 
-    __slots__ = ("registry", "attempts", "_backoff")
+    __slots__ = ("registry", "attempts", "_backoff", "_children")
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
@@ -455,6 +457,14 @@ class _RetryMetrics:
             labels=("outcome",),
         )
         self._backoff = None
+        self._children: dict[str, Any] = {}
+
+    def attempt(self, outcome: str):
+        """The ``attempts{outcome}`` child."""
+        child = self._children.get(outcome)
+        if child is None:
+            child = self._children[outcome] = self.attempts.labels(outcome=outcome)
+        return child
 
     def backoff(self):
         if self._backoff is None:
@@ -540,28 +550,28 @@ class RetryPolicy:
         return self._prev_backoff
 
     def call(self, fn: Callable, *args, deadline: Any = None, **kwargs):
-        attempts = bind_handles(self, _RetryMetrics).attempts
+        m = bind_handles(self, _RetryMetrics)
         for attempt in range(self.max_attempts):
             self.stats.attempts += 1
             try:
                 with trace("retry.attempt", attempt=attempt):
                     result = fn(*args, **kwargs)
-                attempts.labels(outcome="ok").inc()
+                m.attempt("ok").inc()
                 return result
             except TransientIOError:
                 if attempt + 1 == self.max_attempts:
                     self.stats.giveups += 1
-                    attempts.labels(outcome="giveup").inc()
+                    m.attempt("giveup").inc()
                     raise
                 backoff = self.next_backoff(attempt)
                 if deadline is not None and backoff >= deadline.remaining():
                     self.stats.giveups += 1
-                    attempts.labels(outcome="deadline").inc()
+                    m.attempt("deadline").inc()
                     raise DeadlineExceeded("retry backoff would reach the deadline")
                 self.stats.retries += 1
-                attempts.labels(outcome="retry").inc()
+                m.attempt("retry").inc()
                 self.stats.backoff_seconds += backoff
                 if self.clock is not None:
                     self.clock.advance(backoff)
-                bind_handles(self, _RetryMetrics).backoff().observe(backoff)
+                m.backoff().observe(backoff)
         raise AssertionError("unreachable")  # pragma: no cover

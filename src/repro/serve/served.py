@@ -70,22 +70,43 @@ class ServedResponse:
 
 
 class _ServeMetrics:
-    """Default-registry handles, rebound when the registry is swapped."""
+    """Default-registry handles, rebound when the registry is swapped.
 
-    __slots__ = ("registry", "requests", "latency")
+    The per-request children are bound on first use by :meth:`request`
+    and :meth:`latency`, whose caller counts at once, so a child still
+    appears in the registry only when first counted.
+    """
+
+    __slots__ = ("registry", "requests", "latencies", "_children")
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
+        self._children: dict[tuple, Any] = {}
         self.requests = registry.counter(
             "repro_serve_requests_total",
             "served-filter requests, by outcome and priority",
             labels=("outcome", "priority"),
         )
-        self.latency = registry.histogram(
+        self.latencies = registry.histogram(
             "repro_serve_latency_seconds",
             "arrival-to-answer simulated latency, by outcome",
             labels=("outcome",),
         )
+
+    def request(self, outcome: ServeOutcome, priority: Priority):
+        """The ``requests{outcome,priority}`` child."""
+        child = self._children.get((outcome, priority))
+        if child is None:
+            child = self._children[outcome, priority] = self.requests.labels(
+                outcome=outcome.value, priority=priority.name.lower())
+        return child
+
+    def latency(self, outcome: ServeOutcome):
+        """The ``latencies{outcome}`` child."""
+        child = self._children.get(outcome)
+        if child is None:
+            child = self._children[outcome] = self.latencies.labels(outcome=outcome.value)
+        return child
 
 
 class ServedFilter:
@@ -229,11 +250,8 @@ class ServedFilter:
 
     def _meter(self, response: ServedResponse) -> None:
         m = bind_handles(self, _ServeMetrics)
-        m.requests.labels(
-            outcome=response.outcome.value,
-            priority=response.priority.name.lower(),
-        ).inc()
-        m.latency.labels(outcome=response.outcome.value).observe(response.latency)
+        m.request(response.outcome, response.priority).inc()
+        m.latency(response.outcome).observe(response.latency)
 
     def publish_gauges(self) -> None:
         """Point-in-time serving gauges (breaker states, service EWMA)."""

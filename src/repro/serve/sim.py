@@ -130,7 +130,7 @@ class StormReport:
 # The address classes a phase's transient-read rate hits: the LSM's data
 # reads and the tenant fleet's index rows and stores.  Every other class
 # (manifests, journals, hints) stays healthy.
-STORM_FAULT_CLASSES = ("run", "page", "filter", "tenant_row", "tenant_store")
+STORM_FAULT_CLASSES = ("page", "filter", "tenant_row", "tenant_store")
 PRIORITIES = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
 PRIORITY_WEIGHTS = (0.2, 0.6, 0.2)
 

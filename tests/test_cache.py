@@ -355,7 +355,7 @@ def test_degraded_maybe_never_populates_negative_cache():
             charge_filter_reads=True,
         ),
     )
-    injector.transient_read = {"run": 1.0, "page": 1.0, "filter": 1.0, "*": 0.0}
+    injector.transient_read = {"page": 1.0, "filter": 1.0, "*": 0.0}
     response = served.serve(4242)  # absent key, but nothing is readable
     assert response.outcome is not ServeOutcome.SERVED
     assert response.answer is Answer.MAYBE
@@ -372,7 +372,7 @@ def test_cached_lookups_stay_one_sided_during_faults():
     present = {k: f"v{k}" for k in range(0, 200, 2)}
     for key, value in present.items():
         tree.put(key, value)
-    injector.transient_read = {"run": 0.4, "page": 0.4, "filter": 0.4, "*": 0.0}
+    injector.transient_read = {"page": 0.4, "filter": 0.4, "*": 0.0}
     for key in range(200):
         result = tree.lookup(key, degrade_on_error=True)
         if key in present:

@@ -699,7 +699,7 @@ class TestRecovery:
                 tree.put(key, key)  # the fourth flushes into slot 0
         # Unverified: the epoch, the retired runs and the WAL all stay.
         assert tree._manifest.version == 1
-        assert device.exists(("run", 0))
+        assert device.exists(("page", 0, 0))
         assert sorted(a for a in device.addresses() if a[0] == "wal") == [
             ("wal", seq) for seq in range(4, 8)]
         device.reset()
@@ -707,14 +707,14 @@ class TestRecovery:
         assert [k for k in range(8) if recovered.get(k) != k] == []
 
     def test_blocks_behind_an_open_breaker_are_lost_not_raised(self):
-        # Run 0's data block and run 1's filter block sit behind open
+        # Run 0's page and run 1's filter block sit behind open
         # breakers: the run is lost, the filter is rebuilt.
         device = BreakerDevice(BlockDevice(), SimulatedClock())
         tree = LSMTree(LSMConfig(memtable_entries=4, compaction="tiering"), device=device)
         for key in range(8):
             tree.put(key, key)
         with use_registry():
-            for address in (("run", 0), ("filter", 1)):
+            for address in (("page", 0, 0), ("filter", 1)):
                 breaker = device.breaker_for(address)
                 while breaker.state is not BreakerState.OPEN:
                     breaker.record_failure()
@@ -734,6 +734,128 @@ class TestRecovery:
         for key, value in list(acked.items())[::7]:
             assert recovered.get(key) == value
         assert inj.stats.transient_reads > 0
+
+
+class TestRunPages:
+    """A run's pages are its one durable form, at any page size."""
+
+    def _tree(self, page_entries, device=None):
+        config = LSMConfig(memtable_entries=16, compaction="tiering", size_ratio=4,
+                           page_entries=page_entries)
+        tree = LSMTree(config, device=FaultyBlockDevice() if device is None else device)
+        rng, acked = random.Random(page_entries), {}
+        _insert(tree, rng, 300, acked)
+        return tree, acked
+
+    @pytest.mark.parametrize("page_entries", [0, 16])
+    def test_the_device_holds_pages_and_no_run_block(self, page_entries):
+        tree, _acked = self._tree(page_entries)
+        pages = [a for a in tree.device.addresses() if a[0] == "page"]
+        assert {a[0] for a in tree.device.addresses()} == {"page", "filter", "manifest", "wal"}
+        assert len(pages) == sum(run.n_pages for level in tree._levels for run in level)
+        if page_entries:
+            assert len(pages) > tree.n_runs
+
+    @pytest.mark.parametrize("manifest_lost", [False, True])
+    def test_recovery_from_pages_alone_restores_every_key(self, manifest_lost):
+        tree, acked = self._tree(16)
+        if manifest_lost:
+            for slot in (0, 1):
+                tree.device.delete(("manifest", slot))
+        recovered = LSMTree.recover(tree.device, tree.config)
+        report = recovered.recovery_report
+        assert report.manifest_fallback is manifest_lost
+        assert (report.runs_lost, report.wal_lost) == (0, 0)
+        assert report.runs_recovered == tree.n_runs
+        assert [k for k, v in acked.items() if recovered.get(k) != v] == []
+        assert recovered.items() == tree.items()
+
+    @pytest.mark.parametrize("written, reopened", [(0, 16), (16, 0)])
+    def test_a_change_of_page_size_reads_every_key(self, written, reopened):
+        tree, acked = self._tree(written)
+        config = LSMConfig(**{**tree.config.to_manifest(), "page_entries": reopened})
+        recovered = LSMTree.recover(tree.device, config)
+        assert recovered.recovery_report.runs_lost == 0
+        assert [k for k, v in acked.items() if recovered.get(k) != v] == []
+        # Old runs keep the layout they were written with, new runs take
+        # the new one, and a merge of both reads and writes each right.
+        rng = random.Random(1)
+        _insert(recovered, rng, 200, acked)
+        assert {run.page_entries for level in recovered._levels for run in level} <= {
+            written, reopened}
+        assert [k for k, v in acked.items() if recovered.get(k) != v] == []
+        assert recovered.scrub(repair=False).corrupt == []
+        again = LSMTree.recover(tree.device, config)
+        assert [k for k, v in acked.items() if again.get(k) != v] == []
+
+    @pytest.mark.parametrize("page_entries", [0, 16])
+    @pytest.mark.parametrize("fault", ["lost", "torn"])
+    def test_a_page_lost_before_recovery_loses_its_run(self, page_entries, fault):
+        tree, acked = self._tree(page_entries)
+        victim = max(a for a in tree.device.addresses() if a[0] == "page")
+        if fault == "lost":
+            tree.device.delete(victim)
+        else:
+            tree.device.ruin(victim)
+        recovered = LSMTree.recover(tree.device, tree.config)
+        report = recovered.recovery_report
+        assert report.runs_lost == 1 and report.runs_recovered == tree.n_runs - 1
+        assert recovered.stats.integrity_faults >= 1
+        lost_run = next(run for level in tree._levels for run in level
+                        if run.run_id == victim[1])
+        assert recovered.n_entries_on_disk == tree.n_entries_on_disk - len(lost_run)
+
+
+class TestWalGaps:
+    """A WAL frame the device dropped between two that landed is lost."""
+
+    def test_a_lost_middle_frame_counts_as_lost(self):
+        inj = FaultInjector(seed=0)
+        dev = FaultyBlockDevice(injector=inj)
+        tree = LSMTree(LSMConfig(memtable_entries=1000), device=dev)
+        for key in range(10):
+            inj.lost_write = {"wal": 1.0} if key == 4 else 0.0
+            tree.put(key, key)
+        recovered = LSMTree.recover(dev)
+        report = recovered.recovery_report
+        assert (report.wal_lost, report.wal_replayed) == (1, 9)
+        assert recovered.stats.integrity_faults >= 1
+
+    def test_a_gap_above_the_floor_counts_after_a_flush(self):
+        inj = FaultInjector(seed=0)
+        dev = FaultyBlockDevice(injector=inj)
+        tree = LSMTree(LSMConfig(memtable_entries=16), device=dev)
+        for key in range(24):
+            inj.lost_write = {"wal": 1.0} if key in (16, 20) else 0.0
+            tree.put(key, key)
+        report = LSMTree.recover(dev).recovery_report
+        assert (report.wal_lost, report.wal_replayed) == (2, 6)
+
+    @pytest.mark.parametrize("manifest", ["kept", "lost"])
+    def test_a_scrubbed_then_recovered_tree_loses_nothing(self, manifest):
+        dev = FaultyBlockDevice()
+        tree = LSMTree(LSMConfig(memtable_entries=16), device=dev)
+        for key in range(40):
+            tree.put(key, key)
+        dev.ruin(("wal", 35))
+        tree.scrub(repair=True)
+        if manifest == "lost":
+            for slot in (0, 1):
+                dev.delete(("manifest", slot))
+        recovered = LSMTree.recover(dev, tree.config)
+        report = recovered.recovery_report
+        assert (report.runs_lost, report.wal_lost, report.wal_replayed) == (0, 0, 8)
+        assert [k for k in range(40) if recovered.get(k) != k] == []
+
+    def test_a_lost_manifest_counts_no_gap_below_the_oldest_frame(self):
+        dev = FaultyBlockDevice()
+        tree = LSMTree(LSMConfig(memtable_entries=16), device=dev)
+        for key in range(40):
+            tree.put(key, key)
+        for slot in (0, 1):
+            dev.delete(("manifest", slot))
+        report = LSMTree.recover(dev, tree.config).recovery_report
+        assert (report.wal_lost, report.wal_replayed) == (0, 8)
 
 
 class TestScrub:
@@ -766,7 +888,7 @@ class TestScrub:
         tree = LSMTree(LSMConfig(memtable_entries=16), device=dev)
         rng, acked = random.Random(8), {}
         _insert(tree, rng, 200, acked)
-        victim = next(a for a in dev.addresses() if a[0] == "run")
+        victim = next(a for a in dev.addresses() if a[0] == "page")
         dev.ruin(victim)
         report = tree.scrub(repair=True)
         assert victim in report.corrupt and victim in report.repaired
@@ -789,9 +911,16 @@ class TestScrub:
 
 
 class TestChaos:
-    """The acceptance gate: 100 seeded crash/corrupt/recover cycles."""
+    """The acceptance gate: 100 seeded crash/corrupt/recover cycles, with
+    one page per run and with eight-entry pages."""
 
     def test_chaos_cycles_lose_nothing_and_scrub_finds_all(self):
+        self._chaos(page_entries=0)
+
+    def test_paged_chaos_cycles_lose_nothing_and_scrub_finds_all(self):
+        self._chaos(page_entries=8)
+
+    def _chaos(self, page_entries):
         injector = FaultInjector(
             seed=1234,
             bit_flip={"filter": 1e-3},
@@ -800,7 +929,7 @@ class TestChaos:
         device = FaultyBlockDevice(injector=injector)
         config = LSMConfig(
             memtable_entries=32, compaction="tiering", size_ratio=4,
-            retry_attempts=6,
+            retry_attempts=6, page_entries=page_entries,
         )
         rng = random.Random(99)
         acked: dict[int, int] = {}

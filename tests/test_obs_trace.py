@@ -72,7 +72,7 @@ class TestLSMTraceEndToEnd:
         """One traced LSMTree.get shows filter probes, device reads, and
         retry attempts as a single consistent tree (the ISSUE-2 e2e gate)."""
         with obs.use_registry():
-            injector = FaultInjector(seed=7, transient_read={"run": 0.35})
+            injector = FaultInjector(seed=7, transient_read={"page": 0.35})
             device = FaultyBlockDevice(injector=injector)
             tree = LSMTree(
                 LSMConfig(memtable_entries=32, retry_attempts=8, seed=1),

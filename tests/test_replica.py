@@ -22,6 +22,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.apps.lsm import LSMConfig
 from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock
 from repro.common.faults import (
     CircuitOpenError,
@@ -634,8 +635,8 @@ class TestRecoveryThatLosesRecords:
         store.kill(1)
         store.kill(2)
         for node_id in (1, 2):
-            # The replica's own run blocks fail every read while it heals.
-            injector.transient_read = {f"run@r{node_id}": 1.0}
+            # The replica's own pages fail every read while it heals.
+            injector.transient_read = {f"page@r{node_id}": 1.0}
             store.heal(node_id)
             assert store.nodes[node_id].tree.recovery_report.runs_lost == 1
             assert store.nodes[node_id].tainted
@@ -657,7 +658,7 @@ class TestRecoveryThatLosesRecords:
 
     def test_a_recovery_that_loses_a_run_taints_the_replica(self):
         store, device, injector = self._loaded()
-        injector.transient_read = {"run@r1": 1.0, "run@r2": 1.0}
+        injector.transient_read = {"page@r1": 1.0, "page@r2": 1.0}
         revived = ReplicatedStore.recover(device, clock=SimulatedClock())
         injector.transient_read = 0.0
         for node_id in (1, 2):
@@ -671,7 +672,7 @@ class TestRecoveryThatLosesRecords:
     def test_a_loss_whose_taint_cannot_be_written_keeps_the_replica_down(self):
         store, device, injector = self._loaded()
         store.kill(2)
-        injector.transient_read = {"run@r1": 1.0, "run@r2": 1.0}
+        injector.transient_read = {"page@r1": 1.0, "page@r2": 1.0}
         injector.lost_write = {"nodestate": 1.0}
         with pytest.raises(TransientIOError):
             store.heal(2)
@@ -690,7 +691,7 @@ class TestRecoveryThatLosesRecords:
         for key in range(self.N):
             store.put(key, f"v{key}")
         store.kill(1)
-        runs = [a for a in device.addresses() if a[:2] == ("run", "r1")]
+        runs = [a for a in device.addresses() if a[:2] == ("page", "r1")]
         with use_registry():
             for run in runs:
                 breaker = device.breaker_for(run)
@@ -699,6 +700,42 @@ class TestRecoveryThatLosesRecords:
             store.heal(1)
         assert store.nodes[1].tree.recovery_report.runs_lost == len(runs) > 0
         assert store.nodes[1].alive and store.nodes[1].tainted
+
+    def test_a_heal_that_loses_a_page_taints_the_replica(self):
+        device = BlockDevice()
+        store = ReplicatedStore(
+            device, n_nodes=3, clock=SimulatedClock(), seed=0,
+            config=LSMConfig(memtable_entries=48, retry_attempts=3, page_entries=16),
+        )
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        store.kill(1)
+        pages = [a for a in device.addresses() if a[:2] == ("page", "r1")]
+        device.delete(pages[len(pages) // 2])
+        store.heal(1)
+        assert store.nodes[1].tree.recovery_report.runs_lost == 1
+        assert store.nodes[1].tainted
+        store.kill(0)
+        assert self._absent(store) == []
+
+    def test_a_wal_gap_taints_the_replica_that_heals(self):
+        # Key 4's WAL write is lost on r1 and r2, and the frames around it
+        # landed: each recovery counts the gap, so neither votes ABSENT.
+        injector = FaultInjector(seed=3)
+        device = FaultyBlockDevice(injector=injector)
+        store, _ = _fresh_store(device=device, injector=injector)
+        for key in range(10):
+            injector.lost_write = {"wal@r1": 1.0, "wal@r2": 1.0} if key == 4 else 0.0
+            store.put(key, f"v{key}")
+        injector.lost_write = 0.0
+        store.kill(1)
+        store.kill(2)
+        for node_id in (1, 2):
+            store.heal(node_id)
+            assert store.nodes[node_id].tree.recovery_report.wal_lost == 1
+            assert store.nodes[node_id].tainted
+        store.kill(0)
+        assert [k for k in range(10) if store.lookup(k).state is Answer.ABSENT] == []
 
 
 # -- hypothesis: never-ABSENT under arbitrary interleavings ------------------------

@@ -327,7 +327,7 @@ def _latency_tree(n_keys=300, *, base=0.001, fault_rate=0.0, seed=0,
     for key in range(n_keys):
         tree.put(key, key * 10)
     latency.slowdown = 1.0
-    injector.transient_read = {"run": fault_rate, "filter": fault_rate, "*": 0.0}
+    injector.transient_read = {"page": fault_rate, "filter": fault_rate, "*": 0.0}
     return tree, clock, injector, latency
 
 
@@ -378,7 +378,7 @@ class TestLSMDeadlines:
 
     def test_unreachable_run_degrades_not_raises(self):
         tree, _clock, injector, _lat = _latency_tree()
-        injector.transient_read = {"run": 1.0, "*": 0.0}
+        injector.transient_read = {"page": 1.0, "*": 0.0}
         target = next(k for k in (5, 6, 7) if k not in tree._memtable)
         with pytest.raises(TransientIOError):
             tree.lookup(target)
@@ -408,7 +408,7 @@ class TestLSMDeadlines:
         assert [r.value for r in tree.lookup_many(keys)] == [k * 10 for k in keys[:3]] + [None, None]
 
     def _retry_into_deadline(self):
-        # Every run read fails, and the first backoff (>= 10 ms) alone
+        # Every page read fails, and the first backoff (>= 10 ms) alone
         # outlasts a 5 ms budget.
         tree, clock, injector, _lat = _latency_tree(fault_rate=1.0)
         tree.retry = RetryPolicy(max_attempts=4, jitter="decorrelated",
@@ -625,7 +625,7 @@ class TestServedFilter:
 
     def test_storm_degrades_present_key_to_maybe_not_absent(self):
         served, _tree, _device, injector, _lat, _clock = self._served()
-        injector.transient_read = {"run": 1.0, "filter": 1.0, "*": 0.0}
+        injector.transient_read = {"page": 1.0, "filter": 1.0, "*": 0.0}
         for key in range(200, 240):
             response = served.query(key, deadline=10.0)
             assert response.answer in (Answer.PRESENT, Answer.MAYBE)

@@ -104,7 +104,7 @@ class TestStormDriver:
                 raise SimulatedCrash("step")
 
         driver, served, report = self._driver(tick)
-        breaker = served.breaker_device.breaker_for(("run", 0))
+        breaker = served.breaker_device.breaker_for(("page", 0, 0))
         while breaker not in served.breaker_device.open_breakers():
             breaker.record_failure()
         first = served.backend

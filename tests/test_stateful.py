@@ -114,20 +114,24 @@ LSM_KEYS = st.integers(min_value=0, max_value=LSM_KEY_SPACE - 1)
 
 
 class LSMMachine(RuleBasedStateMachine):
-    """LSM-tree vs a plain dict, across puts/deletes/flushes/range scans.
+    """LSM-tree vs a plain dict, across puts/deletes/flushes/range scans
+    and crashes.
 
     Run under every compaction policy: leveling merges a level's runs
     into the run already at the destination, so newest-wins and the
     bottom-level tombstone drop are checked across source and
     destination runs too.  Every key is checked after every step, so a
-    merge that resurrects or reverts a key fails where it happens.
+    merge that resurrects or reverts a key fails where it happens, and
+    so does a recovery that drops or reverts one.  Run with one page
+    per run and with four-entry pages, the unit every read, recovery
+    and scrub works in.
     """
 
-    def __init__(self, compaction: str):
+    def __init__(self, compaction: str, page_entries: int = 0):
         super().__init__()
-        self.tree = LSMTree(
-            LSMConfig(compaction=compaction, memtable_entries=8, size_ratio=3)
-        )
+        self.config = LSMConfig(compaction=compaction, memtable_entries=8, size_ratio=3,
+                                page_entries=page_entries)
+        self.tree = LSMTree(self.config)
         self.model: dict[int, int] = {}
 
     @rule(key=LSM_KEYS, value=st.integers(min_value=0, max_value=1000))
@@ -143,6 +147,14 @@ class LSMMachine(RuleBasedStateMachine):
     @rule()
     def flush(self):
         self.tree.flush()
+
+    @rule()
+    def crash_and_recover(self):
+        # The process dies: only the device survives, and the pages, the
+        # manifest and the WAL on it must rebuild every acknowledged key.
+        self.tree = LSMTree.recover(self.tree.device, self.config)
+        report = self.tree.recovery_report
+        assert (report.runs_lost, report.wal_lost) == (0, 0)
 
     @rule(lo=LSM_KEYS, width=st.integers(min_value=0, max_value=50))
     def range_matches_model(self, lo, width):
@@ -257,9 +269,21 @@ TestBloofiMachine.settings = settings(
 )
 
 
-@pytest.mark.parametrize("compaction", ["leveling", "tiering", "lazy-leveling"])
+# 25 examples of 30 steps; the thorough profile (500 examples) runs 150 of 50.
+THOROUGH = settings.default.max_examples >= 500
+LSM_MACHINE_SETTINGS = settings(
+    max_examples=150 if THOROUGH else 25,
+    stateful_step_count=50 if THOROUGH else 30, deadline=None,
+)
+COMPACTIONS = ["leveling", "tiering", "lazy-leveling"]
+
+
+@pytest.mark.parametrize("compaction", COMPACTIONS)
 def test_lsm_machine(compaction):
-    run_state_machine_as_test(
-        lambda: LSMMachine(compaction),
-        settings=settings(max_examples=25, stateful_step_count=30, deadline=None),
-    )
+    run_state_machine_as_test(lambda: LSMMachine(compaction), settings=LSM_MACHINE_SETTINGS)
+
+
+@pytest.mark.parametrize("compaction", COMPACTIONS)
+def test_paged_lsm_machine(compaction):
+    run_state_machine_as_test(lambda: LSMMachine(compaction, page_entries=4),
+                              settings=LSM_MACHINE_SETTINGS)
