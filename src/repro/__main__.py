@@ -118,7 +118,7 @@ def _cmd_monkey(args) -> int:
     return 0
 
 
-def _build_workload_tree(args, registry):
+def _build_workload_tree(args):
     """A filtered LSM-tree on a faulty device, loaded and driven with the
     requested YCSB mix plus a negative-lookup sweep (so realised filter
     FP rates are measurable, not vacuously zero)."""
@@ -149,7 +149,7 @@ def _build_workload_tree(args, registry):
     # read they cause is a realised filter false positive.
     for i in range(args.n_ops // 2):
         tree.get(10_000_000 + i)
-    tree.publish_gauges(registry)
+    tree.publish_gauges()
     return tree, result
 
 
@@ -174,14 +174,14 @@ def _cmd_stats(args) -> int:
             # Populate the registry with the real instrumented stack first,
             # then audit names, uniqueness, and exporter round-trips.
             args.n_keys, args.n_ops = min(args.n_keys, 600), min(args.n_ops, 300)
-            _build_workload_tree(args, registry)
+            _build_workload_tree(args)
             failures = obs.selftest(registry)
             for failure in failures:
                 print(f"selftest FAIL: {failure}")
             print(f"selftest: {len(registry.metrics())} metric families audited, "
                   f"{len(failures)} failure(s)")
             return 1 if failures else 0
-        tree, result = _build_workload_tree(args, registry)
+        tree, result = _build_workload_tree(args)
         if args.format == "prometheus":
             output = obs.to_prometheus(registry)
         elif args.format == "json":
@@ -208,8 +208,8 @@ def _cmd_trace(args) -> int:
     from repro import obs
 
     recorder = obs.TraceRecorder(capacity=4 * args.n_ops + 16)
-    with obs.use_registry() as registry, obs.use_recorder(recorder):
-        _build_workload_tree(args, registry)
+    with obs.use_registry(), obs.use_recorder(recorder):
+        _build_workload_tree(args)
         if not len(recorder):
             print("no spans recorded")
             return 1

@@ -27,7 +27,7 @@ from repro.common.clock import Answer, DeadlineExceeded, LookupResult
 from repro.common.faults import CircuitOpenError, TransientIOError
 from repro.common.storage import BlockDevice
 from repro.core.interfaces import AdaptiveFilter, Key, KeyBatch, as_key_list
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Family, Handles, bind_handles
 from repro.obs.tracing import trace
 
 
@@ -45,12 +45,11 @@ class DictionaryStats:
         return self.false_positives / self.queries if self.queries else 0.0
 
 
-def _queries_total():
-    return default_registry().counter(
-        "repro_dict_queries_total",
-        "filtered-dictionary lookups, by outcome",
-        labels=("outcome",),
-    )
+class _DictMetrics(Handles):
+    queries = Family("counter", "repro_dict_queries_total",
+                     "filtered-dictionary lookups, by outcome", ("outcome",))
+    adaptations = Family("counter", "repro_dict_adaptations_total",
+                         "false positives fed back to an adaptive filter")
 
 
 class FilteredDictionary:
@@ -72,6 +71,7 @@ class FilteredDictionary:
         self.stats = DictionaryStats()
         self.mutation_epoch = 0
         self.negative_cache = negative_cache
+        self._obs: _DictMetrics | None = None
 
     @property
     def filter(self):
@@ -111,7 +111,6 @@ class FilteredDictionary:
         of one, plus an entry check and a late rule, so a late answer can
         never masquerade as meeting its SLO."""
         if deadline is not None and deadline.expired():
-            _queries_total()  # registered by every lookup, counted or not
             self.stats.queries += 1
             return LookupResult(Answer.MAYBE, complete=False, reason="deadline")
         result = self.lookup_many(
@@ -135,7 +134,7 @@ class FilteredDictionary:
         returned but not cached.  With ``degrade_on_error=True`` an
         unreadable device answers MAYBE (``"unavailable"``).
         """
-        queries = _queries_total()
+        m = bind_handles(self, _DictMetrics)
         keys = as_key_list(keys)
         self.stats.queries += len(keys)
         cache = self.negative_cache
@@ -147,12 +146,12 @@ class FilteredDictionary:
                 # A memoized authoritative ABSENT under the current epoch —
                 # no filter probe, no device read, and no adaptive feedback
                 # (the first confirmation already fed the filter).
-                queries.labels(outcome="negative").inc()
+                m.child("queries", "negative").inc()
                 continue
             with trace("filter.probe"):
                 maybe = self._filter.may_contain(key)
             if not maybe:
-                queries.labels(outcome="negative").inc()
+                m.child("queries", "negative").inc()
                 if cache is not None:
                     cache.record_absent(key, self.mutation_epoch)
                 continue
@@ -174,22 +173,19 @@ class FilteredDictionary:
             result.runs_probed = 1
             if present:
                 self.stats.positive_hits += 1
-                queries.labels(outcome="hit").inc()
+                m.child("queries", "hit").inc()
                 result.state, result.value = Answer.PRESENT, value
                 continue
             # Confirmed false positive: this is the moment the paper's
             # adaptive loop closes — the expensive read already happened,
             # so reporting back to the filter is free.
             self.stats.false_positives += 1
-            queries.labels(outcome="false_positive").inc()
+            m.child("queries", "false_positive").inc()
             if self._adaptive:
                 with trace("filter.adapt"):
                     self._filter.report_false_positive(key)
                 self.stats.adaptations_fed_back += 1
-                default_registry().counter(
-                    "repro_dict_adaptations_total",
-                    "false positives fed back to an adaptive filter",
-                ).inc()
+                m.adaptations.inc()
             if cache is not None and (deadline is None or not deadline.expired()):
                 cache.record_absent(key, self.mutation_epoch)
         return results

@@ -67,7 +67,7 @@ from repro.common.clock import Answer, DeadlineExceeded, LookupResult
 from repro.common.faults import CircuitOpenError, RetryPolicy, TransientIOError
 from repro.common.records import JSON, PICKLE, DurableManifest, Journal, scrub_block
 from repro.common.storage import BlockDevice, IOStats
-from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
+from repro.obs.metrics import Family, Handles, bind_handles
 from repro.obs.tracing import trace
 from repro.core.serialize import dumps as filter_dumps
 from repro.core.serialize import loads as filter_loads, verify as filter_verify
@@ -226,66 +226,33 @@ class LSMStats:
         return self.wasted_lookup_ios / self.lookups if self.lookups else 0.0
 
 
-class _LSMMetrics:
-    """Handles into the default registry, rebound when it is swapped.
+class _LSMMetrics(Handles):
+    """The per-level filter counters are the series ``python -m repro
+    stats`` derives the per-level FP-rate table from."""
 
-    Metric names follow docs/observability.md: the per-level filter
-    counters are the series ``python -m repro stats`` derives the
-    per-level FP-rate table from.  Their children are bound on first
-    use by :meth:`probe` and :meth:`fp`, whose callers increment at
-    once, so a child still appears in the registry only when first
-    counted.
-    """
-
-    __slots__ = ("registry", "lookups", "io_hit", "io_wasted", "probes", "fps",
-                 "wal_appends", "flushes", "compactions", "_children")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self._children: dict[tuple, Any] = {}
-        self.lookups = registry.counter(
-            "repro_lsm_lookups_total", "point lookups served by LSMTree.get"
-        )
-        ios = registry.counter(
-            "repro_lsm_lookup_ios_total", "run reads during lookups, by outcome",
-            labels=("outcome",),
-        )
-        self.io_hit = ios.labels(outcome="hit")
-        self.io_wasted = ios.labels(outcome="wasted")
-        self.probes = registry.counter(
-            "repro_lsm_filter_probes_total",
-            "per-run filter probes during lookups, by level and result",
-            labels=("level", "result"),
-        )
-        self.fps = registry.counter(
-            "repro_lsm_filter_false_positives_total",
-            "filter said maybe but the run did not hold the key, by level",
-            labels=("level",),
-        )
-        self.wal_appends = registry.counter(
-            "repro_lsm_wal_appends_total", "write-ahead-log records appended"
-        )
-        self.flushes = registry.counter(
-            "repro_lsm_flushes_total", "memtable flushes"
-        )
-        self.compactions = registry.counter(
-            "repro_lsm_compactions_total", "run merges (compactions)"
-        )
-
-    def probe(self, level: int, result: str):
-        """The ``probes{level,result}`` child."""
-        child = self._children.get((level, result))
-        if child is None:
-            child = self._children[level, result] = self.probes.labels(
-                level=level, result=result)
-        return child
-
-    def fp(self, level: int):
-        """The ``fps{level}`` child."""
-        child = self._children.get((level,))
-        if child is None:
-            child = self._children[level,] = self.fps.labels(level=level)
-        return child
+    lookups = Family("counter", "repro_lsm_lookups_total", "point lookups served by LSMTree.get")
+    ios = Family("counter", "repro_lsm_lookup_ios_total",
+                 "run reads during lookups, by outcome", ("outcome",))
+    probes = Family("counter", "repro_lsm_filter_probes_total",
+                    "per-run filter probes during lookups, by level and result",
+                    ("level", "result"))
+    fps = Family("counter", "repro_lsm_filter_false_positives_total",
+                 "filter said maybe but the run did not hold the key, by level", ("level",))
+    wal_appends = Family("counter", "repro_lsm_wal_appends_total",
+                         "write-ahead-log records appended")
+    flushes = Family("counter", "repro_lsm_flushes_total", "memtable flushes")
+    compactions = Family("counter", "repro_lsm_compactions_total", "run merges (compactions)")
+    fp_rate = Family("gauge", "repro_lsm_filter_fp_rate",
+                     "realised per-level filter false-positive rate", ("level",))
+    expected_sum_fpr = Family("gauge", "repro_lsm_expected_sum_fpr",
+                              "sum over runs of expected filter FPR")
+    write_amplification = Family("gauge", "repro_lsm_write_amplification",
+                                 "device bytes written per byte ingested")
+    filter_bits_per_key = Family("gauge", "repro_lsm_filter_bits_per_key",
+                                 "filter memory over on-disk entries")
+    levels = Family("gauge", "repro_lsm_levels", "populated level count")
+    runs = Family("gauge", "repro_lsm_runs", "live run count")
+    entries_on_disk = Family("gauge", "repro_lsm_entries_on_disk", "entries across all runs")
 
 
 @dataclass
@@ -748,7 +715,7 @@ class LSMTree:
                         # exactly what the filter would answer.  Counted as
                         # negative probes so FP-rate derivations stay
                         # memo-agnostic; no filter-block I/O is charged.
-                        m.probe(run.level, "negative").inc(len(need) - len(unknown))
+                        m.child("probes", run.level, "negative").inc(len(need) - len(unknown))
                         need = unknown
                         if not need:
                             continue
@@ -809,15 +776,15 @@ class LSMTree:
                     else:
                         result.state = Answer.PRESENT if present else Answer.ABSENT
             if hits:
-                m.io_hit.inc()
+                m.child("ios", "hit").inc()
                 pending = [i for i in pending if i not in hits]
             elif read:
                 stats.wasted_lookup_ios += 1
-                m.io_wasted.inc()
+                m.child("ios", "wasted").inc()
             if filtered and missed:
                 # The filter passed keys its run did not hold: realised
                 # false positives at this level.
-                m.fp(run.level).inc(missed)
+                m.child("fps", run.level).inc(missed)
             if out_of_time:
                 return _late(results, pending)
             if not pending:
@@ -839,13 +806,13 @@ class LSMTree:
                 with trace("filter.probe", level=run.level, run=run.run_id) as span:
                     maybe = run.filter.may_contain(keys[i])
                     span.set_tag("maybe", maybe)
-                m.probe(run.level, "positive" if maybe else "negative").inc()
+                m.child("probes", run.level, "positive" if maybe else "negative").inc()
                 verdicts.append(maybe)
         else:
             verdicts = run.filter.may_contain_many([keys[i] for i in need]).tolist()
             positives = sum(verdicts)
-            m.probe(run.level, "positive").inc(positives)
-            m.probe(run.level, "negative").inc(len(verdicts) - positives)
+            m.child("probes", run.level, "positive").inc(positives)
+            m.child("probes", run.level, "negative").inc(len(verdicts) - positives)
         survivors = []
         for i, maybe in zip(need, verdicts):
             if maybe:
@@ -1182,7 +1149,7 @@ class LSMTree:
                     total += run.filter.epsilon
         return total
 
-    def publish_gauges(self, registry: MetricsRegistry | None = None) -> None:
+    def publish_gauges(self) -> None:
         """Derive point-in-time gauges from the tree and its counters.
 
         Counters accrue continuously; gauges (per-level realised FP rate,
@@ -1192,29 +1159,15 @@ class LSMTree:
         fp)``: probes for keys truly absent from the probed run are its
         filter negatives (never false) plus its confirmed false positives.
         """
-        reg = registry if registry is not None else default_registry()
-        m = bind_handles(self, _LSMMetrics) if reg is default_registry() else _LSMMetrics(reg)
-        fp_rate = reg.gauge(
-            "repro_lsm_filter_fp_rate",
-            "realised per-level filter false-positive rate", labels=("level",),
-        )
-        for level_index in range(len(self._levels)):
-            level = str(level_index)
-            negatives = m.probes.labels(level=level, result="negative").value
-            fps = m.fps.labels(level=level).value
+        m = bind_handles(self, _LSMMetrics)
+        for level in range(len(self._levels)):
+            negatives = m.child("probes", level, "negative").value
+            fps = m.child("fps", level).value
             absent = negatives + fps
-            fp_rate.labels(level=level).set(fps / absent if absent else 0.0)
-        reg.gauge(
-            "repro_lsm_expected_sum_fpr", "sum over runs of expected filter FPR"
-        ).set(self.sum_of_fprs())
-        reg.gauge(
-            "repro_lsm_write_amplification", "device bytes written per byte ingested"
-        ).set(self.write_amplification)
-        reg.gauge(
-            "repro_lsm_filter_bits_per_key", "filter memory over on-disk entries"
-        ).set(self.filter_bits_per_key)
-        reg.gauge("repro_lsm_levels", "populated level count").set(self.n_levels)
-        reg.gauge("repro_lsm_runs", "live run count").set(self.n_runs)
-        reg.gauge("repro_lsm_entries_on_disk", "entries across all runs").set(
-            self.n_entries_on_disk
-        )
+            m.child("fp_rate", level).set(fps / absent if absent else 0.0)
+        m.expected_sum_fpr.set(self.sum_of_fprs())
+        m.write_amplification.set(self.write_amplification)
+        m.filter_bits_per_key.set(self.filter_bits_per_key)
+        m.levels.set(self.n_levels)
+        m.runs.set(self.n_runs)
+        m.entries_on_disk.set(self.n_entries_on_disk)

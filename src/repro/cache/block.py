@@ -42,7 +42,7 @@ from typing import Any
 
 from repro.common.hashing import splitmix64
 from repro.common.storage import BatchOps, _default_size
-from repro.obs.metrics import MetricsRegistry, WindowedRate, bind_handles
+from repro.obs.metrics import Family, Handles, WindowedRate, bind_handles
 
 
 @dataclass
@@ -107,38 +107,18 @@ class _FrequencySketch:
         self._touches = 0
 
 
-class _CacheMetrics:
-    """Default-registry handles, rebound when the registry is swapped."""
-
-    __slots__ = ("registry", "hits", "misses", "evictions", "invalidations",
-                 "rejects", "storms", "used_bytes")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        requests = registry.counter(
-            "repro_cache_block_requests_total",
-            "block-cache lookups, by result", labels=("result",),
-        )
-        self.hits = requests.labels(result="hit")
-        self.misses = requests.labels(result="miss")
-        self.evictions = registry.counter(
-            "repro_cache_block_evictions_total", "blocks evicted for capacity"
-        )
-        self.invalidations = registry.counter(
-            "repro_cache_block_invalidations_total",
-            "blocks dropped because their address was written or deleted",
-        )
-        self.rejects = registry.counter(
-            "repro_cache_block_admission_rejects_total",
-            "inserts refused by TinyLFU admission",
-        )
-        self.storms = registry.counter(
-            "repro_cache_invalidation_storms_total",
-            "windows where invalidations outpaced the storm threshold",
-        )
-        self.used_bytes = registry.gauge(
-            "repro_cache_block_used_bytes", "bytes currently cached"
-        )
+class _CacheMetrics(Handles):
+    requests = Family("counter", "repro_cache_block_requests_total",
+                      "block-cache lookups, by result", ("result",))
+    evictions = Family("counter", "repro_cache_block_evictions_total",
+                       "blocks evicted for capacity")
+    invalidations = Family("counter", "repro_cache_block_invalidations_total",
+                           "blocks dropped because their address was written or deleted")
+    rejects = Family("counter", "repro_cache_block_admission_rejects_total",
+                     "inserts refused by TinyLFU admission")
+    storms = Family("counter", "repro_cache_invalidation_storms_total",
+                    "windows where invalidations outpaced the storm threshold")
+    used_bytes = Family("gauge", "repro_cache_block_used_bytes", "bytes currently cached")
 
 
 class BlockCache:
@@ -193,10 +173,10 @@ class BlockCache:
         if entry is not None:
             self._entries.move_to_end(address)
             self.stats.hits += 1
-            bind_handles(self, _CacheMetrics).hits.inc()
+            bind_handles(self, _CacheMetrics).child("requests", "hit").inc()
             return True, entry[0]
         self.stats.misses += 1
-        bind_handles(self, _CacheMetrics).misses.inc()
+        bind_handles(self, _CacheMetrics).child("requests", "miss").inc()
         return False, None
 
     def put(self, address: Any, payload: Any, size: int) -> bool:

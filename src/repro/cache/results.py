@@ -27,35 +27,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable
 
-from repro.obs.metrics import MetricsRegistry, bind_handles
+from repro.obs.metrics import Family, Handles, bind_handles
 
 
-class _ResultMetrics:
-    """Default-registry handles, rebound when the registry is swapped."""
-
-    __slots__ = ("registry", "memo_hits", "memo_misses", "neg_hits",
-                 "neg_misses", "neg_flushes")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        memo = registry.counter(
-            "repro_cache_filter_memo_total",
-            "per-run negative-verdict memo lookups, by result",
-            labels=("result",),
-        )
-        self.memo_hits = memo.labels(result="hit")
-        self.memo_misses = memo.labels(result="miss")
-        neg = registry.counter(
-            "repro_cache_negative_lookups_total",
-            "negative-lookup cache consults, by result",
-            labels=("result",),
-        )
-        self.neg_hits = neg.labels(result="hit")
-        self.neg_misses = neg.labels(result="miss")
-        self.neg_flushes = registry.counter(
-            "repro_cache_negative_epoch_flushes_total",
-            "negative-lookup cache wipes triggered by a mutation-epoch bump",
-        )
+class _ResultMetrics(Handles):
+    memo = Family("counter", "repro_cache_filter_memo_total",
+                  "per-run negative-verdict memo lookups, by result", ("result",))
+    negative = Family("counter", "repro_cache_negative_lookups_total",
+                      "negative-lookup cache consults, by result", ("result",))
+    negative_flushes = Family("counter", "repro_cache_negative_epoch_flushes_total",
+                              "negative-lookup cache wipes triggered by a mutation-epoch bump")
 
 
 class FilterResultCache:
@@ -88,10 +69,10 @@ class FilterResultCache:
         if entry_key in self._entries:
             self._entries.move_to_end(entry_key)
             self.hits += 1
-            m.memo_hits.inc()
+            m.child("memo", "hit").inc()
             return True
         self.misses += 1
-        m.memo_misses.inc()
+        m.child("memo", "miss").inc()
         return False
 
     def record_negative(self, run_id: int, key: Hashable) -> None:
@@ -152,7 +133,7 @@ class NegativeLookupCache:
             if self._entries:
                 self._entries.clear()
                 self.epoch_flushes += 1
-                bind_handles(self, _ResultMetrics).neg_flushes.inc()
+                bind_handles(self, _ResultMetrics).negative_flushes.inc()
             self._epoch = epoch
 
     def known_absent(self, key: Hashable, epoch: Any) -> bool:
@@ -161,10 +142,10 @@ class NegativeLookupCache:
         if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1
-            m.neg_hits.inc()
+            m.child("negative", "hit").inc()
             return True
         self.misses += 1
-        m.neg_misses.inc()
+        m.child("negative", "miss").inc()
         return False
 
     def record_absent(self, key: Hashable, epoch: Any) -> None:

@@ -40,7 +40,7 @@ from typing import Any, Callable
 
 from repro.common.clock import DeadlineExceeded
 from repro.common.storage import BatchOps, BlockDevice, IOStats, _default_size
-from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
+from repro.obs.metrics import Family, Handles, bind_handles
 from repro.obs.tracing import trace
 
 
@@ -86,7 +86,7 @@ def address_scope(address: Any) -> str | None:
     :class:`~repro.common.storage.NamespacedDevice` rewrites ``(cls, *rest)``
     to ``(cls, namespace, *rest)``, so the namespace — a replica id like
     ``"r2"`` — is the second tuple element.  A rate dict may target one
-    replica's devices (``{"run@r2": 0.5, "*": 0.0}``) without touching its
+    replica's devices (``{"page@r2": 0.5, "*": 0.0}``) without touching its
     peers; the scoped key wins over the bare class.
     """
     if isinstance(address, tuple) and len(address) >= 2 and isinstance(address[1], str):
@@ -108,13 +108,11 @@ class FaultStats:
         return self.bit_flips + self.torn_writes + self.lost_writes + self.transient_reads
 
 
-def _count_fault(kind: str) -> None:
-    """Mirror one injected fault into the default metrics registry."""
-    default_registry().counter(
-        "repro_device_faults_total",
-        "faults injected by FaultyBlockDevice, by kind",
-        labels=("kind",),
-    ).labels(kind=kind).inc()
+class _FaultMetrics(Handles):
+    faults = Family("counter", "repro_device_faults_total",
+                    "faults injected by FaultyBlockDevice, by kind", ("kind",))
+    latency_spikes = Family("counter", "repro_device_latency_spikes_total",
+                            "latency spikes injected by LatencyInjector")
 
 
 class FaultInjector:
@@ -144,6 +142,7 @@ class FaultInjector:
         self._crash_at: str | None = None
         self._fired_crashes: set[str] = set()
         self.crashes = 0
+        self._obs: _FaultMetrics | None = None
 
     def _rate(self, spec: float | dict, address: Any) -> float:
         if isinstance(spec, dict):
@@ -217,7 +216,7 @@ class FaultInjector:
             self._crash_at = None
             self._fired_crashes.add(step_name)
             self.crashes += 1
-            _count_fault("crash")
+            bind_handles(self, _FaultMetrics).child("faults", "crash").inc()
             raise SimulatedCrash(step_name)
 
 
@@ -273,6 +272,7 @@ class LatencyInjector:
         self.slowdown = 1.0  # mutable phase multiplier (storm drivers)
         self.stats = LatencyStats()
         self._rng = random.Random(seed ^ 0x1A7E4C)
+        self._obs: _FaultMetrics | None = None
 
     def draw(self, now: float, kind: str = "read", address: Any = None) -> float:
         """Service time in simulated seconds for one operation at *now*."""
@@ -286,10 +286,7 @@ class LatencyInjector:
         if self.spike_prob and self._rng.random() < self.spike_prob:
             latency *= self.spike_scale
             self.stats.spikes += 1
-            default_registry().counter(
-                "repro_device_latency_spikes_total",
-                "latency spikes injected by LatencyInjector",
-            ).inc()
+            bind_handles(self, _FaultMetrics).latency_spikes.inc()
         self.stats.operations += 1
         self.stats.total_seconds += latency
         return latency
@@ -325,6 +322,10 @@ class FaultyBlockDevice(BatchOps):
         self.clock = clock
         self.fault_log: list[tuple[str, Any]] = []
         self._corrupt: set[Any] = set()
+        self._obs: _FaultMetrics | None = None
+
+    def _count_fault(self, kind: str) -> None:
+        bind_handles(self, _FaultMetrics).child("faults", kind).inc()
 
     def _spend(self, kind: str, address: Any) -> None:
         if self.latency is None or self.clock is None:
@@ -370,18 +371,18 @@ class FaultyBlockDevice(BatchOps):
             if action == "lost":
                 self.injector.stats.lost_writes += 1
                 self.fault_log.append(("lost", address))
-                _count_fault("lost_write")
+                self._count_fault("lost_write")
                 # Charge the I/O without storing: the old block (if any) survives.
                 self.inner._count_writes(1, size)
                 continue
             if action == "flip":
                 payload = self.injector.flip_payload(bytes(payload))
                 self.injector.stats.bit_flips += 1
-                _count_fault("bit_flip")
+                self._count_fault("bit_flip")
             else:
                 payload = self.injector.tear_payload(bytes(payload))
                 self.injector.stats.torn_writes += 1
-                _count_fault("torn_write")
+                self._count_fault("torn_write")
             self.fault_log.append((action, address))
             self.inner.write(address, payload, size)
             self._corrupt.add(address)
@@ -398,7 +399,7 @@ class FaultyBlockDevice(BatchOps):
         if self.injector.draw_read(address):
             self.injector.stats.transient_reads += 1
             self.fault_log.append(("transient", address))
-            _count_fault("transient_read")
+            self._count_fault("transient_read")
             raise TransientIOError(f"transient read failure at address {address!r}")
         return self.inner.read(address)
 
@@ -412,7 +413,7 @@ class FaultyBlockDevice(BatchOps):
         block.payload = self.injector.flip_payload(bytes(block.payload))
         self.injector.stats.bit_flips += 1
         self.fault_log.append(("ruin", address))
-        _count_fault("bit_flip")
+        self._count_fault("bit_flip")
         self._corrupt.add(address)
 
     def delete_many(self, addresses: Sequence[Any]) -> int:
@@ -439,40 +440,11 @@ class FaultyBlockDevice(BatchOps):
 
 # -- retries ----------------------------------------------------------------------
 
-class _RetryMetrics:
-    """Default-registry handles, rebound when the registry is swapped.
-
-    The backoff histogram is registered at the first retry, so a
-    registry only lists it once something has backed off.  The
-    ``attempts{outcome}`` children are bound on first use by
-    :meth:`attempt`, whose caller counts at once.
-    """
-
-    __slots__ = ("registry", "attempts", "_backoff", "_children")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.attempts = registry.counter(
-            "repro_retry_attempts_total", "retry-policy call attempts, by outcome",
-            labels=("outcome",),
-        )
-        self._backoff = None
-        self._children: dict[str, Any] = {}
-
-    def attempt(self, outcome: str):
-        """The ``attempts{outcome}`` child."""
-        child = self._children.get(outcome)
-        if child is None:
-            child = self._children[outcome] = self.attempts.labels(outcome=outcome)
-        return child
-
-    def backoff(self):
-        if self._backoff is None:
-            self._backoff = self.registry.histogram(
-                "repro_retry_backoff_seconds",
-                "simulated exponential-backoff delay per retry",
-            )
-        return self._backoff
+class _RetryMetrics(Handles):
+    attempts = Family("counter", "repro_retry_attempts_total",
+                      "retry-policy call attempts, by outcome", ("outcome",))
+    backoff = Family("histogram", "repro_retry_backoff_seconds",
+                     "simulated exponential-backoff delay per retry")
 
 
 @dataclass
@@ -556,22 +528,22 @@ class RetryPolicy:
             try:
                 with trace("retry.attempt", attempt=attempt):
                     result = fn(*args, **kwargs)
-                m.attempt("ok").inc()
+                m.child("attempts", "ok").inc()
                 return result
             except TransientIOError:
                 if attempt + 1 == self.max_attempts:
                     self.stats.giveups += 1
-                    m.attempt("giveup").inc()
+                    m.child("attempts", "giveup").inc()
                     raise
                 backoff = self.next_backoff(attempt)
                 if deadline is not None and backoff >= deadline.remaining():
                     self.stats.giveups += 1
-                    m.attempt("deadline").inc()
+                    m.child("attempts", "deadline").inc()
                     raise DeadlineExceeded("retry backoff would reach the deadline")
                 self.stats.retries += 1
-                m.attempt("retry").inc()
+                m.child("attempts", "retry").inc()
                 self.stats.backoff_seconds += backoff
                 if self.clock is not None:
                     self.clock.advance(backoff)
-                m.backoff().observe(backoff)
+                m.backoff.observe(backoff)
         raise AssertionError("unreachable")  # pragma: no cover

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, bind_handles
+from repro.obs.metrics import Family, Handles, bind_handles
 
 
 @dataclass
@@ -60,25 +60,14 @@ class IOStats:
         return IOStats(**{k: v + theirs[k] for k, v in self.as_dict().items()})
 
 
-class _DeviceMetrics:
-    """Default-registry counter handles, rebound on registry swap."""
-
-    __slots__ = ("registry", "reads", "writes", "bytes_read", "bytes_written")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.reads = registry.counter(
-            "repro_device_reads_total", "block reads across all simulated devices"
-        )
-        self.writes = registry.counter(
-            "repro_device_writes_total", "block writes across all simulated devices"
-        )
-        self.bytes_read = registry.counter(
-            "repro_device_bytes_read_total", "simulated bytes read"
-        )
-        self.bytes_written = registry.counter(
-            "repro_device_bytes_written_total", "simulated bytes written"
-        )
+class _DeviceMetrics(Handles):
+    reads = Family("counter", "repro_device_reads_total",
+                   "block reads across all simulated devices")
+    writes = Family("counter", "repro_device_writes_total",
+                    "block writes across all simulated devices")
+    bytes_read = Family("counter", "repro_device_bytes_read_total", "simulated bytes read")
+    bytes_written = Family("counter", "repro_device_bytes_written_total",
+                           "simulated bytes written")
 
 
 @dataclass

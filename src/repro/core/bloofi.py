@@ -21,7 +21,7 @@ every free or never-used slot has an all-zero column
 (:meth:`BloofiTree.check_invariants`).
 
 **Cost model.**  A probe is one filter test that reads k 64-byte
-lines — what the serving simulator charges ``probe_latency`` for.  A
+lines — what the serving simulator charges ``PROBE_LATENCY`` for.  A
 bit-sliced lookup over *S* slots ANDs the k rows one 512-slot line at a
 time, so it costs ``ceil(S / 512)`` probes.
 

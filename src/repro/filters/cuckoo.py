@@ -85,7 +85,10 @@ class CuckooFilter(DynamicFilter):
         return hash64(key, self.seed ^ 0x1D) & (self.n_buckets - 1)
 
     def _alt_index(self, index: int, fp: int) -> int:
-        return (index ^ splitmix64(fp)) & (self.n_buckets - 1)
+        # A zero offset would make both candidates one bucket, so a key
+        # could keep only ``bucket_size`` copies; 1 keeps the XOR an
+        # involution with two distinct buckets.
+        return index ^ ((splitmix64(fp) & (self.n_buckets - 1)) or 1)
 
     def _candidates(self, key: Key) -> tuple[int, int, int]:
         fp = self._fingerprint(key)
@@ -158,7 +161,9 @@ class CuckooFilter(DynamicFilter):
         mask = np.uint64(self.n_buckets - 1)
         fp = fingerprint_many(keys, self.fingerprint_bits, self.seed)
         i1 = hash64_many(keys, self.seed ^ 0x1D) & mask
-        i2 = (i1 ^ splitmix64_many(fp)) & mask
+        offset = splitmix64_many(fp) & mask
+        offset[offset == 0] = 1
+        i2 = i1 ^ offset
         hit = (self._table[i1.astype(np.int64)] == fp[:, None]).any(axis=1)
         hit |= (self._table[i2.astype(np.int64)] == fp[:, None]).any(axis=1)
         if self._stash is not None:

@@ -26,6 +26,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
+    declared_families,
     registry_from_snapshot,
     validate_label_name,
     validate_metric_name,
@@ -221,7 +222,9 @@ def selftest(registry: MetricsRegistry | None = None) -> list[str]:
     strictly increasing; the Prometheus exporter's output parses back to
     exactly the registry's samples; the JSON exporter round-trips to an
     identical snapshot.  When *registry* is given, additionally audits
-    every registered name and label name in it.
+    every registered name and label name in it, that each of its
+    families is declared by a :class:`~repro.obs.metrics.Handles`
+    subclass, and that no family name is declared twice.
     """
     failures: list[str] = []
 
@@ -273,8 +276,15 @@ def selftest(registry: MetricsRegistry | None = None) -> list[str]:
         failures.append("JSON snapshot did not round-trip")
 
     if registry is not None:
+        declared = declared_families()
+        for name, classes in sorted(declared.items()):
+            if len(classes) > 1:
+                owners = ", ".join(f"{c.__module__}.{c.__name__}" for c in classes)
+                failures.append(f"{name} declared by more than one Handles subclass: {owners}")
         seen: set[str] = set()
         for metric in registry.metrics():
+            if metric.name not in declared:
+                failures.append(f"{metric.name} is declared by no Handles subclass")
             try:
                 validate_metric_name(metric.name)
                 for label in metric.labelnames:

@@ -29,7 +29,20 @@ from typing import Callable, Container
 import numpy as np
 
 from repro.core.interfaces import Key, KeyBatch, as_key_list
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import Family, Handles, MetricsRegistry, default_registry
+
+
+class _FilterMetrics(Handles):
+    probes = Family("counter", "repro_filter_probes_total",
+                    "membership probes against instrumented filters", ("filter", "result"))
+    false_positives = Family("counter", "repro_filter_false_positives_total",
+                             "positive probes contradicted by supplied ground truth", ("filter",))
+    inserts = Family("counter", "repro_filter_inserts_total",
+                     "keys inserted through instrumented filters", ("filter",))
+    deletes = Family("counter", "repro_filter_deletes_total",
+                     "keys deleted through instrumented filters", ("filter",))
+    insert_seconds = Family("histogram", "repro_filter_insert_seconds",
+                            "wall-clock insert latency", ("filter",))
 
 
 class InstrumentedFilter:
@@ -54,33 +67,13 @@ class InstrumentedFilter:
         self.name = name or type(inner).__name__
         reg = registry if registry is not None else default_registry()
         self.registry = reg
-        probes = reg.counter(
-            "repro_filter_probes_total",
-            "membership probes against instrumented filters",
-            labels=("filter", "result"),
-        )
-        self._positive = probes.labels(filter=self.name, result="positive")
-        self._negative = probes.labels(filter=self.name, result="negative")
-        self._false_pos = reg.counter(
-            "repro_filter_false_positives_total",
-            "positive probes contradicted by supplied ground truth",
-            labels=("filter",),
-        ).labels(filter=self.name)
-        self._inserts = reg.counter(
-            "repro_filter_inserts_total",
-            "keys inserted through instrumented filters",
-            labels=("filter",),
-        ).labels(filter=self.name)
-        self._deletes = reg.counter(
-            "repro_filter_deletes_total",
-            "keys deleted through instrumented filters",
-            labels=("filter",),
-        ).labels(filter=self.name)
-        self._insert_seconds = reg.histogram(
-            "repro_filter_insert_seconds",
-            "wall-clock insert latency",
-            labels=("filter",),
-        ).labels(filter=self.name)
+        m = reg.handles(_FilterMetrics)
+        self._positive = m.bind("probes", self.name, "positive")
+        self._negative = m.bind("probes", self.name, "negative")
+        self._false_pos = m.bind("false_positives", self.name)
+        self._inserts = m.bind("inserts", self.name)
+        self._deletes = m.bind("deletes", self.name)
+        self._insert_seconds = m.bind("insert_seconds", self.name)
         if ground_truth is None:
             self._truth = None
         elif callable(ground_truth):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 from itertools import repeat
@@ -194,8 +195,6 @@ class _HistogramChild:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        from bisect import bisect_left
-
         i = bisect_left(self.bounds, value)
         with self._lock:
             self.counts[i] += 1
@@ -333,6 +332,7 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
+        self._handles: dict[type, Handles] = {}
 
     def _get_or_create(self, cls, name, help, labels, **kwargs) -> _Metric:
         metric = self._metrics.get(name)
@@ -376,6 +376,14 @@ class MetricsRegistry:
 
     def get(self, name: str) -> _Metric | None:
         return self._metrics.get(name)
+
+    def handles(self, cls: type[Handles]) -> Handles:
+        """The one instance of :class:`Handles` subclass *cls* in this
+        registry, shared by every object that emits its families."""
+        handles = self._handles.get(cls)
+        if handles is None:
+            handles = self._handles.setdefault(cls, cls(self))
+        return handles
 
     def metrics(self) -> list[_Metric]:
         with self._lock:
@@ -475,56 +483,153 @@ def use_registry(registry: MetricsRegistry | None = None) -> Iterator[MetricsReg
         set_default_registry(previous)
 
 
-# -- handles bound once per registry ------------------------------------------------
+# -- metric handles ------------------------------------------------------------------
 
 
-def bind_handles(holder: Any, factory: Any) -> Any:
-    """``holder._obs``: metric handles into the default registry.
+class Family:
+    """One metric family, declared once as an attribute of a
+    :class:`Handles` subclass: its kind (``"counter"``, ``"gauge"`` or
+    ``"histogram"``), name, help and label names."""
 
-    *factory* builds them as ``factory(registry)``, and whatever it
-    returns keeps that registry as ``.registry``.  They are rebuilt only
-    when the default registry has been swapped since, so a hot path
-    resolves each metric once per registry instead of by name per event.
+    KINDS = ("counter", "gauge", "histogram")
+
+    def __init__(self, kind: str, name: str, help: str, labels: tuple[str, ...] = ()):
+        if kind not in self.KINDS:
+            raise MetricError(f"unknown metric kind {kind!r}")
+        self.kind = kind
+        self.name = validate_metric_name(name)
+        self.help = help
+        self.labels = tuple(validate_label_name(label) for label in labels)
+        self.attr = ""
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, handles: Any, owner: type | None = None):
+        # An unlabelled family bound on *handles* is an instance attribute
+        # (the child itself), which wins over this non-data descriptor.
+        if handles is None:
+            return self
+        if self.labels:
+            raise MetricError(f"{self.name} is labelled: use child({self.attr!r}, ...)")
+        return _Unbound(handles, self.attr, ())
+
+
+class _Unbound:
+    """A child nothing has counted yet: counting, setting or observing
+    binds it, and reading its value binds nothing."""
+
+    __slots__ = ("_handles", "_attr", "_values")
+
+    def __init__(self, handles: "Handles", attr: str, values: tuple):
+        self._handles = handles
+        self._attr = attr
+        self._values = values
+
+    def _bind(self):
+        return self._handles.bind(self._attr, *self._values)
+
+    def inc(self, amount: int | float = 1) -> None:
+        self._bind().inc(amount)
+
+    def set(self, value: float) -> None:
+        self._bind().set(value)
+
+    def observe(self, value: float) -> None:
+        self._bind().observe(value)
+
+    @property
+    def value(self) -> int | float:
+        """The series' value in the registry (0 while unregistered)."""
+        family = type(self._handles).FAMILIES[self._attr]
+        metric = self._handles.registry.get(family.name)
+        if metric is None:
+            return 0
+        child = metric._series.get(tuple(str(v) for v in self._values))
+        return child.value if child is not None else 0
+
+
+class Handles:
+    """A module's metric families, each declared once as a :class:`Family`
+    class attribute, and their children in one registry.
+
+    An unlabelled family is read as an attribute (``m.reads.inc()``); a
+    labelled family's child is ``m.child(attr, *label_values)``, cached
+    per values so a hit does no label validation.  A family is
+    registered, and a child bound, when first counted, set or observed,
+    so a registry lists only what happened; reading a value binds
+    nothing.  :meth:`bind` binds a child at once, for a holder that
+    keeps its children itself.  Subclasses only declare families; a
+    registry keeps one instance of each (:meth:`MetricsRegistry.handles`),
+    which :func:`bind_handles` hands to every object emitting into it.
     """
-    obs = holder._obs
-    if obs is None or obs.registry is not _default:
-        obs = holder._obs = factory(_default)
-    return obs
 
+    FAMILIES: dict[str, Family] = {}
 
-class LazyCounters:
-    """Counter children in one registry, each bound on first use.
-
-    A subclass lists its counters in ``SPEC``: attribute name ->
-    ``(metric name, help, label names, label values)``.  The first read
-    of an attribute registers the family and binds the child, which then
-    stays on the instance as a plain attribute.  A family thus appears in
-    a snapshot only once something has been counted in it.
-    """
-
-    SPEC: dict[str, tuple[str, str, tuple[str, ...], tuple[str, ...]]] = {}
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.FAMILIES = {
+            attr: value for attr, value in vars(cls).items() if isinstance(value, Family)
+        }
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
+        self._families: dict[str, _Metric] = {}
+        self._bound: dict[str, dict[tuple, Any]] = {attr: {} for attr in self.FAMILIES}
 
-    def __getattr__(self, attr: str):
-        spec = type(self).SPEC.get(attr)
-        if spec is None:
-            raise AttributeError(attr)
-        name, help, labels, values = spec
-        child = self.registry.counter(name, help, labels).labels(
-            **dict(zip(labels, values)))
-        setattr(self, attr, child)
-        return child
+    def child(self, attr: str, *values):
+        """The child of family *attr* for label *values*."""
+        bound = self._bound[attr].get(values)
+        return bound if bound is not None else _Unbound(self, attr, values)
+
+    def bind(self, attr: str, *values):
+        """Register family *attr* if need be and bind its child for *values*."""
+        children = self._bound[attr]
+        bound = children.get(values)
+        if bound is not None:
+            return bound
+        metric = self._families.get(attr)
+        if metric is None:
+            family = self.FAMILIES[attr]
+            register = getattr(self.registry, family.kind)
+            metric = self._families[attr] = register(family.name, family.help, family.labels)
+        if len(values) != len(metric.labelnames):
+            raise MetricError(f"{metric.name} expects labels {metric.labelnames}, got {values}")
+        bound = children[values] = metric.labels(**dict(zip(metric.labelnames, values)))
+        if not values:
+            setattr(self, attr, bound)
+        return bound
 
 
-def counter_spec(attr: str, name: str, help: str, label: str = "", values=()) -> dict:
-    """``LazyCounters.SPEC`` entries for one counter family: the counter
-    as attribute *attr*, or, with *label*, one child per label value as
-    attribute ``attr + value``."""
-    if not label:
-        return {attr: (name, help, (), ())}
-    return {attr + value: (name, help, (label,), (value,)) for value in values}
+def declared_families() -> dict[str, list[type[Handles]]]:
+    """Every family name the :class:`Handles` subclasses of ``repro``
+    declare, with the classes declaring it.  Imports every ``repro``
+    module first, so that each subclass is defined."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    declared: dict[str, list[type[Handles]]] = {}
+    for cls in Handles.__subclasses__():
+        if cls.__module__.startswith("repro."):
+            for family in cls.FAMILIES.values():
+                declared.setdefault(family.name, []).append(cls)
+    return declared
+
+
+def bind_handles(holder: Any, cls: type[Handles]) -> Any:
+    """``holder._obs``: the default registry's instance of :class:`Handles`
+    subclass *cls*, looked up again only when the default registry has
+    been swapped since, so a hot path reaches each family once per
+    registry instead of by name per event."""
+    obs = holder._obs
+    if obs is None or obs.registry is not _default:
+        obs = holder._obs = _default.handles(cls)
+    return obs
 
 
 class CounterWindow:

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, bind_handles
+from repro.obs.metrics import Family, Handles, bind_handles
 
 
 class Priority(enum.IntEnum):
@@ -97,31 +97,11 @@ class AdmissionStats:
         return self.shed / total if total else 0.0
 
 
-class _AdmissionMetrics:
-    """Default-registry handles, rebound when the registry is swapped.
-
-    The shed counter is registered at the first shed, so a registry only
-    lists it once something has been shed.
-    """
-
-    __slots__ = ("registry", "queue_delay", "_shed")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.queue_delay = registry.histogram(
-            "repro_serve_queue_delay_seconds",
-            "simulated queueing delay at admission time",
-        )
-        self._shed = None
-
-    def shed(self):
-        if self._shed is None:
-            self._shed = self.registry.counter(
-                "repro_serve_shed_total",
-                "requests shed at admission, by priority and reason",
-                labels=("priority", "reason"),
-            )
-        return self._shed
+class _AdmissionMetrics(Handles):
+    queue_delay = Family("histogram", "repro_serve_queue_delay_seconds",
+                         "simulated queueing delay at admission time")
+    shed = Family("counter", "repro_serve_shed_total",
+                  "requests shed at admission, by priority and reason", ("priority", "reason"))
 
 
 class AdmissionController:
@@ -189,7 +169,7 @@ class AdmissionController:
                 self.stats.shed_by_tenant[tenant] = (
                     self.stats.shed_by_tenant.get(tenant, 0) + 1
                 )
-            m.shed().labels(priority=priority.name.lower(), reason=reason).inc()
+            m.child("shed", priority.name.lower(), reason).inc()
             return AdmissionDecision(False, delay, reason)
         self.stats.admitted += 1
         return AdmissionDecision(True, delay)

@@ -35,13 +35,20 @@ from typing import Any, Callable
 
 from repro.common.faults import CircuitOpenError, TransientIOError
 from repro.common.storage import BatchOps
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Family, Handles, bind_handles
 
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
+
+
+class _BreakerMetrics(Handles):
+    transitions = Family("counter", "repro_breaker_transitions_total",
+                         "circuit-breaker state transitions, by destination state", ("to",))
+    fast_fails = Family("counter", "repro_breaker_fast_fails_total",
+                        "reads refused instantly by an open circuit breaker")
 
 
 class CircuitBreaker:
@@ -75,6 +82,7 @@ class CircuitBreaker:
         self._outcomes: deque[bool] = deque(maxlen=window)
         self._opened_at = 0.0
         self._half_open_successes = 0
+        self._obs: _BreakerMetrics | None = None
 
     def failure_rate(self) -> float:
         if not self._outcomes:
@@ -86,11 +94,7 @@ class CircuitBreaker:
 
     def _transition(self, to: BreakerState) -> None:
         self.transitions.append((self.clock.now(), self.state, to))
-        default_registry().counter(
-            "repro_breaker_transitions_total",
-            "circuit-breaker state transitions, by destination state",
-            labels=("to",),
-        ).labels(to=to.value).inc()
+        bind_handles(self, _BreakerMetrics).child("transitions", to.value).inc()
         self.state = to
 
     def _open(self) -> None:
@@ -158,6 +162,7 @@ class BreakerDevice(BatchOps):
         self.breakers: dict[Any, CircuitBreaker] = {}
         self._key_fn = key_fn if key_fn is not None else lambda address: address
         self._breaker_kwargs = breaker_kwargs
+        self._obs: _BreakerMetrics | None = None
 
     def breaker_for(self, address: Any) -> CircuitBreaker:
         key = self._key_fn(address)
@@ -172,10 +177,7 @@ class BreakerDevice(BatchOps):
     def read(self, address: Any) -> Any:
         breaker = self.breaker_for(address)
         if not breaker.allow():
-            default_registry().counter(
-                "repro_breaker_fast_fails_total",
-                "reads refused instantly by an open circuit breaker",
-            ).inc()
+            bind_handles(self, _BreakerMetrics).fast_fails.inc()
             raise CircuitOpenError(
                 f"circuit open for address {address!r}; fast-failing read"
             )

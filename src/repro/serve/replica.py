@@ -84,14 +84,8 @@ from repro.common.storage import NamespacedDevice
 from repro.core.errors import ChecksumError
 from repro.core.routing import ConsistentHashRouter, Router
 from repro.core.serialize import frame
-from repro.obs.metrics import (
-    CounterWindow,
-    LazyCounters,
-    bind_handles,
-    counter_spec,
-    default_registry,
-)
-from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.obs.metrics import CounterWindow, Family, Handles, bind_handles
+from repro.serve.admission import AdmissionController
 from repro.serve.sim import CALM_STORM_RECOVERY, StormDriver
 from repro.serve.stack import (
     PUMP_BUDGET,
@@ -107,33 +101,30 @@ _HANDOFF_NS = "handoff"
 _DIGEST_SALT = 0xB0C6
 
 
-class _ReplicaMetrics(LazyCounters):
-    """The store's, the handoff's and the repairer's counters, each
-    registered when first counted."""
+class _ReplicaMetrics(Handles):
+    """The store's, the detector's, the handoff's and the repairer's families."""
 
-    SPEC = {
-        **counter_spec("outcome_", "repro_replica_quorum_outcomes_total",
-                       "replicated lookups by combine-rule outcome", "outcome",
-                       ("lookups", "present", "absent", "maybe")),
-        **counter_spec("node_", "repro_replica_node_events_total",
-                       "replica lifecycle events (kill/heal/taint)", "event",
-                       ("kill", "kill_wipe", "heal", "taint", "taint_cleared",
-                        "boot_taint")),
-        **counter_spec("hints_", "repro_replica_hints_total",
-                       "hinted-handoff records, by action", "action",
-                       ("journaled", "replayed", "dropped")),
-        **counter_spec("repairs_", "repro_replica_repairs_total",
-                       "anti-entropy repair records, by action", "action",
-                       ("streamed",)),
-        **counter_spec("repair_sheds", "repro_replica_repair_sheds_total",
-                       "anti-entropy pumps shed by admission control"),
-        **counter_spec("buckets_checked", "repro_replica_buckets_checked_total",
-                       "anti-entropy (replica, bucket) digest checks"),
-        **counter_spec("repair_bytes", "repro_replica_repair_bytes_total",
-                       "serialized bytes streamed by anti-entropy repair"),
-        **counter_spec("repair_rounds", "repro_replica_repair_rounds_total",
-                       "anti-entropy snapshot rounds started"),
-    }
+    outcomes = Family("counter", "repro_replica_quorum_outcomes_total",
+                      "replicated lookups by combine-rule outcome", ("outcome",))
+    node_events = Family("counter", "repro_replica_node_events_total",
+                         "replica lifecycle events (kill/heal/taint)", ("event",))
+    hints = Family("counter", "repro_replica_hints_total",
+                   "hinted-handoff records, by action", ("action",))
+    repairs = Family("counter", "repro_replica_repairs_total",
+                     "anti-entropy repair records, by action", ("action",))
+    repair_sheds = Family("counter", "repro_replica_repair_sheds_total",
+                          "anti-entropy pumps shed by admission control")
+    buckets_checked = Family("counter", "repro_replica_buckets_checked_total",
+                             "anti-entropy (replica, bucket) digest checks")
+    repair_bytes = Family("counter", "repro_replica_repair_bytes_total",
+                          "serialized bytes streamed by anti-entropy repair")
+    repair_rounds = Family("counter", "repro_replica_repair_rounds_total",
+                           "anti-entropy snapshot rounds started")
+    handoff_backlog = Family("gauge", "repro_replica_handoff_backlog",
+                             "hints journaled but not yet replayed")
+    nodes = Family("gauge", "repro_replica_nodes", "replica nodes by state", ("state",))
+    suspicion = Family("gauge", "repro_replica_suspicion",
+                       "failure-detector suspicion level per replica", ("replica",))
 
 
 # -- failure detection -------------------------------------------------------------
@@ -165,6 +156,7 @@ class FailureDetector:
         self._last_beat: dict[int, float] = {}
         self._intervals: dict[int, list[float]] = {}
         self._failures: dict[int, int] = {}
+        self._obs: _ReplicaMetrics | None = None
 
     def heartbeat(self, node_id: int) -> None:
         now = self.clock.now()
@@ -202,13 +194,9 @@ class FailureDetector:
         return self.suspicion(node_id) > threshold
 
     def publish_gauges(self, node_ids) -> None:
-        gauge = default_registry().gauge(
-            "repro_replica_suspicion",
-            "failure-detector suspicion level per replica",
-            labels=("replica",),
-        )
+        m = bind_handles(self, _ReplicaMetrics)
         for node_id in node_ids:
-            gauge.labels(replica=f"r{node_id}").set(self.suspicion(node_id))
+            m.child("suspicion", f"r{node_id}").set(self.suspicion(node_id))
 
 
 # -- replica nodes -----------------------------------------------------------------
@@ -475,7 +463,7 @@ class ReplicatedStore(NamespacedStore):
         self._count_node_event("taint" if tainted else "taint_cleared")
 
     def _count_node_event(self, event: str) -> None:
-        getattr(bind_handles(self, _ReplicaMetrics), "node_" + event).inc()
+        bind_handles(self, _ReplicaMetrics).child("node_events", event).inc()
 
     # -- writes ------------------------------------------------------------------
 
@@ -626,10 +614,10 @@ class ReplicatedStore(NamespacedStore):
         replicas, where a tombstone counts as absence evidence.
         """
         m = bind_handles(self, _ReplicaMetrics)
-        m.outcome_lookups.inc()
+        m.child("outcomes", "lookups").inc()
         result = combine(self._evidence(key, deadline, degrade_on_error),
                          self.read_quorum)
-        getattr(m, "outcome_" + result.state.value).inc()
+        m.child("outcomes", result.state.value).inc()
         return result
 
     def _evidence(self, key: Any, deadline: Deadline | None,
@@ -668,22 +656,12 @@ class ReplicatedStore(NamespacedStore):
                 node.tree.checkpoint()
 
     def publish_gauges(self) -> None:
-        registry = default_registry()
-        registry.gauge(
-            "repro_replica_handoff_backlog", "hints journaled but not yet replayed"
-        ).set(self.handoff.pending())
-        by_state = registry.gauge(
-            "repro_replica_nodes", "replica nodes by state", labels=("state",)
-        )
-        by_state.labels(state="alive").set(
-            sum(1 for n in self.nodes.values() if n.alive)
-        )
-        by_state.labels(state="down").set(
-            sum(1 for n in self.nodes.values() if not n.alive)
-        )
-        by_state.labels(state="tainted").set(
-            sum(1 for n in self.nodes.values() if n.tainted)
-        )
+        m = bind_handles(self, _ReplicaMetrics)
+        m.handoff_backlog.set(self.handoff.pending())
+        nodes = self.nodes.values()
+        m.child("nodes", "alive").set(sum(1 for n in nodes if n.alive))
+        m.child("nodes", "down").set(sum(1 for n in nodes if not n.alive))
+        m.child("nodes", "tainted").set(sum(1 for n in nodes if n.tainted))
         self.detector.publish_gauges(sorted(self.nodes))
 
 
@@ -818,7 +796,7 @@ class HintedHandoff:
                 del self._by_key[fence]
 
     def _count(self, action: str, n: int = 1) -> None:
-        getattr(bind_handles(self, _ReplicaMetrics), "hints_" + action).inc(n)
+        bind_handles(self, _ReplicaMetrics).child("hints", action).inc(n)
 
 
 # -- anti-entropy ------------------------------------------------------------------
@@ -1055,7 +1033,7 @@ class AntiEntropyRepairer:
                                  default=repr).encode())
             )
         if repaired:
-            m.repairs_streamed.inc(repaired)
+            m.child("repairs", "streamed").inc(repaired)
             m.repair_bytes.inc(repair_bytes)
         if not exhausted:
             return False
@@ -1093,34 +1071,27 @@ def build_replicated_stack(
     replication: int | None = None,
     read_quorum: int | None = None,
     budget: float = 0.050,
-    base_latency: float = 0.0008,
-    breaker_kwargs: dict | None = None,
-    admission_config: AdmissionConfig | None = None,
-    lsm_config: LSMConfig | None = None,
 ):
     """The replicated sibling of :func:`repro.serve.sim.build_stack`.
 
     One clock, one fault/latency injector pair, one faulty device, and
     one breaker bank are shared by every replica (each node's tree sees
     a :class:`~repro.common.storage.NamespacedDevice` view, so scoped
-    fault rates like ``{"run@r1": 0.5}`` target one replica).  Returns
+    fault rates like ``{"page@r1": 0.5}`` target one replica).  Returns
     ``(served, store, repairer, device, injector, latency, clock)``.
     """
-    parts = StackParts(seed, base_latency, breaker_kwargs)
+    parts = StackParts(seed)
     store = ReplicatedStore(
         parts.breaker_device,
         n_nodes=n_nodes,
         replication=replication,
         read_quorum=read_quorum,
-        config=lsm_config,
         clock=parts.clock,
         detector=FailureDetector(parts.clock),
         injector=parts.injector,
         seed=seed,
     )
-    served = parts.serve(
-        store, budget=budget, n_keys=n_keys, admission_config=admission_config
-    )
+    served = parts.serve(store, budget=budget, n_keys=n_keys)
     repairer = AntiEntropyRepairer(
         store, admission=served.admission, injector=parts.injector
     )
@@ -1186,7 +1157,7 @@ def run_replica_storm(
     crash_at_step: str | None = None,
     write_fraction: float = 0.0,
     drain: bool = True,
-    **stack_kwargs,
+    budget: float = 0.050,
 ):
     """A chaos storm over a replicated fleet, with a kill/heal in it.
 
@@ -1204,7 +1175,7 @@ def run_replica_storm(
     served, store, repairer, device, injector, latency, clock = (
         build_replicated_stack(
             seed, n_keys, n_nodes,
-            replication=replication, read_quorum=read_quorum, **stack_kwargs,
+            replication=replication, read_quorum=read_quorum, budget=budget,
         )
     )
     report = ReplicaReport()

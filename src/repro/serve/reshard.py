@@ -55,14 +55,8 @@ from repro.common.faults import (
 from repro.common.records import JSON, META_ATTEMPTS, DurableManifest, Journal, scrub_block
 from repro.common.storage import NamespacedDevice
 from repro.core.routing import HashRangeRouter, Router, router_from_manifest
-from repro.obs.metrics import (
-    CounterWindow,
-    LazyCounters,
-    bind_handles,
-    counter_spec,
-    default_registry,
-)
-from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.obs.metrics import CounterWindow, Family, Handles, bind_handles
+from repro.serve.admission import AdmissionController
 from repro.serve.sim import CALM_STORM_RECOVERY, StormDriver
 from repro.serve.stack import (
     PUMP_BUDGET,
@@ -98,28 +92,28 @@ _BOTH_OWNER_STEPS = frozenset({
 _MISSING = object()  # _batched_get sentinel: absent-or-tombstoned
 
 
-class _ReshardMetrics(LazyCounters):
-    """The store's and the coordinator's counters, each registered when
-    first counted."""
+class _ReshardMetrics(Handles):
+    """The store's and the coordinator's families."""
 
-    SPEC = {
-        **counter_spec("lookups", "repro_reshard_lookups_total",
-                       "lookups served by the sharded store"),
-        **counter_spec("owner_reads", "repro_reshard_owner_reads_total",
-                       "shard scans by sharded lookups (two per double read)"),
-        **counter_spec("double_reads", "repro_reshard_double_reads_total",
-                       "lookups that consulted both the old and new owner"),
-        **counter_spec("pump_sheds", "repro_reshard_pump_sheds_total",
-                       "migration batches shed by admission control"),
-        **counter_spec("cutovers", "repro_reshard_cutover_epoch_bumps_total",
-                       "routing-table epoch bumps at cutover"),
-        **counter_spec("step_", "repro_reshard_steps_total",
-                       "migration state-machine transitions, by step entered",
-                       "step", [step.value for step in MigrationStep]),
-        **counter_spec("keys_", "repro_reshard_keys_total",
-                       "keys processed by migration, by action",
-                       "action", ("moved", "verified", "repaired", "retired")),
-    }
+    lookups = Family("counter", "repro_reshard_lookups_total",
+                     "lookups served by the sharded store")
+    owner_reads = Family("counter", "repro_reshard_owner_reads_total",
+                         "shard scans by sharded lookups (two per double read)")
+    double_reads = Family("counter", "repro_reshard_double_reads_total",
+                          "lookups that consulted both the old and new owner")
+    pump_sheds = Family("counter", "repro_reshard_pump_sheds_total",
+                        "migration batches shed by admission control")
+    cutovers = Family("counter", "repro_reshard_cutover_epoch_bumps_total",
+                      "routing-table epoch bumps at cutover")
+    steps = Family("counter", "repro_reshard_steps_total",
+                   "migration state-machine transitions, by step entered", ("step",))
+    keys = Family("counter", "repro_reshard_keys_total",
+                  "keys processed by migration, by action", ("action",))
+    migration_active = Family("gauge", "repro_reshard_migration_active",
+                              "1 while a migration is in flight")
+    routing_epoch = Family("gauge", "repro_reshard_routing_epoch", "active routing-table epoch")
+    scan_remaining = Family("gauge", "repro_reshard_scan_remaining",
+                            "keys left in the current migration scan step")
 
 
 @dataclass
@@ -756,27 +750,18 @@ class ReshardCoordinator:
     # -- crash points and telemetry ----------------------------------------------
 
     def _meter_step(self, step: MigrationStep) -> None:
-        getattr(bind_handles(self, _ReshardMetrics), "step_" + step.value).inc()
+        bind_handles(self, _ReshardMetrics).child("steps", step.value).inc()
 
     def _meter_keys(self, action: str, n: int) -> None:
         if n:
-            getattr(bind_handles(self, _ReshardMetrics), "keys_" + action).inc(n)
+            bind_handles(self, _ReshardMetrics).child("keys", action).inc(n)
 
     def publish_gauges(self) -> None:
         """Point-in-time migration gauges for ``python -m repro stats``."""
-        registry = default_registry()
-        mig = self.store.migration
-        registry.gauge(
-            "repro_reshard_migration_active", "1 while a migration is in flight"
-        ).set(0 if mig is None else 1)
-        registry.gauge(
-            "repro_reshard_routing_epoch", "active routing-table epoch"
-        ).set(self.store.router.epoch)
-        remaining = len(self._moving) if self._moving is not None else 0
-        registry.gauge(
-            "repro_reshard_scan_remaining",
-            "keys left in the current migration scan step",
-        ).set(remaining)
+        m = bind_handles(self, _ReshardMetrics)
+        m.migration_active.set(0 if self.store.migration is None else 1)
+        m.routing_epoch.set(self.store.router.epoch)
+        m.scan_remaining.set(len(self._moving) if self._moving is not None else 0)
 
 
 # -- storm integration -------------------------------------------------------------
@@ -788,10 +773,6 @@ def build_sharded_stack(
     n_shards: int = 4,
     *,
     budget: float = 0.050,
-    base_latency: float = 0.0008,
-    breaker_kwargs: dict | None = None,
-    admission_config: AdmissionConfig | None = None,
-    lsm_config: LSMConfig | None = None,
 ):
     """The sharded sibling of :func:`repro.serve.sim.build_stack`.
 
@@ -801,14 +782,9 @@ def build_sharded_stack(
     breakers behave exactly as in the single-tree stack.  Returns
     ``(served, store, coordinator, device, injector, latency, clock)``.
     """
-    parts = StackParts(seed, base_latency, breaker_kwargs)
-    store = ShardedStore.create(
-        parts.breaker_device, n_shards, seed=seed, config=lsm_config,
-        clock=parts.clock,
-    )
-    served = parts.serve(
-        store, budget=budget, n_keys=n_keys, admission_config=admission_config
-    )
+    parts = StackParts(seed)
+    store = ShardedStore.create(parts.breaker_device, n_shards, seed=seed, clock=parts.clock)
+    served = parts.serve(store, budget=budget, n_keys=n_keys)
     coordinator = ReshardCoordinator(
         store, clock=parts.clock, admission=served.admission,
         injector=parts.injector,
@@ -879,7 +855,7 @@ def run_reshard_storm(
     crash_at_step: str | None = None,
     drain: bool = True,
     write_fraction: float = 0.0,
-    **stack_kwargs,
+    budget: float = 0.050,
 ):
     """A chaos storm with a live migration (and optionally a crash) in it.
 
@@ -900,7 +876,7 @@ def run_reshard_storm(
     """
     window = CounterWindow()
     served, store, coordinator, device, injector, latency, clock = (
-        build_sharded_stack(seed, n_keys, n_shards, **stack_kwargs)
+        build_sharded_stack(seed, n_keys, n_shards, budget=budget)
     )
     report = ReshardReport(requested=reshard_at > 0)
     planned = False

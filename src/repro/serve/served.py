@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.clock import Answer, Deadline, SimulatedClock
-from repro.obs.metrics import MetricsRegistry, bind_handles, default_registry
+from repro.obs.metrics import Family, Handles, bind_handles
 from repro.obs.tracing import trace
 from repro.serve.admission import AdmissionController, Priority
 from repro.serve.breaker import BreakerState
@@ -69,44 +69,15 @@ class ServedResponse:
         return iter((self.answer, self.outcome))
 
 
-class _ServeMetrics:
-    """Default-registry handles, rebound when the registry is swapped.
-
-    The per-request children are bound on first use by :meth:`request`
-    and :meth:`latency`, whose caller counts at once, so a child still
-    appears in the registry only when first counted.
-    """
-
-    __slots__ = ("registry", "requests", "latencies", "_children")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self._children: dict[tuple, Any] = {}
-        self.requests = registry.counter(
-            "repro_serve_requests_total",
-            "served-filter requests, by outcome and priority",
-            labels=("outcome", "priority"),
-        )
-        self.latencies = registry.histogram(
-            "repro_serve_latency_seconds",
-            "arrival-to-answer simulated latency, by outcome",
-            labels=("outcome",),
-        )
-
-    def request(self, outcome: ServeOutcome, priority: Priority):
-        """The ``requests{outcome,priority}`` child."""
-        child = self._children.get((outcome, priority))
-        if child is None:
-            child = self._children[outcome, priority] = self.requests.labels(
-                outcome=outcome.value, priority=priority.name.lower())
-        return child
-
-    def latency(self, outcome: ServeOutcome):
-        """The ``latencies{outcome}`` child."""
-        child = self._children.get(outcome)
-        if child is None:
-            child = self._children[outcome] = self.latencies.labels(outcome=outcome.value)
-        return child
+class _ServeMetrics(Handles):
+    requests = Family("counter", "repro_serve_requests_total",
+                      "served-filter requests, by outcome and priority", ("outcome", "priority"))
+    latency = Family("histogram", "repro_serve_latency_seconds",
+                     "arrival-to-answer simulated latency, by outcome", ("outcome",))
+    breakers = Family("gauge", "repro_serve_breakers", "circuit breakers by state", ("state",))
+    service_ewma = Family("gauge", "repro_serve_service_ewma_seconds",
+                          "admission controller's service-time estimate")
+    shed_rate = Family("gauge", "repro_serve_shed_rate", "shed fraction since startup")
 
 
 class ServedFilter:
@@ -250,27 +221,19 @@ class ServedFilter:
 
     def _meter(self, response: ServedResponse) -> None:
         m = bind_handles(self, _ServeMetrics)
-        m.request(response.outcome, response.priority).inc()
-        m.latency(response.outcome).observe(response.latency)
+        outcome = response.outcome.value
+        m.child("requests", outcome, response.priority.name.lower()).inc()
+        m.child("latency", outcome).observe(response.latency)
 
     def publish_gauges(self) -> None:
         """Point-in-time serving gauges (breaker states, service EWMA)."""
-        registry = default_registry()
+        m = bind_handles(self, _ServeMetrics)
         if self.breaker_device is not None:
             breakers = self.breaker_device.breakers.values()
-            by_state = registry.gauge(
-                "repro_serve_breakers", "circuit breakers by state",
-                labels=("state",),
-            )
             for state in BreakerState:
-                by_state.labels(state=state.value).set(
+                m.child("breakers", state.value).set(
                     sum(1 for b in breakers if b.state is state)
                 )
         if self.admission is not None:
-            registry.gauge(
-                "repro_serve_service_ewma_seconds",
-                "admission controller's service-time estimate",
-            ).set(self.admission.service_ewma)
-            registry.gauge(
-                "repro_serve_shed_rate", "shed fraction since startup"
-            ).set(self.admission.stats.shed_rate())
+            m.service_ewma.set(self.admission.service_ewma)
+            m.shed_rate.set(self.admission.stats.shed_rate())

@@ -31,7 +31,7 @@ from repro.apps.lsm import LSMConfig, LSMTree
 from repro.cache import BlockCache, CachedDevice, NegativeLookupCache
 from repro.common.clock import Answer
 from repro.common.faults import CircuitOpenError, SimulatedCrash, TransientIOError
-from repro.serve.admission import AdmissionConfig, Priority
+from repro.serve.admission import Priority
 from repro.serve.breaker import BreakerState
 from repro.serve.served import ServedFilter, ServeOutcome
 from repro.serve.stack import StackParts, retry_policy
@@ -259,9 +259,6 @@ def build_stack(
     n_keys: int = 2_000,
     *,
     budget: float = 0.050,
-    base_latency: float = 0.0008,
-    breaker_kwargs: dict | None = None,
-    admission_config: AdmissionConfig | None = None,
     lsm_config: LSMConfig | None = None,
     cache_mb: float = 0.0,
     cache_policy: str = "lru",
@@ -280,7 +277,7 @@ def build_stack(
     served facade additionally memoizes authoritative ABSENT answers in
     a :class:`~repro.cache.NegativeLookupCache` (``served.negative_cache``).
     """
-    parts = StackParts(seed, base_latency, breaker_kwargs)
+    parts = StackParts(seed)
     config = lsm_config if lsm_config is not None else LSMConfig(
         memtable_entries=64, retry_attempts=3, seed=seed
     )
@@ -293,7 +290,7 @@ def build_stack(
     tree = LSMTree(config, device=device_stack)
     tree.retry = retry_policy(config.retry_attempts, seed, parts.clock)
     served = parts.serve(
-        tree, budget=budget, n_keys=n_keys, admission_config=admission_config,
+        tree, budget=budget, n_keys=n_keys,
         negative_cache=(
             NegativeLookupCache(negative_cache_entries)
             if negative_cache_entries > 0 else None

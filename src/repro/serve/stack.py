@@ -43,14 +43,15 @@ def crash_point(injector: FaultInjector | None, name: str) -> None:
 class StackParts:
     """Clock → fault + latency injectors → faulty device → breakers.
 
+    *base_latency* is a device operation's simulated service time.
     Latency starts switched off, so the backend loads for free and
     storms start at ``t=0``; :meth:`serve` loads keys ``0..n_keys-1``,
     switches latency on and puts admission and the :class:`ServedFilter`
     on top.  The tenant fleet has no block device (``with_device=False``).
     """
 
-    def __init__(self, seed: int, base_latency: float,
-                 breaker_kwargs: dict | None = None, *, with_device: bool = True):
+    def __init__(self, seed: int, base_latency: float = 0.0008, *,
+                 with_device: bool = True):
         self.clock = SimulatedClock()
         self.injector = FaultInjector(seed=seed)
         self.latency = LatencyInjector(seed=seed, base=base_latency)
@@ -61,8 +62,7 @@ class StackParts:
                 injector=self.injector, latency=self.latency, clock=self.clock
             )
             self.breaker_device = BreakerDevice(
-                self.device, self.clock,
-                **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4}),
+                self.device, self.clock, cooldown=0.05, min_samples=4
             )
 
     def serve(self, backend: Any, *, budget: float, n_keys: int = 0,

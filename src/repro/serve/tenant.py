@@ -51,7 +51,7 @@ from repro.common.clock import Answer, Deadline, LookupResult, SimulatedClock, c
 from repro.common.faults import FaultInjector, LatencyInjector
 from repro.core.bloofi import BloofiTree
 from repro.filters.bloom import BloomFilter, insert_each
-from repro.obs.metrics import CounterWindow, MetricsRegistry, bind_handles, default_registry
+from repro.obs.metrics import CounterWindow, Family, Handles, bind_handles
 from repro.serve.admission import AdmissionConfig, TenantQuota
 from repro.serve.sim import StormDriver, StormPhase, StormReport
 from repro.serve.stack import StackParts, StormSummary
@@ -283,24 +283,14 @@ class TenantRouter:
         return result
 
 
-class _TenantMetrics:
-    """Default-registry handles for one lookup mode, rebound when the
-    registry is swapped."""
-
-    __slots__ = ("registry", "lookups", "probes")
-
-    def __init__(self, registry: MetricsRegistry, mode: str):
-        self.registry = registry
-        self.lookups = registry.counter(
-            "repro_tenant_lookups_total",
-            "fleet lookups answered by the tenant store, by mode",
-            labels=("mode",),
-        ).labels(mode=mode)
-        self.probes = registry.counter(
-            "repro_tenant_probes_total",
-            "filter probes spent answering fleet lookups, by mode",
-            labels=("mode",),
-        ).labels(mode=mode)
+class _TenantMetrics(Handles):
+    lookups = Family("counter", "repro_tenant_lookups_total",
+                     "fleet lookups answered by the tenant store, by mode", ("mode",))
+    probes = Family("counter", "repro_tenant_probes_total",
+                    "filter probes spent answering fleet lookups, by mode", ("mode",))
+    churn = Family("counter", "repro_tenant_churn_total",
+                   "tenant provision/deprovision events during storms", ("op",))
+    fleet_size = Family("gauge", "repro_tenant_fleet_size", "live tenants in the fleet")
 
 
 class TenantStore:
@@ -331,9 +321,6 @@ class TenantStore:
         self.mode = mode
         self.truth: dict[Any, set] = {}
         self._obs: _TenantMetrics | None = None
-
-    def _handles(self, registry: MetricsRegistry) -> _TenantMetrics:
-        return _TenantMetrics(registry, self.mode)
 
     # -- mutations (epoch-versioned for the negative cache) ----------------------
 
@@ -394,8 +381,8 @@ class TenantStore:
         counts filter probes charged, ``runs_skipped`` counts candidates
         left unresolved.
         """
-        m = bind_handles(self, self._handles)
-        m.lookups.inc()
+        m = bind_handles(self, _TenantMetrics)
+        m.child("lookups", self.mode).inc()
         fault = None
         if self.injector is not None and self.mode == "router":
             def fault(kind, detail):
@@ -405,7 +392,7 @@ class TenantStore:
             self.router.query(key, fault=fault) if self.mode == "router"
             else self.router.query_flat(key)
         )
-        m.probes.inc(look.probes)
+        m.child("probes", self.mode).inc(look.probes)
         evidence = ((result, True) for result in self._sources(key, look, deadline))
         return combine(evidence, 1 + len(look.tenants))
 
@@ -487,6 +474,11 @@ class TenantReport(StormSummary):
         return failed
 
 
+# The base cost of one filter probe: small (a memory read, not an
+# I/O), but at fleet scale it is exactly what makes O(N) flat fan-out
+# blow its deadline while the router cruises.
+PROBE_LATENCY = 2e-5
+
 TENANT_STORM = (
     StormPhase("calm", 200, transient_read=0.0),
     StormPhase("storm", 300, transient_read=0.4, slowdown=3.0, spike_prob=0.05),
@@ -502,20 +494,16 @@ def build_tenant_stack(
     mode: str = "router",
     quota: TenantQuota | None = None,
     budget: float = 0.050,
-    probe_latency: float = 2e-5,
-    admission_config: AdmissionConfig | None = None,
 ):
     """Assemble the multi-tenant serving stack, fleet pre-loaded.
 
     Tenant *t* (ints ``0..n_tenants-1``) owns keys
     ``t*keys_per_tenant .. (t+1)*keys_per_tenant - 1`` — ground truth
-    the storm's false-negative audit can recompute.  *probe_latency* is
-    the per-filter-probe base cost: small (a memory read, not an I/O),
-    but at fleet scale it is exactly what makes O(N) flat fan-out blow
-    its deadline while the router cruises.
+    the storm's false-negative audit can recompute.
+    :data:`PROBE_LATENCY` is the per-filter-probe base cost.
     Returns ``(served, store, injector, latency, clock)``.
     """
-    parts = StackParts(seed, probe_latency, with_device=False)
+    parts = StackParts(seed, PROBE_LATENCY, with_device=False)
     router = TenantRouter(TenantConfig(leaf_capacity=max(64, keys_per_tenant), seed=seed))
     store = TenantStore(
         router, parts.clock, injector=parts.injector, latency=parts.latency,
@@ -525,11 +513,8 @@ def build_tenant_stack(
         (tenant, range(tenant * keys_per_tenant, (tenant + 1) * keys_per_tenant))
         for tenant in range(n_tenants)
     )
-    if admission_config is None:
-        admission_config = AdmissionConfig(tenant_quota=quota)
-    elif quota is not None and admission_config.tenant_quota is None:
-        admission_config.tenant_quota = quota
-    served = parts.serve(store, budget=budget, admission_config=admission_config)
+    served = parts.serve(store, budget=budget,
+                         admission_config=AdmissionConfig(tenant_quota=quota))
     return served, store, parts.injector, parts.latency, parts.clock
 
 
@@ -544,7 +529,6 @@ def run_tenant_storm(
     churn_every: int = 0,
     quota: TenantQuota | None = None,
     budget: float = 0.050,
-    probe_latency: float = 2e-5,
     drain: bool = True,
 ) -> tuple[StormReport, TenantReport, TenantStore]:
     """Zipf multi-tenant traffic with optional churn; audit at the end.
@@ -568,7 +552,6 @@ def run_tenant_storm(
         seed,
         n_tenants=n_tenants, keys_per_tenant=keys_per_tenant,
         mode=mode, quota=quota, budget=budget,
-        probe_latency=probe_latency,
     )
     rng = random.Random(seed ^ 0x7E4A47)
     tenant_report = TenantReport(n_tenants_start=store.n_tenants)
@@ -608,11 +591,7 @@ def run_tenant_storm(
         next_tenant += 1
         next_key += keys_per_tenant
         tenant_report.tenants_added += 1
-        default_registry().counter(
-            "repro_tenant_churn_total",
-            "tenant provision/deprovision events during storms",
-            labels=("op",),
-        ).labels(op="cycle").inc()
+        bind_handles(store, _TenantMetrics).child("churn", "cycle").inc()
 
     def draw(present: bool) -> tuple[int, int]:
         requester = live[next(ranks) % len(live)]
@@ -649,7 +628,5 @@ def run_tenant_storm(
             ):
                 tenant_report.audit_false_negatives += 1
 
-    default_registry().gauge(
-        "repro_tenant_fleet_size", "live tenants in the fleet"
-    ).set(store.n_tenants)
+    bind_handles(store, _TenantMetrics).fleet_size.set(store.n_tenants)
     return report, tenant_report, store

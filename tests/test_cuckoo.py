@@ -91,6 +91,15 @@ class TestCuckooBasics:
 
 
 class TestCuckooModel:
+    def test_a_key_has_two_distinct_buckets(self):
+        cf = CuckooFilter(128, 14, seed=8)
+        assert all(i1 != i2 for _fp, i1, i2 in map(cf._candidates, range(2_000)))
+        # Key 42's fingerprint hashes to offset 0 mod 128; it still gets
+        # two buckets, so it holds 2 x bucket_size copies.
+        for _ in range(2 * cf.bucket_size):
+            cf.insert(42)
+        assert len(cf) == 2 * cf.bucket_size
+
     @given(st.lists(st.integers(min_value=0, max_value=200), max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_insert_delete_round_trip(self, keys):

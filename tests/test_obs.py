@@ -4,8 +4,11 @@ and exporter round-trips."""
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import pathlib
+import re
 import threading
 
 import pytest
@@ -13,17 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.apps.lsm import LSMConfig, LSMTree
 from repro.common.storage import BlockDevice, IOStats
 from repro.core.concurrent import ShardedFilter
 from repro.core.registry import make_filter
 from repro.filters.bloom import BloomFilter
+from repro.obs import export as export_module
 from repro.obs.metrics import (
     CounterWindow,
-    LazyCounters,
+    Family,
+    Handles,
     MetricError,
     _HistogramChild,
     bind_handles,
-    counter_spec,
+    declared_families,
 )
 
 
@@ -96,12 +102,9 @@ class TestRegistry:
         assert obs.default_registry() is outer
 
 
-class _Handles(LazyCounters):
-    SPEC = {
-        **counter_spec("events", "repro_demo_events_total", "events"),
-        **counter_spec("kind_", "repro_demo_kinds_total", "events by kind", "kind",
-                       ("a", "b")),
-    }
+class _Handles(Handles):
+    events = Family("counter", "repro_demo_events_total", "events")
+    kinds = Family("counter", "repro_demo_kinds_total", "events by kind", ("kind",))
 
 
 class _Holder:
@@ -109,17 +112,24 @@ class _Holder:
 
 
 class TestBoundHandles:
-    def test_lazy_counters_register_a_family_on_first_use(self):
+    def test_handles_register_a_family_on_first_use(self):
         with obs.use_registry() as registry:
             handles = _Handles(registry)
-            assert registry.snapshot() == {}
-            handles.kind_a.inc(2)
+            assert handles.events.value == 0 and handles.child("kinds", "a").value == 0
+            assert registry.snapshot() == {}  # reading a value binds nothing
+            handles.child("kinds", "a").inc(2)
             assert registry.names() == ["repro_demo_kinds_total"]
-            assert handles.kind_a is registry.get("repro_demo_kinds_total").labels(kind="a")
+            assert handles.child("kinds", "a") is registry.get(
+                "repro_demo_kinds_total").labels(kind="a")
+            assert handles.child("kinds", "a").value == 2
             assert [labels for labels, _ in registry.get("repro_demo_kinds_total").series()] \
                 == [{"kind": "a"}]
-        with pytest.raises(AttributeError):
-            handles.kind_c
+            handles.events.inc()
+            assert handles.events is registry.get("repro_demo_events_total").labels()
+        with pytest.raises(MetricError):
+            handles.kinds  # a labelled family has only children
+        with pytest.raises(MetricError):
+            handles.child("kinds", "a", "b").inc()
 
     def test_bind_handles_rebinds_after_a_registry_swap(self):
         holder = _Holder()
@@ -136,11 +146,106 @@ class TestBoundHandles:
         registry.counter("repro_demo_kinds_total", labels=("kind",)).labels(kind="a").inc(5)
         window = CounterWindow(registry)
         handles = _Handles(registry)
-        handles.kind_a.inc(2)
-        handles.kind_b.inc(7)
+        handles.child("kinds", "a").inc(2)
+        handles.child("kinds", "b").inc(7)
         assert window.count("repro_demo_kinds_total") == 9
         assert window.count("repro_demo_kinds_total", kind="a") == 2
         assert window.count("repro_demo_events_total") == 0
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+
+
+def _handles_classes() -> list[type[Handles]]:
+    return sorted({cls for classes in declared_families().values() for cls in classes},
+                  key=lambda cls: (cls.__module__, cls.__name__))
+
+
+def _count(child) -> None:
+    if hasattr(child, "observe"):
+        child.observe(1.0)
+    elif hasattr(child, "set"):
+        child.set(1.0)
+    else:
+        child.inc()
+
+
+class TestOneIdiom:
+    """Every family in ``src/repro`` is declared once on a ``Handles``
+    subclass, and is registered when first counted."""
+
+    @pytest.mark.parametrize("cls", _handles_classes(), ids=lambda cls: cls.__name__)
+    def test_binding_registers_nothing(self, cls):
+        holder = _Holder()
+        with obs.use_registry() as registry:
+            handles = bind_handles(holder, cls)
+            assert registry.snapshot() == {}
+            attr, family = next(iter(cls.FAMILIES.items()))
+            _count(handles.bind(attr, *("x" for _ in family.labels)))
+            snapshot = registry.snapshot()
+        assert list(snapshot) == [family.name]
+        assert len(snapshot[family.name]["series"]) == 1
+
+    def test_no_registry_call_outside_obs(self):
+        calls = []
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent.name == "obs":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("counter", "gauge", "histogram", "labels"):
+                    calls.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
+        assert calls == []
+
+    def test_the_inventory_lists_exactly_the_declared_families(self):
+        text = (DOCS / "observability.md").read_text()
+        inventory = text[text.index("## Metric inventory"):]
+        rows = [line for line in inventory.splitlines() if line.startswith("| `repro_")]
+        listed = [re.match(r"\| `(repro_\w+)`", row).group(1) for row in rows]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == sorted(declared_families())
+
+    def test_no_family_is_declared_twice(self):
+        assert {name: classes for name, classes in declared_families().items()
+                if len(classes) > 1} == {}
+
+    def test_lsm_gauges_publish_the_rates_its_counters_give(self, registry):
+        tree = LSMTree(LSMConfig(memtable_entries=32, seed=3))
+        tree.put_many((key, key) for key in range(400))
+        for key in range(10_000, 12_000):
+            tree.get(key)
+        tree.publish_gauges()
+        snapshot = registry.snapshot()
+
+        def values(name):
+            return {tuple(s["labels"].values()): s["value"]
+                    for s in snapshot.get(name, {"series": []})["series"]}
+
+        probes = values("repro_lsm_filter_probes_total")
+        fps = values("repro_lsm_filter_false_positives_total")
+        rates = values("repro_lsm_filter_fp_rate")
+        assert len(rates) == tree.n_levels and any(rates.values())
+        for (level,), rate in rates.items():
+            negatives, fp = probes.get((level, "negative"), 0), fps.get((level,), 0)
+            assert rate == (fp / (negatives + fp) if negatives + fp else 0.0)
+
+    def test_selftest_fails_on_an_undeclared_family(self):
+        registry = obs.MetricsRegistry()
+        registry.counter("repro_demo_undeclared_total").inc()
+        assert obs.selftest(registry) == [
+            "repro_demo_undeclared_total is declared by no Handles subclass"]
+
+    def test_selftest_fails_on_a_name_declared_twice(self, monkeypatch):
+        declared = declared_families()
+        twice = dict(declared, repro_lsm_runs=declared["repro_lsm_runs"] + [_Handles])
+        monkeypatch.setattr(export_module, "declared_families", lambda: twice)
+        failures = obs.selftest(obs.MetricsRegistry())
+        assert len(failures) == 1 and failures[0].startswith(
+            "repro_lsm_runs declared by more than one Handles subclass")
 
 
 bucket_specs = st.tuples(
@@ -341,8 +446,19 @@ class TestExporters:
         assert "p50=" in table and "p99=" in table
 
     def test_selftest_clean_registry(self, registry):
-        self._populated(registry)
+        # Clean: every family comes from a declared emitter.
+        device = BlockDevice()
+        device.write("a", b"payload")
+        device.read("a")
+        make_filter("bloom", capacity=64, epsilon=0.01, instrument=True).insert(1)
+        assert len(registry.names()) == 9
         assert obs.selftest(registry) == []
+
+    def test_selftest_flags_undeclared_families(self, registry):
+        self._populated(registry)
+        assert obs.selftest(registry) == [
+            f"{name} is declared by no Handles subclass"
+            for name in ("repro_events_total", "repro_lat_seconds", "repro_ratio")]
 
     def test_selftest_flags_nan_gauge(self, registry):
         registry.gauge("repro_bad").set(float("nan"))
