@@ -18,6 +18,9 @@ Reproduced design space:
 * **Maplet mode**: replace per-run filters with a single maplet mapping
   each key to its run (SlimDB / Chucky / SplinterDB, §3.1): a lookup
   probes only the runs the maplet names.
+* **Compaction filter**: :meth:`LSMTree.purge_step` rewrites runs
+  without the keys a predicate rejects, one run per step (how online
+  resharding frees the keys a shard no longer owns).
 
 Storage: a run is stored once, as its pages (``page_entries`` entries
 each, or one page per run at 0), and every read, recovery and scrub
@@ -399,7 +402,13 @@ class LSMTree:
         self._maybe_compact()
         self._checkpoint()
 
-    def _emit_run(self, level: int, keys: list[int], values: list[Any]) -> _Run:
+    def _emit_run(self, level: int, keys: list[int], values: list[Any],
+                  seq: int | None = None) -> _Run:
+        """Write a new run at *level*, at sequence *seq* (default: the
+        next, so newer than every run)."""
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq += 1
         run = _Run(
             self._next_run_id,
             level,
@@ -407,11 +416,10 @@ class LSMTree:
             values,
             self._build_filter(level, keys),
             self._build_range_filter(keys),
-            self._next_seq,
+            seq,
             self.config.page_entries,
         )
         self._next_run_id += 1
-        self._next_seq += 1
         while len(self._levels) <= level:
             self._levels.append([])
         self._levels[level].append(run)
@@ -590,6 +598,41 @@ class LSMTree:
         self.stats.compactions += 1
         bind_handles(self, _LSMMetrics).compactions.inc()
 
+    def purge_step(self, reject: Callable[[Any], bool]) -> int | None:
+        """One compaction-filter step towards a tree that holds no entry
+        of a key *reject* names: no live value, older version or tombstone.
+
+        A memtable holding such a key is flushed, because the WAL would
+        replay a key dropped in place.  Otherwise the oldest run holding
+        one is rewritten without them, at its level and sequence with a
+        rebuilt filter, or just retired when nothing is left of it.
+        Oldest first, so a dropped tombstone never uncovers an older
+        version.  The step checkpoints as a compaction does.  Returns the
+        entries it dropped, or None once none is left and the last
+        checkpoint verified, so that no recovery can bring one back.
+        """
+        if any(map(reject, self._memtable)):
+            self.flush()
+            return 0
+        for run in sorted((r for level in self._levels for r in level), key=lambda r: r.seq):
+            keep = [i for i, key in enumerate(run.keys) if not reject(key)]
+            if len(keep) == len(run.keys):
+                continue
+            level = self._levels[run.level]
+            level.remove(run)
+            self._retire_run(run)
+            if keep:
+                self._emit_run(run.level, [run.keys[i] for i in keep],
+                               [run.values[i] for i in keep], seq=run.seq)
+                level.sort(key=lambda r: r.seq)
+            self._checkpoint()
+            return len(run.keys) - len(keep)
+        wal = self._wal.keys
+        if self._pending_retire or (wal and wal[0][0] < self._wal_floor):
+            self._checkpoint()  # the last one did not verify
+            return 0
+        return None
+
     # -- read path -------------------------------------------------------------------
 
     def _runs_newest_first(self) -> list[_Run]:
@@ -667,10 +710,10 @@ class LSMTree:
         a retry's backoff would reach it, they answer MAYBE
         (``"deadline"``), and resolved keys keep their answers.  With
         ``degrade_on_error=True`` an unreadable block (retries
-        exhausted, or its breaker open) is skipped by the keys that
-        needed it, and a key that hits below a skipped run, or ends its
-        scan with one, answers MAYBE (``"unavailable"``); otherwise the
-        read error propagates.
+        exhausted, its breaker open, or no block at its address) is
+        skipped by the keys that needed it, and a key that hits below a
+        skipped run, or ends its scan with one, answers MAYBE
+        (``"unavailable"``); otherwise the read error propagates.
         ``stats.lookup_ios`` counts each block read attempted,
         ``io_hit``/``io_wasted`` each run read, and lookups, probes and
         false positives each key, so a batch of one is a scalar scan.
@@ -746,7 +789,9 @@ class LSMTree:
                 stats.lookup_ios += 1
                 try:
                     self._read_block(address, deadline)
-                except (TransientIOError, CircuitOpenError):
+                except (TransientIOError, CircuitOpenError, KeyError):
+                    # A KeyError is a block the device dropped: as
+                    # unreadable as one that fails now.
                     if not degrade_on_error:
                         raise
                     # These keys can no longer be ruled out at this run:

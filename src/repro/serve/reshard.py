@@ -9,9 +9,10 @@ state machine::
 
     PLANNED -> DOUBLE_WRITE -> BACKFILL -> VERIFY -> CUTOVER -> RETIRE -> DONE
 
-Every transition and every batch of progress is journaled to the meta
-namespace (a :class:`~repro.common.records.Journal` of ``("reshard",
-seq)`` records) and the routing table itself is a
+Every transition and every few batches of copy progress are journaled
+to the meta namespace (a :class:`~repro.common.records.Journal` of
+``("reshard", seq)`` records, trimmed once the migration is DONE) and
+the routing table itself is a
 :class:`~repro.common.records.DurableManifest`, so a crash at
 *any* point recovers via :meth:`ShardedStore.recover` +
 :meth:`ReshardCoordinator.recover` and the migration resumes where the
@@ -77,13 +78,13 @@ class MigrationStep(enum.Enum):
     BACKFILL = "backfill"        # copy moving keys old owner -> new owner
     VERIFY = "verify"            # re-scan: every moving key present+equal
     CUTOVER = "cutover"          # swap routing table, persist new epoch
-    RETIRE = "retire"            # drop moved keys/shard from the old side
+    RETIRE = "retire"            # rewrite the old side without moved keys / drop it
     DONE = "done"
 
 
 # Steps during which both owners are written / consulted.  RETIRE is
 # single-owner on purpose: cutover has landed, the new routing table is
-# authoritative, and the old copies are being deleted.
+# authoritative, and the old copies are being dropped.
 _BOTH_OWNER_STEPS = frozenset({
     MigrationStep.DOUBLE_WRITE, MigrationStep.BACKFILL,
     MigrationStep.VERIFY, MigrationStep.CUTOVER,
@@ -128,7 +129,7 @@ class MigrationState:
     old_router: Router
     new_router: Router
     step: MigrationStep = MigrationStep.PLANNED
-    floor: Any = None             # last key durably processed in this step
+    floor: Any = None             # last key durably copied or verified in this step
 
     def moving(self, key: Any) -> bool:
         return self.old_router.owner(key) != self.new_router.owner(key)
@@ -404,6 +405,10 @@ class ReshardCoordinator:
         self._obs: _ReshardMetrics | None = None
         self.last_migration: MigrationState | None = None
         self._moving: list[Any] | None = None  # keys left in the current scan
+        # VERIFY's source read of the batch it has not committed:
+        # (batch, the source's mutation_epoch, values).
+        self._carry: tuple[list[Any], int, list[Any]] | None = None
+        self._records: list[dict] = []  # what journal_records() returns
 
     # -- planning ----------------------------------------------------------------
 
@@ -443,6 +448,7 @@ class ReshardCoordinator:
     def _install_plan(self, mig: MigrationState, *, open_target: bool) -> None:
         # A fresh migration supersedes the previous journal wholesale.
         self.store.journal.trim()
+        self._records = []
         self._journal({
             "kind": "plan",
             "step": MigrationStep.PLANNED.value,
@@ -460,7 +466,7 @@ class ReshardCoordinator:
         # target's tree before the journal is even consulted.
         self.store._write_routing_manifest()
         self.store.migration = mig
-        self._moving = None
+        self._moving = self._carry = None
         self._commits_since_journal = 0
         self._meter_step(MigrationStep.PLANNED)
         crash_point(self.injector, "reshard.planned")
@@ -521,12 +527,12 @@ class ReshardCoordinator:
         elif step is MigrationStep.CUTOVER:
             self._do_cutover(mig)
         elif step is MigrationStep.RETIRE:
-            self._pump_retire(mig, deadline)
+            self._pump_retire(mig)
 
     def _enter(self, mig: MigrationState, step: MigrationStep) -> None:
         mig.step = step
         mig.floor = None
-        self._moving = None
+        self._moving = self._carry = None
         self._commits_since_journal = 0
         self._journal({"kind": "step", "step": step.value})
         self._meter_step(step)
@@ -594,8 +600,14 @@ class ReshardCoordinator:
         if not batch:
             self._enter(mig, MigrationStep.CUTOVER)
             return
-        source_values = self._batched_get(mig, batch, deadline, donors=True)
+        # A source read whose target read missed its deadline stands for
+        # the same batch while the source takes no write: any write to a
+        # moving key double-applies and bumps the source's epoch.
+        epoch = self.store.shards[mig.source].mutation_epoch
+        if self._carry is None or self._carry[:2] != (batch, epoch):
+            self._carry = (batch, epoch, self._batched_get(mig, batch, deadline, donors=True))
         target_values = self._batched_get(mig, batch, deadline, donors=False)
+        source_values, self._carry = self._carry[2], None
         repaired = 0
         for key, src, dst in zip(batch, source_values, target_values):
             if src is _MISSING:
@@ -648,26 +660,21 @@ class ReshardCoordinator:
         crash_point(self.injector, "reshard.cutover:manifest")
         self._enter(mig, MigrationStep.RETIRE)
 
-    def _pump_retire(self, mig: MigrationState, deadline) -> None:
+    def _pump_retire(self, mig: MigrationState) -> None:
+        """Free what the source no longer owns: a merge drops the shard,
+        a split's source takes one purge step, which needs no floor."""
         if mig.kind == "merge":
-            # The whole source shard moved: drop it and its blocks.
             if mig.source in self.store.shards:
                 self.store.drop_shard(mig.source)
                 self.store._write_routing_manifest()
             self._finish(mig)
             return
-        batch = self._next_batch(mig)
-        if not batch:
+        dropped = self.store.shards[mig.source].purge_step(
+            lambda key: mig.new_router.owner(key) != mig.source)
+        if dropped is None:
             self._finish(mig)
-            return
-        done = 0
-        for key in batch:
-            if done and deadline is not None and deadline.expired():
-                break
-            self.store.shards[mig.old_router.owner(key)].delete(key)
-            done += 1
-        self._meter_keys("retired", done)
-        self._commit_batch(mig, batch[:done])
+        else:
+            self._meter_keys("retired", dropped)
 
     def _finish(self, mig: MigrationState) -> None:
         mig.step = MigrationStep.DONE
@@ -677,6 +684,8 @@ class ReshardCoordinator:
         self.store.migration = None
         self._moving = None
         crash_point(self.injector, "reshard.done")
+        # Nothing is left to resume; a recovery that finds DONE trims too.
+        self.store.journal.trim()
 
     # -- journal -----------------------------------------------------------------
 
@@ -688,10 +697,13 @@ class ReshardCoordinator:
             self.store.journal.append_verified((seq,), record)
         else:
             self.store.journal.append([((seq,), record)])
+        self._records.append(record)
 
     def journal_records(self) -> list[dict]:
-        """Every intact journal record, in order (recovery tolerates holes)."""
-        return [record for _key, record in self.store.journal.scan()]
+        """The records of the current or last migration that recovery
+        read (intact ones; it tolerates holes) or this coordinator wrote,
+        in order.  The device keeps none after DONE."""
+        return list(self._records)
 
     @classmethod
     def recover(
@@ -709,7 +721,7 @@ class ReshardCoordinator:
             store, clock=clock if clock is not None else store.clock,
             admission=admission, injector=injector, **kwargs,
         )
-        records = coord.journal_records()
+        records = coord._records = [record for _key, record in store.journal.scan()]
         plan = next((r for r in records if r["kind"] == "plan"), None)
         if plan is None:
             return coord
@@ -722,6 +734,7 @@ class ReshardCoordinator:
             elif record["kind"] == "progress" and record["step"] == step.value:
                 floor = record["floor"]
         if step is MigrationStep.DONE:
+            store.journal.trim()  # the trim a crash cut off
             return coord
         spec = plan["plan"]
         mig = MigrationState(

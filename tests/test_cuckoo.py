@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,21 @@ class TestCuckooBasics:
         assert cf.size_in_bits == cf.n_buckets * 4 * 9
 
 
+# The copies of one key a filter holds: both of its buckets full of it.
+_MAX_COPIES = 2 * CuckooFilter(128, 14, seed=8).bucket_size
+
+
+def _capped(keys: list[int]) -> list[int]:
+    """*keys* in order, without the copies of a key past ``_MAX_COPIES``."""
+    seen: Counter = Counter()
+    out = []
+    for key in keys:
+        seen[key] += 1
+        if seen[key] <= _MAX_COPIES:
+            out.append(key)
+    return out
+
+
 class TestCuckooModel:
     def test_a_key_has_two_distinct_buckets(self):
         cf = CuckooFilter(128, 14, seed=8)
@@ -100,7 +117,18 @@ class TestCuckooModel:
             cf.insert(42)
         assert len(cf) == 2 * cf.bucket_size
 
-    @given(st.lists(st.integers(min_value=0, max_value=200), max_size=80))
+    def test_a_copy_past_both_buckets_overflows(self):
+        cf = CuckooFilter(128, 14, seed=8)
+        others = list(range(100, 140))
+        for key in others:
+            cf.insert(key)
+        for _ in range(_MAX_COPIES):
+            cf.insert(42)
+        with pytest.raises(FilterFullError):
+            cf.insert(42)
+        assert all(cf.may_contain(key) for key in [*others, 42])
+
+    @given(st.lists(st.integers(min_value=0, max_value=200), max_size=80).map(_capped))
     @settings(max_examples=60, deadline=None)
     def test_insert_delete_round_trip(self, keys):
         cf = CuckooFilter(128, 14, seed=8)

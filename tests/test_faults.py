@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps.lsm import LSMConfig, LSMTree
-from repro.common.clock import Deadline, DeadlineExceeded, SimulatedClock
+from repro.common.clock import Answer, Deadline, DeadlineExceeded, SimulatedClock
 from repro.common.records import DurableManifest
 from repro.common.storage import BlockDevice
 from repro.common.faults import (
@@ -804,6 +804,24 @@ class TestRunPages:
         lost_run = next(run for level in tree._levels for run in level
                         if run.run_id == victim[1])
         assert recovered.n_entries_on_disk == tree.n_entries_on_disk - len(lost_run)
+
+
+    def test_a_page_dropped_at_flush_answers_maybe_live(self):
+        # The eighth put flushes; its page never lands and the flush's
+        # checkpoint frees the WAL.  No block is as unreadable as one
+        # that fails now: MAYBE, never ABSENT, and no KeyError.
+        injector = FaultInjector(seed=0)
+        tree = LSMTree(LSMConfig(memtable_entries=8), device=FaultyBlockDevice(injector=injector))
+        for key in range(7):
+            tree.put(key, f"v{key}")
+        injector.lost_write = {"page": 1.0}
+        tree.put(7, "v7")
+        injector.lost_write = 0.0
+        for key in range(8):
+            result = tree.lookup(key, degrade_on_error=True)
+            assert (result.state, result.reason) == (Answer.MAYBE, "unavailable")
+        with pytest.raises(KeyError):
+            tree.lookup(3)
 
 
 class TestWalGaps:

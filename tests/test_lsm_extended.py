@@ -1,11 +1,14 @@
-"""Extended LSM tests: tombstone deletes, GRF mode, crate filter."""
+"""Extended LSM tests: tombstone deletes, the purge step, GRF mode, crate filter."""
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 
 from repro.apps.lsm import LSMConfig, LSMTree, TOMBSTONE
+from repro.common.faults import FaultInjector, FaultyBlockDevice
 from repro.core.errors import DeletionError, FilterFullError
 from repro.filters.crate import CrateFilter
 from repro.rangefilters.snarf import SNARF
@@ -70,6 +73,114 @@ class TestTombstones:
             v for level in tree._levels for run in level for v in run.values
         ]
         assert sum(1 for v in on_disk_values if v is TOMBSTONE) < 64
+
+
+def _churned(compaction="leveling", page_entries=0, device=None):
+    """A tree whose keys 0..47 hold older versions and tombstones in
+    several runs and in the memtable; returns it with its model."""
+    config = LSMConfig(compaction=compaction, memtable_entries=8, size_ratio=3,
+                       page_entries=page_entries)
+    tree = LSMTree(config, device=FaultyBlockDevice() if device is None else device)
+    rng, model = random.Random(5), {}
+    for i in range(100):
+        key = rng.randrange(48)
+        if rng.random() < 0.3:
+            tree.delete(key)
+            model.pop(key, None)
+        else:
+            tree.put(key, i)
+            model[key] = i
+    return tree, model
+
+
+def _rejected(key) -> bool:
+    return key % 3 == 0
+
+
+def _entries(tree: LSMTree) -> list:
+    """Every key the tree holds an entry of: live, shadowed or tombstone."""
+    return [*tree._memtable, *(k for level in tree._levels for run in level for k in run.keys)]
+
+
+def _purge(tree: LSMTree, limit: int = 100) -> int:
+    for steps in range(limit):
+        if tree.purge_step(_rejected) is None:
+            return steps
+    raise AssertionError("purge did not converge")
+
+
+class TestPurgeStep:
+    """The compaction-filter step that online resharding's RETIRE runs."""
+
+    @pytest.mark.parametrize("page_entries", [0, 4])
+    @pytest.mark.parametrize("compaction", ["leveling", "tiering", "lazy-leveling"])
+    def test_drops_every_rejected_entry_and_keeps_each_run_in_place(
+            self, compaction, page_entries):
+        tree, model = _churned(compaction, page_entries)
+        assert any(map(_rejected, tree._memtable))
+        shadowed = [k for level in tree._levels for run in level for k, v in
+                    zip(run.keys, run.values) if _rejected(k) and v is not TOMBSTONE]
+        tombstones = [k for level in tree._levels for run in level for k, v in
+                      zip(run.keys, run.values) if _rejected(k) and v is TOMBSTONE]
+        assert shadowed and tombstones
+        while True:
+            rewrites = not any(map(_rejected, tree._memtable))
+            before = {run.seq: run.level for level in tree._levels for run in level}
+            if tree.purge_step(_rejected) is None:
+                break
+            after = {run.seq: run.level for level in tree._levels for run in level}
+            # Oldest first: a rejected key reads its last value or nothing,
+            # never a version its dropped successor shadowed.
+            assert all(tree.get(k) in (model.get(k), None) for k in range(48) if _rejected(k))
+            if rewrites:
+                # A rewrite keeps every other run, and its run's level and
+                # sequence unless nothing of it was left.
+                assert after.items() <= before.items()
+                assert len(before) - len(after) <= 1
+        assert [k for k in _entries(tree) if _rejected(k)] == []
+        kept = {k: v for k, v in model.items() if not _rejected(k)}
+        assert dict(tree.items()) == kept
+        assert tree.scrub(repair=False).corrupt == []
+        # Each rewritten run's filter covers exactly what it kept.
+        for level in tree._levels:
+            for run in level:
+                assert not run.keys or all(run.filter.may_contain_many(run.keys))
+
+    @pytest.mark.parametrize("page_entries", [0, 4])
+    def test_a_recovery_between_any_two_steps_converges(self, page_entries):
+        steps = _purge(_churned(page_entries=page_entries)[0])
+        assert steps > 2
+        for crash_after in range(steps + 1):
+            tree, model = _churned(page_entries=page_entries)
+            for _ in range(crash_after):
+                tree.purge_step(_rejected)
+            kept = {k: v for k, v in model.items() if not _rejected(k)}
+            recovered = LSMTree.recover(tree.device, tree.config)
+            report = recovered.recovery_report
+            assert (report.runs_lost, report.wal_lost) == (0, 0)
+            assert [k for k, v in kept.items() if recovered.get(k) != v] == []
+            _purge(recovered)
+            assert [k for k in _entries(recovered) if _rejected(k)] == []
+            assert dict(recovered.items()) == kept
+            again = LSMTree.recover(tree.device, tree.config)
+            assert [k for k in _entries(again) if _rejected(k)] == []
+
+    def test_the_last_step_waits_for_a_checkpoint_that_verifies(self):
+        injector = FaultInjector(seed=0)
+        tree, model = _churned(device=FaultyBlockDevice(injector=injector))
+        injector.lost_write = {"manifest": 1.0}
+        for _ in range(30):
+            assert tree.purge_step(_rejected) is not None
+        assert [k for k in _entries(tree) if _rejected(k)] == []
+        # Clean in memory, not on the device: a recovery would bring the
+        # dropped entries back, so the step retries the checkpoint.
+        assert any(map(_rejected, _entries(LSMTree.recover(tree.device, tree.config))))
+        injector.lost_write = 0.0
+        assert tree.purge_step(_rejected) == 0
+        assert tree.purge_step(_rejected) is None
+        recovered = LSMTree.recover(tree.device, tree.config)
+        assert [k for k in _entries(recovered) if _rejected(k)] == []
+        assert dict(recovered.items()) == {k: v for k, v in model.items() if not _rejected(k)}
 
 
 class TestGlobalRangeFilter:

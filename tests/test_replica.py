@@ -219,6 +219,24 @@ class TestQuorumCombine:
             assert store.lookup(key).state is Answer.PRESENT, key
             assert store.get(key) == "late"
 
+    def test_a_page_the_device_dropped_answers_maybe(self):
+        # r1's flush page never lands, and the flush frees its WAL.  With
+        # r0 and r2 down, r1 answers alone: a missing block is
+        # unreadable, so the key is MAYBE, not ABSENT and not an error.
+        injector = FaultInjector(seed=3)
+        device = FaultyBlockDevice(injector=injector)
+        store, _ = _fresh_store(device=device, injector=injector)
+        flush_at = store.config.memtable_entries
+        for key in range(flush_at):
+            injector.lost_write = {"page@r1": 1.0} if key == flush_at - 1 else 0.0
+            store.put(key, f"v{key}")
+        injector.lost_write = 0.0
+        assert not [a for a in device.addresses() if a[:2] == ("page", "r1")]
+        store.kill(0)
+        store.kill(2)
+        result = store.lookup(3)
+        assert (result.state, result.reason) == (Answer.MAYBE, "unavailable")
+
     def test_tombstone_counts_as_absence_evidence(self):
         store, _ = self._loaded()
         store.delete(3)

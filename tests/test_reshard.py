@@ -270,6 +270,23 @@ def _ownership_census(store):
     return census
 
 
+def _foreign_entries(store):
+    """``(shard, key)`` for every entry a shard holds of a key it does not
+    own: a live value, a shadowed version or a tombstone, in a run or in
+    the memtable."""
+    return [
+        (sid, key)
+        for sid, tree in store.shards.items()
+        for key in [*tree._memtable,
+                    *(k for level in tree._levels for run in level for k in run.keys)]
+        if store.router.owner(key) != sid
+    ]
+
+
+def _journal_blocks(store):
+    return [a for a in store._meta.addresses() if a[0] == "reshard"]
+
+
 class TestCoordinator:
     N = 300
 
@@ -349,6 +366,60 @@ class TestCoordinator:
         steps = [r["step"] for r in records if r["kind"] == "step"]
         assert steps[-1] == MigrationStep.DONE.value
         assert [r["seq"] for r in records] == sorted(r["seq"] for r in records)
+
+    def test_split_leaves_the_source_no_entry_of_a_moved_key(self):
+        _device, _clock, store, coordinator = self._loaded()
+        mig = coordinator.plan_split()
+        coordinator.pump(budget=0.5, force=True)  # -> DOUBLE_WRITE
+        moving = [k for k in range(self.N) if mig.moving(k)]
+        # Older versions and tombstones of moving keys on both owners.
+        model = {k: f"v{k}" for k in range(self.N)}
+        for key in moving[::3]:
+            store.put(key, f"new{key}")
+            model[key] = f"new{key}"
+        for key in moving[1::3]:
+            store.delete(key)
+            del model[key]
+        source = store.shards[mig.source]
+        assert {k for k in source._memtable if mig.moving(k)}
+        _pump_to_done(coordinator, store)
+        assert _foreign_entries(store) == []
+        assert all(store.get(key) == model.get(key) for key in range(self.N))
+
+    def test_done_trims_the_journal(self):
+        device, _clock, store, coordinator = self._loaded()
+        coordinator.plan_split()
+        _pump_to_done(coordinator, store)
+        assert _journal_blocks(store) == []
+        records = coordinator.journal_records()
+        assert records[0]["kind"] == "plan"
+        assert records[-1]["step"] == MigrationStep.DONE.value
+        # A recovery finds no journal: the store is idle.
+        revived = ShardedStore.recover(device, clock=SimulatedClock(), seed=0)
+        recovered = ReshardCoordinator.recover(revived)
+        assert revived.migration is None and recovered.journal_records() == []
+        assert revived.router.epoch == store.router.epoch
+        assert all(revived.get(key) == f"v{key}" for key in range(self.N))
+
+    def test_a_crash_before_the_trim_leaves_it_to_recovery(self):
+        device = BlockDevice()
+        store = ShardedStore.create(device, 3, seed=0, clock=SimulatedClock())
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        injector = FaultInjector(seed=0)
+        injector.crash_after("reshard.done")
+        coordinator = ReshardCoordinator(store, injector=injector)
+        coordinator.plan_split()
+        with pytest.raises(SimulatedCrash):
+            _pump_to_done(coordinator, store)
+        assert _journal_blocks(store)
+        revived = ShardedStore.recover(device, clock=SimulatedClock(), seed=0)
+        recovered = ReshardCoordinator.recover(revived)
+        assert revived.migration is None and _journal_blocks(revived) == []
+        # Recovery's records still tell the finished migration.
+        steps = [r["step"] for r in recovered.journal_records()]
+        assert steps[0] == MigrationStep.PLANNED.value
+        assert steps[-1] == MigrationStep.DONE.value
 
     def test_second_plan_while_migrating_rejected(self):
         _device, _clock, store, coordinator = self._loaded()
@@ -446,6 +517,70 @@ class TestPumpBudget:
         _pump_to_done(coordinator, store)
         for key in range(self.N):
             assert store.shards[store.router.owner(key)].get(key) == f"v{key}"
+
+
+class TestVerifyCarry:
+    """A VERIFY pump whose target read misses its deadline keeps its
+    source read for the next pump, but only while the source takes no
+    write: a write there double-applies, so a carried value may be stale."""
+
+    N = 300
+
+    def _at_verify(self, monkeypatch):
+        _device, clock, store = _fresh_store(3, seed=0)
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        coordinator = ReshardCoordinator(store, clock=clock)
+        mig = coordinator.plan_split()
+        while mig.step is not MigrationStep.VERIFY:
+            coordinator.pump(budget=0.5, force=True)
+        source, target = store.shards[mig.source], store.shards[mig.target]
+        source_reads = []
+
+        def spy(keys, *, lookup_many=source.lookup_many, **kwargs):
+            source_reads.append(list(keys))
+            return lookup_many(keys, **kwargs)
+
+        late = [True]
+
+        def late_once(keys, *, lookup_many=target.lookup_many, **kwargs):
+            results = lookup_many(keys, **kwargs)
+            if late:
+                late.clear()
+                for result in results:
+                    result.state, result.complete, result.reason = (
+                        Answer.MAYBE, False, "deadline")
+            return results
+
+        monkeypatch.setattr(source, "lookup_many", spy)
+        monkeypatch.setattr(target, "lookup_many", late_once)
+        return store, coordinator, mig, source_reads
+
+    def test_a_late_target_read_keeps_the_source_read(self, monkeypatch):
+        store, coordinator, mig, source_reads = self._at_verify(monkeypatch)
+        window = CounterWindow()
+        coordinator.pump(budget=0.5, force=True)
+        assert len(source_reads) == 1 and mig.floor is None
+        assert window.count("repro_reshard_keys_total", action="verified") == 0
+        coordinator.pump(budget=0.5, force=True)
+        assert len(source_reads) == 1
+        assert mig.floor == source_reads[0][-1]
+        assert window.count("repro_reshard_keys_total", action="verified") == len(
+            source_reads[0])
+
+    def test_a_source_write_between_pumps_forces_a_fresh_source_read(self, monkeypatch):
+        store, coordinator, mig, source_reads = self._at_verify(monkeypatch)
+        coordinator.pump(budget=0.5, force=True)
+        batch = source_reads[0]
+        key = batch[0]
+        store.put(key, "fresh")  # double-applies to both owners
+        coordinator.pump(budget=0.5, force=True)
+        assert source_reads == [batch, batch]
+        # The carried value is stale: it never reaches the target.
+        assert store.shards[mig.target].get(key) == "fresh"
+        _pump_to_done(coordinator, store)
+        assert store.get(key) == "fresh"
+        assert all(store.get(k) == f"v{k}" for k in range(self.N) if k != key)
 
 
 # -- crash chaos: every crash point, recover from the devices alone ----------------
@@ -614,12 +749,20 @@ class ReshardMachine(RuleBasedStateMachine):
         assert sorted(census) == sorted(self.model)
         for key, owners in census.items():
             assert owners == [self.store.router.owner(key)], key
+        # DONE leaves nothing behind: no shard keeps any entry of a key
+        # it does not own, and the journal is gone.
+        assert _foreign_entries(self.store) == []
+        assert _journal_blocks(self.store) == []
 
 
-TestReshardStateMachine = ReshardMachine.TestCase
-TestReshardStateMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
+# 25 examples of 30 steps; the thorough profile (500 examples) runs 150 of 50.
+THOROUGH = settings.default.max_examples >= 500
+MACHINE_SETTINGS = settings(
+    max_examples=150 if THOROUGH else 25,
+    stateful_step_count=50 if THOROUGH else 30, deadline=None,
 )
+TestReshardStateMachine = ReshardMachine.TestCase
+TestReshardStateMachine.settings = MACHINE_SETTINGS
 
 
 # -- storm integration -------------------------------------------------------------
