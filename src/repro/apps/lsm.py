@@ -14,7 +14,7 @@ Reproduced design space:
   the size ratio for smaller levels, making ΣFPR converge: O(ε) instead of
   O(ε·lg N) wasted I/Os).
 * **Range filters**: any :class:`~repro.core.interfaces.RangeFilter`
-  factory, built per run at flush/compaction (experiment F8).
+  factory, built per run when the run is written (experiment F8).
 * **Maplet mode**: replace per-run filters with a single maplet mapping
   each key to its run (SlimDB / Chucky / SplinterDB, §3.1): a lookup
   probes only the runs the maplet names.
@@ -24,7 +24,10 @@ Reproduced design space:
 
 Storage: a run is stored once, as its pages (``page_entries`` entries
 each, or one page per run at 0), and every read, recovery and scrub
-works in pages.
+works in pages.  It is also written once: a flush or compaction adds
+its runs in memory, and the checkpoint that lists a run writes its
+pages and its filter, built then, before the manifest.  A run its own
+compaction cascade merges away is never written and never filtered.
 
 Read path: :meth:`LSMTree.lookup_many` is the one scan.  It answers
 each key PRESENT, ABSENT or MAYBE, reading each page its filters (or
@@ -36,18 +39,20 @@ Durability model (docs/robustness.md):
 Every persistent artifact is a checksummed blob on the device: run
 pages, write-ahead-log records and the double-buffered manifest are
 durable records (:mod:`repro.common.records`), filter blobs are ``BBF2``
-frames (:mod:`repro.core.serialize`).  ``put`` is acknowledged only
-after its WAL record is on the device, and ``put_many`` acknowledges
-each memtable-room chunk as a whole once all of its WAL records are;
-:meth:`LSMTree.recover` reopens a (possibly faulty) device by loading
-the newest valid manifest (falling back to a device scan), rebuilding
-every run from its pages, replaying the WAL (a frame missing between
-the floor and the last one found counts as lost), and loading every
-run's filter blob — rebuilding any filter
+frames (:mod:`repro.core.serialize`).  A checkpoint writes new runs'
+pages and filters, then the manifest, then frees what it superseded,
+so no manifest lists a block that was not written.  ``put`` is
+acknowledged only after its WAL record is on the device, and
+``put_many`` acknowledges each memtable-room chunk as a whole once all
+of its WAL records are; :meth:`LSMTree.recover` reopens a (possibly
+faulty) device by loading the newest valid manifest (falling back to a
+device scan), rebuilding every run from its pages, replaying the WAL (a
+frame missing between the floor and the last one found counts as
+lost), and loading every run's filter blob — rebuilding any filter
 whose blob fails its checksum from the run's keys, or degrading that
-run to "always probe" when rebuilding is disabled.  :meth:`scrub` walks all blobs, reports
-corruption, and optionally repairs it — the ``bup bloom
---check/--regenerate`` workflow as a method.
+run to "always probe" when rebuilding is disabled.  :meth:`scrub`
+walks all blobs, reports corruption, and optionally repairs it — the
+``bup bloom --check/--regenerate`` workflow as a method.
 
 Telemetry (docs/observability.md): lookups, per-level filter probes and
 realised false positives, WAL appends, flushes and compactions accrue as
@@ -304,6 +309,7 @@ class LSMTree:
         self._manifest = DurableManifest(self.device, "manifest", version_key="epoch",
                                          read=self._read_block, attempts=self.config.retry_attempts)
         self._pending_retire: list[Any] = []
+        self._unwritten: list[_Run] = []  # emitted, not yet on the device
         self._maplet: QuotientFilterMaplet | None = None
         if self.config.use_maplet:
             self._maplet = QuotientFilterMaplet.for_capacity(
@@ -404,34 +410,49 @@ class LSMTree:
 
     def _emit_run(self, level: int, keys: list[int], values: list[Any],
                   seq: int | None = None) -> _Run:
-        """Write a new run at *level*, at sequence *seq* (default: the
-        next, so newer than every run)."""
+        """Add a new run at *level*, at sequence *seq* (default: the
+        next, so newer than every run).  It reaches the device, with its
+        filter, only at the checkpoint that lists it (:meth:`_write_runs`)."""
         if seq is None:
             seq = self._next_seq
             self._next_seq += 1
-        run = _Run(
-            self._next_run_id,
-            level,
-            keys,
-            values,
-            self._build_filter(level, keys),
-            self._build_range_filter(keys),
-            seq,
-            self.config.page_entries,
-        )
+        run = _Run(self._next_run_id, level, keys, values, None, None, seq,
+                   self.config.page_entries)
         self._next_run_id += 1
         while len(self._levels) <= level:
             self._levels.append([])
         self._levels[level].append(run)
-        blocks = [self._page_block(run, page) for page in range(run.n_pages)]
-        if run.filter is not None:
-            blocks.append(self._filter_block(run))
-        self.device.write_many(blocks)
-        if self._maplet is not None:
-            for key in keys:
-                self._maplet.insert(key, run.run_id)
+        self._unwritten.append(run)
         self._global_dirty = True
         return run
+
+    def _write_runs(self) -> None:
+        """Write every run emitted since the last checkpoint, oldest
+        first, with one device call: each run's pages, then its filter.
+
+        Filters, range filters and maplet entries are built here, so a
+        run its own compaction cascade merged away costs neither a write
+        nor a filter.  The run a cascade keeps is the last it emitted,
+        after every change of the tree's depth, so its Monkey ε is what
+        it was at emission.  If the write raises, the runs stay unwritten
+        and no manifest lists them.
+        """
+        runs = self._unwritten
+        if not runs:
+            return
+        blocks = []
+        for run in runs:
+            run.filter = self._build_filter(run.level, run.keys)
+            run.range_filter = self._build_range_filter(run.keys)
+            blocks += [self._page_block(run, page) for page in range(run.n_pages)]
+            if run.filter is not None:
+                blocks.append(self._filter_block(run))
+        self.device.write_many(blocks)
+        self._unwritten = []
+        if self._maplet is not None:
+            for run in runs:
+                for key in run.keys:
+                    self._maplet.insert(key, run.run_id)
 
     # -- paging (docs/performance.md) --------------------------------------------
     #
@@ -459,6 +480,10 @@ class LSMTree:
         return ("filter", run.run_id), blob, len(blob)
 
     def _retire_run(self, run: _Run) -> None:
+        if run in self._unwritten:
+            # Merged away before its checkpoint: nothing of it was written.
+            self._unwritten.remove(run)
+            return
         # Deletion is deferred to the next manifest checkpoint so that a
         # crash between compaction and checkpoint cannot orphan the tree:
         # the old manifest still describes blocks that still exist.
@@ -490,10 +515,12 @@ class LSMTree:
         }
 
     def _checkpoint(self) -> None:
-        """Durably record the run set, then free superseded blocks and the
-        WAL below the new floor.  Each failed try counts in
-        ``integrity_faults``; an unverified checkpoint frees nothing and
-        does not raise (docs/robustness.md, "Durable records")."""
+        """Write the new runs, durably record the run set, then free
+        superseded blocks and the WAL below the new floor.  Each failed
+        try of the manifest counts in ``integrity_faults``; an unverified
+        checkpoint frees nothing and does not raise (docs/robustness.md,
+        "Durable records")."""
+        self._write_runs()
         try:
             self.stats.integrity_faults += self._manifest.write(self._manifest_doc())
         except TransientIOError:

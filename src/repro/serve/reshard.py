@@ -405,8 +405,9 @@ class ReshardCoordinator:
         self._obs: _ReshardMetrics | None = None
         self.last_migration: MigrationState | None = None
         self._moving: list[Any] | None = None  # keys left in the current scan
-        # VERIFY's source read of the batch it has not committed:
-        # (batch, the source's mutation_epoch, values).
+        # A source read not yet used up: BACKFILL's uncopied keys, or
+        # VERIFY's batch whose target read was late.  (keys, the
+        # source's mutation_epoch, values).
         self._carry: tuple[list[Any], int, list[Any]] | None = None
         self._records: list[dict] = []  # what journal_records() returns
 
@@ -575,11 +576,19 @@ class ReshardCoordinator:
             self._commits_since_journal = 0
 
     def _pump_backfill(self, mig: MigrationState, deadline) -> None:
-        batch = self._next_batch(mig)
-        if not batch:
-            self._enter(mig, MigrationStep.VERIFY)
-            return
-        source_values = self._batched_get(mig, batch, deadline, donors=True)
+        # The keys the last pump read but had no budget to copy, carried
+        # while the source takes no write: they head the scan, and a
+        # write to one double-applies and bumps the source's epoch.
+        epoch = self.store.shards[mig.source].mutation_epoch
+        if self._carry is not None and self._carry[1] == epoch:
+            batch, _epoch, source_values = self._carry
+        else:
+            batch = self._next_batch(mig)
+            if not batch:
+                self._enter(mig, MigrationStep.VERIFY)
+                return
+            source_values = self._batched_get(mig, batch, deadline, donors=True)
+        self._carry = None
         moved = done = 0
         for key, value in zip(batch, source_values):
             # Budget check between keys: always make progress on at least
@@ -593,6 +602,8 @@ class ReshardCoordinator:
             moved += 1
         self._meter_keys("moved", moved)
         self._commit_batch(mig, batch[:done])
+        if done < len(batch):
+            self._carry = (batch[done:], epoch, source_values[done:])
         crash_point(self.injector, "reshard.backfill:batch")
 
     def _pump_verify(self, mig: MigrationState, deadline) -> None:

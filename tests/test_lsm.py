@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps.lsm import LSMConfig, LSMTree
+from repro.common.records import JSON
+from repro.common.storage import BlockDevice
+from repro.core.serialize import dumps as filter_dumps
 from repro.rangefilters.prefix_bloom import PrefixBloomFilter
 
 
@@ -171,3 +176,104 @@ class TestFilters:
             with_rf.range_query(int(lo), int(lo) + 255)
             without_rf.range_query(int(lo), int(lo) + 255)
         assert with_rf.stats.range_ios < without_rf.stats.range_ios
+
+
+# -- write path: each run reaches the device once ----------------------------------
+
+
+class _WriteLog(BlockDevice):
+    """A block device logging the address and payload of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.log: list = []
+
+    def write_many(self, items):
+        items = list(items)
+        self.log += [(address, payload) for address, payload, _size in items]
+        super().write_many(items)
+
+
+def _unlisted_run_blocks(log) -> list:
+    """The page and filter blocks in *log* whose run the next manifest
+    written after them does not list, or that no manifest follows."""
+    unlisted, since = [], []
+    for address, payload in log:
+        if address[0] in ("page", "filter"):
+            since.append(address)
+        elif address[0] == "manifest":
+            listed = {run[0] for run in JSON.decode(payload)["runs"]}
+            unlisted += [a for a in since if a[1] not in listed]
+            since = []
+    return unlisted + since
+
+
+def _filter_bytes(filt):
+    return None if filt is None else filter_dumps(filt)
+
+
+_WRITE_KEYS = st.integers(min_value=0, max_value=63)
+_WRITE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), _WRITE_KEYS, st.integers(0, 1000)),
+    st.tuples(st.just("put_many"), st.lists(st.tuples(_WRITE_KEYS, st.integers(0, 1000)),
+                                            max_size=20)),
+    st.tuples(st.just("delete"), _WRITE_KEYS),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("purge"), _WRITE_KEYS),
+), max_size=60)
+
+
+class TestEachRunWrittenOnce:
+    """A new run reaches the device only at the checkpoint that lists
+    it, so a run its own compaction cascade merges away is never
+    written, and its filter is built only then."""
+
+    @pytest.mark.parametrize("use_maplet", [False, True])
+    @pytest.mark.parametrize("page_entries", [0, 4])
+    @pytest.mark.parametrize("compaction", ["leveling", "tiering", "lazy-leveling"])
+    @given(ops=_WRITE_OPS)
+    def test_every_run_block_written_is_listed_by_the_next_manifest(
+            self, compaction, page_entries, use_maplet, ops):
+        device = _WriteLog()
+        tree = LSMTree(LSMConfig(compaction=compaction, memtable_entries=8, size_ratio=3,
+                                 page_entries=page_entries, use_maplet=use_maplet),
+                       device=device)
+        for op, *args in ops:
+            if op == "put":
+                tree.put(*args)
+            elif op == "put_many":
+                tree.put_many(args[0])
+            elif op == "delete":
+                tree.delete(args[0])
+            elif op == "purge":
+                lo = args[0]
+                tree.purge_step(lambda key, lo=lo: lo <= key < lo + 8)
+            else:
+                getattr(tree, op)()
+            assert _unlisted_run_blocks(device.log) == []
+            for level in tree._levels:
+                for run in level:
+                    fresh = tree._build_filter(run.level, run.keys)
+                    assert _filter_bytes(run.filter) == _filter_bytes(fresh)
+                    if use_maplet:
+                        assert all(run.run_id in tree._maplet.get(k) for k in run.keys)
+
+    def test_the_put_that_fills_the_memtable_makes_four_writes_and_one_read(self):
+        # The replica and shard trees' memtable size.  400 flushes take
+        # level 0 into level 1 and level 1 into level 2 along the way.
+        device = _WriteLog()
+        tree = LSMTree(LSMConfig(memtable_entries=48), device=device)
+        for flush in range(400):
+            for key in range(48 * flush, 48 * flush + 47):
+                tree.put(key, key)
+            before, logged = device.stats.snapshot(), len(device.log)
+            tree.put(48 * flush + 47, 0)
+            io = device.stats - before
+            assert (io.writes, io.reads) == (4, 1)
+            # The WAL frame, the one run the flush keeps, the manifest.
+            kept = max(run.run_id for level in tree._levels for run in level)
+            assert [address for address, _payload in device.log[logged:]] == [
+                ("wal", 48 * flush + 47), ("page", kept, 0), ("filter", kept),
+                ("manifest", (flush + 1) % 2)]
+        assert tree.n_levels == 3

@@ -583,6 +583,73 @@ class TestVerifyCarry:
         assert all(store.get(k) == f"v{k}" for k in range(self.N) if k != key)
 
 
+class TestBackfillCarry:
+    """A BACKFILL pump whose budget runs out after its source read keeps
+    the keys it did not copy, with their values, for the next pump, but
+    only while the source takes no write."""
+
+    N = 300
+
+    def _at_backfill(self, monkeypatch):
+        _device, clock, store = _fresh_store(3, seed=0)
+        for key in range(self.N):
+            store.put(key, f"v{key}")
+        coordinator = ReshardCoordinator(store, clock=clock)
+        mig = coordinator.plan_split()
+        while mig.step is not MigrationStep.BACKFILL:
+            coordinator.pump(budget=0.5, force=True)
+        source, target = store.shards[mig.source], store.shards[mig.target]
+        source_reads = []
+
+        def spy(keys, *, lookup_many=source.lookup_many, **kwargs):
+            source_reads.append(list(keys))
+            return lookup_many(keys, **kwargs)
+
+        copies = []
+
+        def slow_put(key, value, *, put=target.put):
+            # Each copy spends the whole pump budget.
+            copies.append((key, value))
+            put(key, value)
+            clock.advance(1.0)
+
+        monkeypatch.setattr(source, "lookup_many", spy)
+        monkeypatch.setattr(target, "put", slow_put)
+        return store, coordinator, mig, source_reads, copies
+
+    def test_a_pump_stopped_mid_batch_reads_nothing_next_time(self, monkeypatch):
+        store, coordinator, mig, source_reads, copies = self._at_backfill(monkeypatch)
+        window = CounterWindow()
+        coordinator.pump(budget=0.5, force=True)
+        assert len(source_reads) == 1 and len(copies) == 1
+        batch = source_reads[0]
+        assert len(batch) > 2 and mig.floor == batch[0]
+        coordinator.pump(budget=0.5, force=True)
+        # The second key came from the carry: no source read.
+        assert len(source_reads) == 1
+        assert [key for key, _v in copies] == batch[:2] and mig.floor == batch[1]
+        assert window.count("repro_reshard_keys_total", action="moved") == 2
+        monkeypatch.undo()
+        _pump_to_done(coordinator, store)
+        assert all(store.get(k) == f"v{k}" for k in range(self.N))
+
+    def test_a_source_write_between_pumps_forces_a_fresh_read(self, monkeypatch):
+        store, coordinator, mig, source_reads, copies = self._at_backfill(monkeypatch)
+        coordinator.pump(budget=0.5, force=True)
+        batch = source_reads[0]
+        key = batch[1]
+        store.put(key, "fresh")  # double-applies to both owners
+        coordinator.pump(budget=0.5, force=True)
+        assert len(source_reads) == 2 and source_reads[1][0] == key
+        # The carried value is stale: it never reaches the target.
+        assert copies[1] == (key, "fresh")
+        assert store.shards[mig.target].get(key) == "fresh"
+        monkeypatch.undo()
+        _pump_to_done(coordinator, store)
+        assert store.get(key) == "fresh"
+        assert all(store.get(k) == f"v{k}" for k in range(self.N) if k != key)
+
+
 # -- crash chaos: every crash point, recover from the devices alone ----------------
 
 
